@@ -40,7 +40,7 @@ func IsPartialMutation(err error) bool {
 
 // ShardError wraps a failure of one shard with its identity, so an
 // unreachable or misbehaving member of the cluster is named instead of
-// surfacing as a raw transport or gob error.
+// surfacing as a raw transport or decode error.
 type ShardError struct {
 	Shard int    // index in manifest order
 	Addr  string // dial address or local label

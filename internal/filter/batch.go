@@ -35,7 +35,7 @@ type EvalRequest struct {
 }
 
 // EvalResult is the per-member reply. Err is a string (not error) so the
-// batch stays gob-encodable and a failure pinpoints the member that
+// batch has a plain wire encoding and a failure pinpoints the member that
 // caused it. Error identity (errors.Is/As) is not preserved across a
 // batch — the wire format carries messages, exactly as per-call RMI
 // replies do. Current consumers abort a whole client call on the first

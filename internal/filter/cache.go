@@ -65,8 +65,11 @@ func newPolyCache(max int) *polyCache {
 	c := &polyCache{segs: make([]cacheSeg, segs), mask: uint64(segs - 1)}
 	per := (max + segs - 1) / segs
 	for i := range c.segs {
+		// Segments grow with their entries: a cache that never fills
+		// (a small table, or one that mutations keep purging) holds no
+		// memory for the entries it never had.
 		c.segs[i].max = per
-		c.segs[i].data = make(map[int64]*cacheEnt, per)
+		c.segs[i].data = map[int64]*cacheEnt{}
 	}
 	return c
 }

@@ -147,8 +147,7 @@ type ServerStats struct {
 	CacheMisses int64
 	Decodes     int64
 	// Aggregates counts aggregate fold frames served (AggregateBatch
-	// calls). Gob tolerates the field's absence in either direction, so
-	// old and new binaries interoperate (old peers report/see zero).
+	// calls).
 	Aggregates int64
 }
 

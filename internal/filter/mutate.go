@@ -29,7 +29,6 @@
 package filter
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -245,92 +244,37 @@ func GateExempt(method string) bool {
 }
 
 // EncodeBatch serializes a batch to the byte string journaled in the
-// WAL (and replayed from it). The encoding is hand-rolled because it
-// must be fully deterministic — equal batches must encode to equal
-// bytes in every process, since replica WAL files are compared
-// byte-for-byte. gob cannot promise that: its type IDs come from a
-// process-global registry in first-encode order, so two replica
-// processes journal different bytes for the same batch. Layout: Ver
-// byte, Seq uvarint, op count uvarint, then per op a Kind byte, the
-// seven numeric fields as zigzag varints, and a length-prefixed blob.
-// New fields append behind a Ver bump.
+// WAL (and replayed from it) — the same bytes the batch travels as on
+// the wire (see MutationBatch.AppendWire). The encoding is hand-rolled
+// because it must be fully deterministic: equal batches must encode to
+// equal bytes in every process, since replica WAL files are compared
+// byte-for-byte. Layout: Ver byte, Seq uvarint, op count uvarint, then
+// per op a Kind byte, the seven numeric fields as zigzag varints, and a
+// length-prefixed blob. New fields append behind a Ver bump.
 func EncodeBatch(b MutationBatch) ([]byte, error) {
-	buf := make([]byte, 0, 16+len(b.Ops)*24)
-	buf = append(buf, b.Ver)
-	buf = binary.AppendUvarint(buf, b.Seq)
-	buf = binary.AppendUvarint(buf, uint64(len(b.Ops)))
-	for _, op := range b.Ops {
-		buf = append(buf, op.Kind)
-		for _, v := range [...]int64{op.Pre, op.Post, op.Parent, op.NewPre, op.PostDelta, op.ParentMin, op.ParentDelta} {
-			buf = binary.AppendVarint(buf, v)
-		}
-		buf = binary.AppendUvarint(buf, uint64(len(op.Blob)))
-		buf = append(buf, op.Blob...)
-	}
-	return buf, nil
+	return b.AppendWire(make([]byte, 0, 16+len(b.Ops)*24)), nil
 }
 
 // DecodeBatch reverses EncodeBatch. It is defensive — a corrupted
 // record surfaces as an error, never a panic or an oversized
 // allocation — because replay feeds it whatever prefix of the log
-// passed the CRC check.
+// passed the CRC check, and the server whatever a peer sent.
 func DecodeBatch(data []byte) (MutationBatch, error) {
-	bad := func(what string) (MutationBatch, error) {
-		return MutationBatch{}, fmt.Errorf("filter: decode batch: truncated or invalid %s", what)
-	}
-	if len(data) == 0 {
-		return bad("header")
-	}
 	var b MutationBatch
-	b.Ver = data[0]
-	data = data[1:]
-	seq, n := binary.Uvarint(data)
-	if n <= 0 {
-		return bad("seq")
-	}
-	b.Seq = seq
-	data = data[n:]
-	count, n := binary.Uvarint(data)
-	if n <= 0 {
-		return bad("op count")
-	}
-	data = data[n:]
-	// Every op occupies at least 9 bytes, so the count bounds the
-	// allocation against a corrupted record.
-	if count > uint64(len(data)) {
-		return bad("op count")
-	}
-	if count > 0 {
-		b.Ops = make([]RowOp, 0, count)
-	}
-	for i := uint64(0); i < count; i++ {
-		if len(data) == 0 {
-			return bad("op kind")
-		}
-		var op RowOp
-		op.Kind = data[0]
-		data = data[1:]
-		for _, dst := range [...]*int64{&op.Pre, &op.Post, &op.Parent, &op.NewPre, &op.PostDelta, &op.ParentMin, &op.ParentDelta} {
-			v, n := binary.Varint(data)
-			if n <= 0 {
-				return bad("op field")
+	err := decodeWire(data, true, func(r *wireReader) {
+		b.Ver, b.Seq = r.byte("header"), r.uvarint("seq")
+		// Every op occupies at least 9 bytes: a kind, seven one-byte
+		// varints and an empty blob.
+		b.Ops = readList(r, "op count", 9, func(op *RowOp, r *wireReader) {
+			op.Kind = r.byte("op kind")
+			for _, dst := range [...]*int64{&op.Pre, &op.Post, &op.Parent, &op.NewPre, &op.PostDelta, &op.ParentMin, &op.ParentDelta} {
+				*dst = r.varint("op field")
 			}
-			*dst = v
-			data = data[n:]
-		}
-		bl, n := binary.Uvarint(data)
-		if n <= 0 || bl > uint64(len(data)-n) {
-			return bad("blob")
-		}
-		data = data[n:]
-		if bl > 0 {
-			op.Blob = append([]byte(nil), data[:bl]...)
-			data = data[bl:]
-		}
-		b.Ops = append(b.Ops, op)
-	}
-	if len(data) != 0 {
-		return MutationBatch{}, fmt.Errorf("filter: decode batch: %d trailing bytes", len(data))
+			op.Blob = r.bytes("blob")
+		})
+	})
+	if err != nil {
+		return MutationBatch{}, fmt.Errorf("filter: decode batch: %w", err)
 	}
 	return b, nil
 }
@@ -453,9 +397,8 @@ func (m *Mutable) WALFailed() error {
 func (m *Mutable) WALTrips() uint64 { return m.trips.Load() }
 
 // epochOf maps a log position to the reader-visible epoch: a fresh
-// table is epoch 1, every applied batch bumps it by one. Epoch 0 on the
-// wire means "unpinned" (and keeps pre-mutation frames byte-identical,
-// since gob omits zero fields).
+// table is epoch 1, every applied batch bumps it by one. Epoch 0 in a
+// frame header means "unpinned".
 func epochOf(lastSeq uint64) uint64 { return lastSeq + 1 }
 
 // LastSeq returns the sequence number of the last applied batch.

@@ -22,14 +22,19 @@
 package filter
 
 import (
+	"encoding/binary"
 	"fmt"
 )
 
-// ReplyByteBudget bounds the estimated payload of one paged reply frame,
-// with a wide margin under the 64 MiB rmi frame limit for gob overhead.
-// Exported as a tuning knob: servers on memory-constrained hosts can
-// shrink it, and tests shrink it to force multi-page replies (including
-// the chaos tests that kill a replica between pages).
+// ReplyByteBudget bounds the encoded members of one paged reply frame.
+// The size functions below are upper bounds on the binary layout (see
+// wire.go), so a page's members never exceed the budget — except the
+// single member a page always carries to make progress — and the frame
+// header and page trailer (a few dozen bytes) fit in the margin left
+// under the 64 MiB rmi frame limit. Exported as a tuning knob: servers
+// on memory-constrained hosts can shrink it, and tests shrink it to
+// force multi-page replies (including the chaos tests that kill a
+// replica between pages).
 var ReplyByteBudget = 48 << 20
 
 // pageFetchChunk is how many members the server fetches at a time while
@@ -37,26 +42,32 @@ var ReplyByteBudget = 48 << 20
 // the byte budget (over-fetched members are re-fetched on the next page).
 var pageFetchChunk = 128
 
-// metaWireBytes is a conservative estimate of one gob-encoded NodeMeta.
-const metaWireBytes = 32
+// Upper bounds on encoded sizes: every integer takes at most one full
+// varint, a blob or string its bytes plus a length varint.
+const (
+	// metaWireBytes bounds one NodeMeta: pre, post, parent.
+	metaWireBytes = 3 * binary.MaxVarintLen64
+	// partWireBytes bounds a descPagePart's header: member and row count.
+	partWireBytes = 2 * binary.MaxVarintLen64
+)
 
-// polyRowWireBytes estimates one encoded PolyRow.
-func polyRowWireBytes(r PolyRow) int { return len(r.Poly) + 24 }
+// polyRowWireBytes bounds one encoded PolyRow: pre, blob length, blob.
+func polyRowWireBytes(r PolyRow) int { return 2*binary.MaxVarintLen64 + len(r.Poly) }
 
-func nodePolysWire(b NodePolys) int {
-	n := polyRowWireBytes(b.Node) + len(b.Err) + 16
-	for _, c := range b.Children {
+// bundleWireBytes bounds one encoded equality bundle: its child count,
+// flag, node row, error, and child rows.
+func bundleWireBytes(node PolyRow, kids []PolyRow, errMsg string) int {
+	n := 2*binary.MaxVarintLen64 + 1 + polyRowWireBytes(node) + len(errMsg)
+	for _, c := range kids {
 		n += polyRowWireBytes(c)
 	}
 	return n
 }
 
+func nodePolysWire(b NodePolys) int { return bundleWireBytes(b.Node, b.Children, b.Err) }
+
 func partialNodePolysWire(b PartialNodePolys) int {
-	n := polyRowWireBytes(b.Node) + len(b.Err) + 16
-	for _, c := range b.Children {
-		n += polyRowWireBytes(c)
-	}
-	return n
+	return bundleWireBytes(b.Node, b.Children, b.Err)
 }
 
 // descPageArgs resumes a paged DescendantsBatch at Member; Resume is 0
@@ -114,15 +125,15 @@ func pageDescendants(b BatchAPI, a descPageArgs) (descPageReply, error) {
 		}
 		for _, metas := range lists {
 			take := len(metas)
-			if max := budget / metaWireBytes; take > max {
-				take = max
+			if fit := max(0, budget-partWireBytes) / metaWireBytes; take > fit {
+				take = fit
 			}
 			if take == 0 && emitted == 0 && len(metas) > 0 {
 				take = 1 // guarantee progress even past the budget
 			}
 			if take > 0 {
 				rep.Parts = append(rep.Parts, descPagePart{Member: m, Metas: metas[:take]})
-				budget -= take * metaWireBytes
+				budget -= partWireBytes + take*metaWireBytes
 				emitted += take
 			}
 			if take < len(metas) {

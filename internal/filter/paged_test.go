@@ -181,10 +181,10 @@ func TestPagedDowngradeIsPerMethod(t *testing.T) {
 func TestPagedFallbackToV1(t *testing.T) {
 	fx := newFixture(t, testXML)
 	srv := rmi.NewServer()
-	rmi.HandleFunc(srv, methodDescendantsBatch, func(spans []Span) ([][]NodeMeta, error) {
+	rmi.HandleFunc(srv, methodDescendantsBatch, func(spans spanList) (metaLists, error) {
 		return fx.server.DescendantsBatch(spans)
 	})
-	rmi.HandleFunc(srv, methodNodePolysBatch, func(pres []int64) ([]NodePolys, error) {
+	rmi.HandleFunc(srv, methodNodePolysBatch, func(pres presList) (nodePolysList, error) {
 		return fx.server.NodePolysBatch(pres)
 	})
 	cli := rmi.Pipe(srv)

@@ -80,44 +80,46 @@ func RegisterServer(srv *rmi.Server, api ServerAPI) {
 // set: calls carrying that tenant in their frame header dispatch to
 // this api, so one rmi server hosts many independent filter backends.
 func RegisterServerAt(srv *rmi.Server, tenant string, api ServerAPI) {
-	rmi.HandleFuncAt(srv, tenant, methodRoot, func(struct{}) (NodeMeta, error) {
+	rmi.HandleFuncAt(srv, tenant, methodRoot, func(empty) (NodeMeta, error) {
 		return api.Root()
 	})
-	rmi.HandleFuncAt(srv, tenant, methodNode, func(pre int64) (NodeMeta, error) {
-		return api.Node(pre)
+	rmi.HandleFuncAt(srv, tenant, methodNode, func(pre varint64) (NodeMeta, error) {
+		return api.Node(int64(pre))
 	})
-	rmi.HandleFuncAt(srv, tenant, methodChildren, func(pre int64) ([]NodeMeta, error) {
-		return api.Children(pre)
+	rmi.HandleFuncAt(srv, tenant, methodChildren, func(pre varint64) (metaList, error) {
+		return api.Children(int64(pre))
 	})
-	rmi.HandleFuncAt(srv, tenant, methodDescendants, func(a descArgs) ([]NodeMeta, error) {
+	rmi.HandleFuncAt(srv, tenant, methodDescendants, func(a descArgs) (metaList, error) {
 		return api.Descendants(a.Pre, a.Post)
 	})
-	rmi.HandleFuncAt(srv, tenant, methodEvalAt, func(a evalArgs) (gf.Elem, error) {
-		return api.EvalAt(a.Pre, a.Point)
+	rmi.HandleFuncAt(srv, tenant, methodEvalAt, func(a evalArgs) (fieldElem, error) {
+		v, err := api.EvalAt(a.Pre, a.Point)
+		return fieldElem(v), err
 	})
-	rmi.HandleFuncAt(srv, tenant, methodPoly, func(pre int64) (PolyRow, error) {
-		return api.Poly(pre)
+	rmi.HandleFuncAt(srv, tenant, methodPoly, func(pre varint64) (PolyRow, error) {
+		return api.Poly(int64(pre))
 	})
-	rmi.HandleFuncAt(srv, tenant, methodChildrenPolys, func(pre int64) ([]PolyRow, error) {
-		return api.ChildrenPolys(pre)
+	rmi.HandleFuncAt(srv, tenant, methodChildrenPolys, func(pre varint64) (polyRowList, error) {
+		return api.ChildrenPolys(int64(pre))
 	})
-	rmi.HandleFuncAt(srv, tenant, methodCount, func(struct{}) (int64, error) {
-		return api.Count()
+	rmi.HandleFuncAt(srv, tenant, methodCount, func(empty) (varint64, error) {
+		n, err := api.Count()
+		return varint64(n), err
 	})
 	if b, ok := api.(BatchAPI); ok {
-		rmi.HandleFuncAt(srv, tenant, methodEvalBatch, func(reqs []EvalRequest) ([]EvalResult, error) {
+		rmi.HandleFuncAt(srv, tenant, methodEvalBatch, func(reqs evalRequestList) (evalResultList, error) {
 			return b.EvalBatch(reqs)
 		})
-		rmi.HandleFuncAt(srv, tenant, methodNodeBatch, func(pres []int64) ([]NodeMeta, error) {
+		rmi.HandleFuncAt(srv, tenant, methodNodeBatch, func(pres presList) (metaList, error) {
 			return b.NodeBatch(pres)
 		})
-		rmi.HandleFuncAt(srv, tenant, methodChildrenBatch, func(pres []int64) ([][]NodeMeta, error) {
+		rmi.HandleFuncAt(srv, tenant, methodChildrenBatch, func(pres presList) (metaLists, error) {
 			return b.ChildrenBatch(pres)
 		})
-		rmi.HandleFuncAt(srv, tenant, methodDescendantsBatch, func(spans []Span) ([][]NodeMeta, error) {
+		rmi.HandleFuncAt(srv, tenant, methodDescendantsBatch, func(spans spanList) (metaLists, error) {
 			return b.DescendantsBatch(spans)
 		})
-		rmi.HandleFuncAt(srv, tenant, methodNodePolysBatch, func(pres []int64) ([]NodePolys, error) {
+		rmi.HandleFuncAt(srv, tenant, methodNodePolysBatch, func(pres presList) (nodePolysList, error) {
 			return b.NodePolysBatch(pres)
 		})
 		rmi.HandleFuncAt(srv, tenant, methodDescendantsPage, func(a descPageArgs) (descPageReply, error) {
@@ -133,12 +135,12 @@ func RegisterServerAt(srv *rmi.Server, tenant string, api ServerAPI) {
 		})
 	}
 	if ra, ok := api.(RangeAPI); ok {
-		rmi.HandleFuncAt(srv, tenant, methodPreRange, func(struct{}) (PreRange, error) {
+		rmi.HandleFuncAt(srv, tenant, methodPreRange, func(empty) (PreRange, error) {
 			return ra.PreRange()
 		})
 	}
 	if sa, ok := api.(StatsAPI); ok {
-		rmi.HandleFuncAt(srv, tenant, methodServerStats, func(struct{}) (ServerStats, error) {
+		rmi.HandleFuncAt(srv, tenant, methodServerStats, func(empty) (ServerStats, error) {
 			return sa.ServerStats()
 		})
 	}
@@ -151,7 +153,7 @@ func RegisterServerAt(srv *rmi.Server, tenant string, api ServerAPI) {
 		rmi.HandleFuncAt(srv, tenant, methodMutate, func(b MutationBatch) (MutateReply, error) {
 			return ma.Mutate(b)
 		})
-		rmi.HandleFuncAt(srv, tenant, methodEpoch, func(struct{}) (EpochInfo, error) {
+		rmi.HandleFuncAt(srv, tenant, methodEpoch, func(empty) (EpochInfo, error) {
 			return ma.Epoch()
 		})
 	}
@@ -159,8 +161,8 @@ func RegisterServerAt(srv *rmi.Server, tenant string, api ServerAPI) {
 		rmi.HandleFuncAt(srv, tenant, methodAcquireLease, func(req LeaseRequest) (LeaseGrant, error) {
 			return la.AcquireLease(req)
 		})
-		rmi.HandleFuncAt(srv, tenant, methodReleaseLease, func(id uint64) (struct{}, error) {
-			return struct{}{}, la.ReleaseLease(id)
+		rmi.HandleFuncAt(srv, tenant, methodReleaseLease, func(id uvarint64) (empty, error) {
+			return empty{}, la.ReleaseLease(uint64(id))
 		})
 		rmi.HandleFuncAt(srv, tenant, methodMutateLeased, func(lb LeasedBatch) (MutateReply, error) {
 			return la.MutateLeased(lb)
@@ -332,96 +334,107 @@ func (r *Remote) notePagedUnknown(err error, method string) bool {
 // Root implements ServerAPI.
 func (r *Remote) Root() (NodeMeta, error) {
 	var out NodeMeta
-	err := r.call(methodRoot, struct{}{}, &out)
+	err := r.call(methodRoot, empty{}, &out)
 	return out, err
 }
 
 // Node implements ServerAPI.
 func (r *Remote) Node(pre int64) (NodeMeta, error) {
 	var out NodeMeta
-	err := r.call(methodNode, pre, &out)
+	err := r.call(methodNode, varint64(pre), &out)
 	return out, err
 }
 
 // Children implements ServerAPI.
 func (r *Remote) Children(pre int64) ([]NodeMeta, error) {
-	var out []NodeMeta
-	err := r.call(methodChildren, pre, &out)
+	var out metaList
+	err := r.call(methodChildren, varint64(pre), &out)
 	return out, err
 }
 
 // Descendants implements ServerAPI.
 func (r *Remote) Descendants(pre, post int64) ([]NodeMeta, error) {
-	var out []NodeMeta
+	var out metaList
 	err := r.call(methodDescendants, descArgs{pre, post}, &out)
 	return out, err
 }
 
 // EvalAt implements ServerAPI.
 func (r *Remote) EvalAt(pre int64, point gf.Elem) (gf.Elem, error) {
-	var out gf.Elem
+	var out fieldElem
 	err := r.call(methodEvalAt, evalArgs{pre, point}, &out)
-	return out, err
+	return gf.Elem(out), err
 }
 
 // Poly implements ServerAPI.
 func (r *Remote) Poly(pre int64) (PolyRow, error) {
 	var out PolyRow
-	err := r.call(methodPoly, pre, &out)
+	err := r.call(methodPoly, varint64(pre), &out)
 	return out, err
 }
 
 // ChildrenPolys implements ServerAPI.
 func (r *Remote) ChildrenPolys(pre int64) ([]PolyRow, error) {
-	var out []PolyRow
-	err := r.call(methodChildrenPolys, pre, &out)
+	var out polyRowList
+	err := r.call(methodChildrenPolys, varint64(pre), &out)
 	return out, err
 }
 
 // Count implements ServerAPI.
 func (r *Remote) Count() (int64, error) {
-	var out int64
-	err := r.call(methodCount, struct{}{}, &out)
-	return out, err
+	var out varint64
+	err := r.call(methodCount, empty{}, &out)
+	return int64(out), err
 }
 
-// remoteBatch is the shared skeleton of every Remote batch method: try
-// the batch frame once, detect a pre-batch server by its "unknown
-// method" reply, and degrade to the per-call fallback.
-func remoteBatch[Req, Resp any](r *Remote, method string, reqs []Req, fallback func([]Req) ([]Resp, error)) ([]Resp, error) {
-	if !r.flagged(&r.noBatch) {
-		var out []Resp
-		err := r.callRows(method, reqs, &out, func() int64 { return int64(len(out)) })
-		if err == nil {
-			return out, nil
-		}
-		if !r.noteUnknown(err, method, &r.noBatch) {
-			return nil, err
-		}
+// batchCall issues one batch frame unless the server is known to
+// predate the batch protocol; ok=false (an "unknown method" reply, now
+// remembered) means the caller falls back to per-call exchanges.
+func (r *Remote) batchCall(method string, args, reply any, rows func() int64) (ok bool, err error) {
+	if r.flagged(&r.noBatch) {
+		return false, nil
 	}
-	return fallback(reqs)
+	err = r.callRows(method, args, reply, rows)
+	if err != nil && r.noteUnknown(err, method, &r.noBatch) {
+		return false, nil
+	}
+	return true, err
 }
 
 // EvalBatch implements BatchAPI: one round-trip carrying every (node,
 // point) pair. Against a pre-batch server it degrades to per-call EvalAt.
 func (r *Remote) EvalBatch(reqs []EvalRequest) ([]EvalResult, error) {
-	return remoteBatch(r, methodEvalBatch, reqs, func(reqs []EvalRequest) ([]EvalResult, error) {
-		return perCallEvals(reqs, r.EvalAt)
-	})
+	var out evalResultList
+	if ok, err := r.batchCall(methodEvalBatch, evalRequestList(reqs), &out, func() int64 { return int64(len(out)) }); ok {
+		return nilOnErr(out, err)
+	}
+	return perCallEvals(reqs, r.EvalAt)
 }
 
 // NodeBatch implements BatchAPI.
 func (r *Remote) NodeBatch(pres []int64) ([]NodeMeta, error) {
-	return remoteBatch(r, methodNodeBatch, pres, func(pres []int64) ([]NodeMeta, error) {
-		return perCallEach(pres, r.Node)
-	})
+	var out metaList
+	if ok, err := r.batchCall(methodNodeBatch, presList(pres), &out, func() int64 { return int64(len(out)) }); ok {
+		return nilOnErr(out, err)
+	}
+	return perCallEach(pres, r.Node)
 }
 
 // ChildrenBatch implements BatchAPI.
 func (r *Remote) ChildrenBatch(pres []int64) ([][]NodeMeta, error) {
-	return remoteBatch(r, methodChildrenBatch, pres, func(pres []int64) ([][]NodeMeta, error) {
-		return perCallEach(pres, r.Children)
-	})
+	var out metaLists
+	if ok, err := r.batchCall(methodChildrenBatch, presList(pres), &out, func() int64 { return int64(len(out)) }); ok {
+		return nilOnErr(out, err)
+	}
+	return perCallEach(pres, r.Children)
+}
+
+// nilOnErr returns the decoded reply, or nothing when the call failed.
+func nilOnErr[T any](out []T, err error) ([]T, error) {
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
 // DescendantsBatch implements BatchAPI. The paged protocol is preferred
@@ -431,10 +444,12 @@ func (r *Remote) DescendantsBatch(spans []Span) ([][]NodeMeta, error) {
 	if out, handled, err := r.descendantsPaged(spans); handled {
 		return out, err
 	}
-	return remoteBatch(r, methodDescendantsBatch, spans, func(spans []Span) ([][]NodeMeta, error) {
-		return perCallEach(spans, func(sp Span) ([]NodeMeta, error) {
-			return r.Descendants(sp.Pre, sp.Post)
-		})
+	var out metaLists
+	if ok, err := r.batchCall(methodDescendantsBatch, spanList(spans), &out, func() int64 { return int64(len(out)) }); ok {
+		return nilOnErr(out, err)
+	}
+	return perCallEach(spans, func(sp Span) ([]NodeMeta, error) {
+		return r.Descendants(sp.Pre, sp.Post)
 	})
 }
 
@@ -443,9 +458,11 @@ func (r *Remote) NodePolysBatch(pres []int64) ([]NodePolys, error) {
 	if out, handled, err := remotePagedBundles[NodePolys](r, methodNodePolysPage, pres); handled {
 		return out, err
 	}
-	return remoteBatch(r, methodNodePolysBatch, pres, func(pres []int64) ([]NodePolys, error) {
-		return perCallNodePolys(pres, r.Poly, r.ChildrenPolys)
-	})
+	var out nodePolysList
+	if ok, err := r.batchCall(methodNodePolysBatch, presList(pres), &out, func() int64 { return int64(len(out)) }); ok {
+		return nilOnErr(out, err)
+	}
+	return perCallNodePolys(pres, r.Poly, r.ChildrenPolys)
 }
 
 // NodePolysPartial implements PartialAPI: the cluster client's
@@ -486,7 +503,7 @@ func (r *Remote) ServerStats() (ServerStats, error) {
 		return ServerStats{}, nil
 	}
 	var out ServerStats
-	err := r.call(methodServerStats, struct{}{}, &out)
+	err := r.call(methodServerStats, empty{}, &out)
 	if err != nil {
 		if r.noteUnknown(err, methodServerStats, &r.noStats) {
 			return ServerStats{}, nil
@@ -520,7 +537,7 @@ func (r *Remote) AggregateBatch(req AggregateRequest) (AggregateReply, error) {
 // old to answer cannot join a cluster, and the error says so).
 func (r *Remote) PreRange() (PreRange, error) {
 	var out PreRange
-	err := r.call(methodPreRange, struct{}{}, &out)
+	err := r.call(methodPreRange, empty{}, &out)
 	return out, err
 }
 
@@ -539,7 +556,7 @@ func (r *Remote) Mutate(b MutationBatch) (MutateReply, error) {
 // Epoch implements MutableAPI over the wire.
 func (r *Remote) Epoch() (EpochInfo, error) {
 	var out EpochInfo
-	err := r.call(methodEpoch, struct{}{}, &out)
+	err := r.call(methodEpoch, empty{}, &out)
 	if err != nil && rmi.IsUnknownMethod(err, methodEpoch) {
 		return EpochInfo{}, ErrMutationUnsupported
 	}
@@ -570,8 +587,7 @@ func (r *Remote) ReleaseLease(id uint64) error {
 	if r.flagged(&r.noLease) {
 		return nil
 	}
-	var out struct{}
-	err := r.call(methodReleaseLease, id, &out)
+	err := r.call(methodReleaseLease, uvarint64(id), nil)
 	if err != nil && r.noteUnknown(err, methodReleaseLease, &r.noLease) {
 		return nil
 	}

@@ -1,0 +1,269 @@
+package filter
+
+import (
+	"bytes"
+	"encoding/binary"
+	"math"
+	"reflect"
+	"runtime"
+	"testing"
+
+	"encshare/internal/gf"
+	"encshare/internal/rmi"
+)
+
+func ptr[T any](v T) *T { return &v }
+
+// wireSamples holds one populated value of every message the filter
+// service exchanges, in a fixed order: FuzzWireMessages picks a type by
+// index into it.
+func wireSamples() []rmi.Message {
+	blob := []byte{1, 2, 3, 250}
+	metas := []NodeMeta{{Pre: 1, Post: 9}, {Pre: 2, Post: 3, Parent: 1}, {Pre: -5, Post: math.MaxInt64, Parent: math.MinInt64}}
+	rows := []PolyRow{{Pre: 2, Poly: blob}, {Pre: 3}}
+	batch := MutationBatch{Ver: MutationBatchVersion, Seq: 7, Ops: []RowOp{
+		{Kind: OpPut, Pre: 4, Post: 5, Parent: 1, Blob: blob},
+		{Kind: OpPatch, Pre: 9, NewPre: 10, PostDelta: -1, ParentMin: 3, ParentDelta: 1},
+		{Kind: OpDelete, Pre: 2},
+	}}
+	rng := PreRange{Lo: 1, Hi: 12}
+	return []rmi.Message{
+		new(empty),
+		ptr(varint64(-42)),
+		ptr(uvarint64(1 << 40)),
+		ptr(fieldElem(82)),
+		&descArgs{Pre: 3, Post: 17},
+		&evalArgs{Pre: 3, Point: 5},
+		&metas[2],
+		&rows[0],
+		ptr(presList{1, 2, 300}),
+		ptr(spanList{{Pre: 1, Post: 9}, {Pre: 2, Post: 3}}),
+		ptr(evalRequestList{{Pre: 1, Point: 2}, {Pre: 1, Point: 7}}),
+		ptr(evalResultList{{Val: 3}, {Err: "filter: node 9 not found"}}),
+		ptr(metaList(metas)),
+		ptr(metaLists{metas[:2], nil, metas[2:]}),
+		ptr(polyRowList(rows)),
+		ptr(nodePolysList{{Node: rows[0], Children: rows}, {Err: "gone"}}),
+		&descPageArgs{Spans: []Span{{Pre: 1, Post: 9}}, Member: 1, Resume: 4},
+		&descPageReply{Parts: []descPagePart{{Member: 0, Metas: metas[:1]}, {Member: 2, Metas: metas[1:]}}, NextMember: 2, NextResume: 3},
+		&bundlePageArgs{Pres: []int64{4, 5}, Member: 1},
+		&bundlePage[NodePolys]{Bundles: []NodePolys{{Node: rows[0], Children: rows[1:]}}, Done: true},
+		&bundlePage[PartialNodePolys]{Bundles: []PartialNodePolys{{Has: true, Node: rows[0]}, {Children: rows, Err: "x"}}},
+		&rng,
+		&ServerStats{Evals: 1, CacheHits: 2, CacheMisses: 3, Decodes: 4, Aggregates: 5},
+		&AggregateRequest{Ver: AggregateFrameVersion, Kind: wireAggSum, Pres: PackPres([]int64{1, 4}), Mask: []gf.Elem{3, 9}, ChunkRows: 82},
+		&AggregateReply{Ver: AggregateFrameVersion, Chunks: []AggregateChunk{{FirstPre: 1, LastPre: 4, Rows: 2, Count: 2, MaskCnt: 12, Sum: blob, MaskSum: blob}}},
+		&batch,
+		&MutateReply{Epoch: 8, LastSeq: 7, Range: rng},
+		&EpochInfo{Epoch: 8, LastSeq: 7, Range: rng},
+		&LeaseRequest{Owner: "writer-1", TTLMillis: 2000},
+		&LeaseGrant{ID: 3, TTLMillis: 2000, LastSeq: 7, Epoch: 8, Range: rng},
+		&LeasedBatch{LeaseID: 3, Release: true, B: batch},
+	}
+}
+
+// fresh returns a new zero value of m's type.
+func fresh(m rmi.Message) rmi.Message {
+	return reflect.New(reflect.TypeOf(m).Elem()).Interface().(rmi.Message)
+}
+
+// TestWireRoundTrip: every message decodes to the value it was encoded
+// from; every strict prefix of an encoding and every encoding with a
+// byte appended is refused.
+func TestWireRoundTrip(t *testing.T) {
+	for _, m := range wireSamples() {
+		b := m.AppendWire(nil)
+		got := fresh(m)
+		if err := got.DecodeWire(b); err != nil {
+			t.Fatalf("%T: decoding its own encoding: %v", m, err)
+		}
+		if !reflect.DeepEqual(got, m) {
+			t.Fatalf("%T: round trip\n got %+v\nwant %+v", m, got, m)
+		}
+		for n := 0; n < len(b); n++ {
+			if err := fresh(m).DecodeWire(b[:n]); err == nil {
+				t.Fatalf("%T: %d-byte prefix of a %d-byte encoding accepted", m, n, len(b))
+			}
+		}
+		if err := fresh(m).DecodeWire(append(b[:len(b):len(b)], 0)); err == nil {
+			t.Fatalf("%T: trailing byte accepted", m)
+		}
+	}
+}
+
+// TestMutationBatchWireIsJournal: the wire carries a batch as exactly
+// the bytes the WAL journals, alone and inside LeasedBatch.
+func TestMutationBatchWireIsJournal(t *testing.T) {
+	b := MutationBatch{Ver: MutationBatchVersion, Seq: 3, Ops: []RowOp{{Kind: OpPut, Pre: 1, Post: 2, Parent: 0, Blob: []byte{9, 9}}}}
+	journal, err := EncodeBatch(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if wire := b.AppendWire(nil); !bytes.Equal(wire, journal) {
+		t.Fatalf("wire % x != journal % x", wire, journal)
+	}
+	leased := LeasedBatch{LeaseID: 5, B: b}.AppendWire(nil)
+	if !bytes.HasSuffix(leased, journal) || len(leased) != len(journal)+2 {
+		t.Fatalf("leased batch % x does not end in the journal bytes % x", leased, journal)
+	}
+}
+
+// TestWireHostileCounts: a count or length far beyond the bytes that
+// follow is refused before anything is allocated for it.
+func TestWireHostileCounts(t *testing.T) {
+	huge := binary.AppendUvarint(nil, 1<<40)
+	for _, m := range wireSamples() {
+		for _, b := range [][]byte{huge, append(append([]byte{}, huge...), 1, 2, 3)} {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			err := fresh(m).DecodeWire(b)
+			runtime.ReadMemStats(&after)
+			if err == nil {
+				continue // a lone uvarint is a valid scalar message
+			}
+			if n := after.TotalAlloc - before.TotalAlloc; n > 4<<10 {
+				t.Fatalf("%T: refusing a hostile count allocated %d bytes", m, n)
+			}
+		}
+	}
+}
+
+// FuzzWireMessages: for any bytes and any message type, decoding never
+// panics, never allocates more than a small multiple of its input, and
+// whatever decodes re-encodes to bytes that decode to the same value
+// and encode again to the same bytes.
+func FuzzWireMessages(f *testing.F) {
+	samples := wireSamples()
+	for i, m := range samples {
+		f.Add(uint8(i), m.AppendWire(nil))
+	}
+	f.Add(uint8(13), []byte{0xff, 0xff, 0xff, 0xff, 0x0f, 1, 1})
+	f.Fuzz(func(t *testing.T, sel uint8, b []byte) {
+		m := fresh(samples[int(sel)%len(samples)])
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := m.DecodeWire(b)
+		runtime.ReadMemStats(&after)
+		if n := after.TotalAlloc - before.TotalAlloc; n > 64*uint64(len(b))+64<<10 {
+			t.Fatalf("%T: decoding %d bytes allocated %d", m, len(b), n)
+		}
+		if err != nil {
+			return
+		}
+		e1 := m.AppendWire(nil)
+		m2 := fresh(m)
+		if err := m2.DecodeWire(e1); err != nil {
+			t.Fatalf("%T: re-encoding refused: %v", m, err)
+		}
+		if !reflect.DeepEqual(m, m2) {
+			t.Fatalf("%T: value changed across a round trip:\n%+v\n%+v", m, m, m2)
+		}
+		if e2 := m2.AppendWire(nil); !bytes.Equal(e1, e2) {
+			t.Fatalf("%T: encoding not a fixed point:\n% x\n% x", m, e1, e2)
+		}
+	})
+}
+
+// TestWireSizeBounds: the paged-reply size estimates bound the real
+// encodings even at the widest values, so no page outgrows its budget.
+func TestWireSizeBounds(t *testing.T) {
+	wide := NodeMeta{Pre: math.MinInt64, Post: math.MaxInt64, Parent: math.MinInt64}
+	if n := len(wide.AppendWire(nil)); n > metaWireBytes {
+		t.Fatalf("NodeMeta encodes to %d bytes, bound %d", n, metaWireBytes)
+	}
+	row := PolyRow{Pre: math.MinInt64, Poly: make([]byte, 300)}
+	if n := len(row.AppendWire(nil)); n > polyRowWireBytes(row) {
+		t.Fatalf("PolyRow encodes to %d bytes, bound %d", n, polyRowWireBytes(row))
+	}
+	bundle := PartialNodePolys{Has: true, Node: row, Children: []PolyRow{row, row}, Err: "some error"}
+	if n := len(bundlePage[PartialNodePolys]{Bundles: []PartialNodePolys{bundle}}.AppendWire(nil)); n > partialNodePolysWire(bundle)+binary.MaxVarintLen64+1 {
+		t.Fatalf("bundle page encodes to %d bytes, bound %d", n, partialNodePolysWire(bundle))
+	}
+
+	// A real page: the encoded parts stay within the budget plus the
+	// page's fixed trailer.
+	spans, api := fuzzMembers(5, 6)
+	old := ReplyByteBudget
+	ReplyByteBudget = 2000
+	t.Cleanup(func() { ReplyByteBudget = old })
+	rep, err := pageDescendants(api, descPageArgs{Spans: spans})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(rep.AppendWire(nil)); n > ReplyByteBudget+4*binary.MaxVarintLen64 {
+		t.Fatalf("descendants page of %d bytes under a %d-byte budget", n, ReplyByteBudget)
+	}
+}
+
+// TestReplyBlobsDoNotAlias: share blobs returned by one call are not
+// overwritten by the next call on the same connection, whose reply
+// reuses the connection's read buffer.
+func TestReplyBlobsDoNotAlias(t *testing.T) {
+	fx := newFixture(t, testXML)
+	rem := NewRemote(fx.rmiCli)
+	clone := func(b []byte) []byte { return append([]byte(nil), b...) }
+
+	row, err := rem.Poly(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bundles, err := rem.NodePolysBatch([]int64{1, 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	agg, err := rem.AggregateBatch(AggregateRequest{Ver: AggregateFrameVersion, Kind: wireAggSum, Pres: PackPres([]int64{2, 3})})
+	if err != nil {
+		t.Fatal(err)
+	}
+	keep := [][]byte{clone(row.Poly), clone(bundles[1].Node.Poly), clone(bundles[0].Children[0].Poly), clone(agg.Chunks[0].Sum)}
+
+	// Different rows of the same sizes through the same buffers.
+	for _, pre := range []int64{3, 4, 5, 6} {
+		if _, err := rem.Poly(pre); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := rem.NodePolysBatch([]int64{pre, pre + 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := rem.AggregateBatch(AggregateRequest{Ver: AggregateFrameVersion, Kind: wireAggSum, Pres: PackPres([]int64{5, 7})}); err != nil {
+		t.Fatal(err)
+	}
+	now := [][]byte{row.Poly, bundles[1].Node.Poly, bundles[0].Children[0].Poly, agg.Chunks[0].Sum}
+	for i := range keep {
+		if !bytes.Equal(keep[i], now[i]) {
+			t.Fatalf("blob %d changed after later calls on the connection", i)
+		}
+	}
+}
+
+// TestChildrenBatchAllocs pins the per-frame cost of the transport: a
+// ChildrenBatch-shaped round trip over rmi.Pipe — request encode,
+// header parse, dispatch, reply encode and decode, both sides together
+// — stays within 20 heap allocations.
+func TestChildrenBatchAllocs(t *testing.T) {
+	lists := metaLists{
+		{{Pre: 2, Post: 1, Parent: 1}, {Pre: 3, Post: 2, Parent: 1}, {Pre: 4, Post: 3, Parent: 1}},
+		{{Pre: 6, Post: 5, Parent: 5}, {Pre: 7, Post: 6, Parent: 5}},
+		nil,
+		{{Pre: 12, Post: 11, Parent: 11}, {Pre: 13, Post: 12, Parent: 11}, {Pre: 14, Post: 13, Parent: 11}},
+	}
+	srv := rmi.NewServer()
+	rmi.HandleFunc(srv, methodChildrenBatch, func(presList) (metaLists, error) { return lists, nil })
+	cli := rmi.Pipe(srv)
+	t.Cleanup(func() { cli.Close() })
+	rem := NewRemote(cli)
+	pres := []int64{1, 5, 9, 11}
+	call := func() {
+		out, err := rem.ChildrenBatch(pres)
+		if err != nil || len(out) != len(lists) {
+			t.Fatalf("ChildrenBatch = %d lists, %v", len(out), err)
+		}
+	}
+	call() // size the connection buffers
+	allocs := testing.AllocsPerRun(200, call)
+	if allocs > 20 {
+		t.Fatalf("ChildrenBatch round trip: %.1f allocations, want at most 20", allocs)
+	}
+	t.Logf("ChildrenBatch round trip: %.1f allocations", allocs)
+}

@@ -1,5 +1,5 @@
 // Package rmi is the repo's stand-in for Java RMI (paper §5.2): a small
-// synchronous RPC layer with gob-encoded, length-prefixed frames over any
+// synchronous RPC layer with length-prefixed binary frames over any
 // net.Conn. The ClientFilter and ServerFilter of the paper communicate
 // exclusively through this interface, so evaluation and message counts in
 // the experiments include exactly the round-trips the prototype made.
@@ -7,25 +7,42 @@
 // The protocol is strictly request/response. Clients serialize concurrent
 // calls; servers handle each connection in its own goroutine.
 //
-// # Tenants (frame version 2)
+// # Frames (version 3)
 //
-// A v2 request frame carries a tenant name, and a server dispatches each
-// call against that tenant's handler set — how one process serves many
-// independent encrypted tables. The frame format is gob, so the version
-// bump is bidirectionally graceful: a v1 client's frames decode with an
-// empty tenant and route to the server's designated default tenant, and
-// a v1 server silently ignores the extra fields (which is why clients
-// naming a non-default tenant must verify the server speaks v2 first —
-// see the runtime's ResolveTenant handshake in internal/server).
-// Handlers registered under the empty tenant name are global: reachable
-// from every tenant, which is how protocol-negotiation and admin
-// methods stay tenant-independent.
+// Every integer below is a uvarint unless stated otherwise; a string is
+// a uvarint length followed by its bytes.
+//
+//	request: [u32 BE len][u8 ver=3][seq][method][tenant][trace][span][epoch][body]
+//	reply:   [u32 BE len][seq][u8 status][body | error message]
+//
+// len counts the bytes after the prefix. Status 0 carries the handler's
+// reply body, status 1 the text of its error. A server that reads any
+// other version byte, or a header it cannot parse, closes the
+// connection: both peers are this repository's own binaries, so there is
+// no older framing to fall back to. A body is either a []byte, passed
+// through untouched, or a Message that encodes itself (internal/filter
+// holds the codecs of the filter service's messages).
+//
+// # Tenants
+//
+// A request carries a tenant name, and a server dispatches each call
+// against that tenant's handler set — how one process serves many
+// independent encrypted tables. An empty tenant routes to the server's
+// designated default tenant. Handlers registered under the empty tenant
+// name are global: reachable from every tenant, which is how
+// protocol-negotiation and admin methods stay tenant-independent.
+//
+// # Buffers
+//
+// Each connection end keeps one read and one write buffer and reuses
+// them while they stay within maxRetained; a larger frame gets a buffer
+// of its own that is dropped after the call, so an idle connection holds
+// at most 2 × maxRetained bytes. Decoders copy every []byte they keep, so
+// no decoded value aliases a reused buffer.
 package rmi
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -40,6 +57,10 @@ import (
 // maxFrame bounds a single message; a frame larger than this indicates
 // corruption or protocol mismatch.
 const maxFrame = 64 << 20
+
+// maxRetained bounds the buffers a connection keeps between frames, and
+// is the step in which a frame's read buffer grows as its bytes arrive.
+const maxRetained = 64 << 10
 
 // RemoteError is an error returned by the remote handler (as opposed to a
 // transport failure). A RemoteError means the server received the call
@@ -99,52 +120,96 @@ func ErrUnknownTenant(tenant string) error {
 	return errors.New(unknownTenantPrefix + tenant)
 }
 
-// FrameVersion is the request frame version this client sends. Version
-// 2 added the Tenant field; version-0 frames (from pre-tenant clients,
-// whose request struct had neither field) decode identically to a v2
-// frame with an empty tenant.
-//
-// The Trace/Span fields ride on v2 without a version bump: gob omits
-// zero-valued fields from the stream, so an untraced frame is
-// byte-identical to a pre-trace frame, a pre-trace server silently
-// drops the fields from a traced client, and a pre-trace client's
-// frames decode here with a zero-valued trace context.
-//
-// The Epoch field rides the same way: 0 means "unpinned" and encodes to
-// the pre-epoch wire bytes, so read-only clients and old servers are
-// unaffected.
-const FrameVersion = 2
+// FrameVersion is the version byte every request frame starts with.
+const FrameVersion = 3
 
-type request struct {
-	Seq    uint64
-	Method string
-	Body   []byte
-	Ver    uint8
-	Tenant string
-	Trace  uint64
-	Span   uint64
-	Epoch  uint64
+// Reply status bytes.
+const (
+	statusOK  = 0
+	statusErr = 1
+)
+
+// Message is a frame body that encodes itself. AppendWire appends the
+// encoding to dst; DecodeWire replaces the receiver with the value b
+// encodes, consuming all of b. b may live in a connection buffer that is
+// reused after DecodeWire returns, so DecodeWire copies whatever it
+// keeps. A value type usually implements AppendWire and its pointer
+// DecodeWire, so the pointer is the Message.
+type Message interface {
+	AppendWire(dst []byte) []byte
+	DecodeWire(b []byte) error
 }
 
-type response struct {
-	Seq  uint64
-	Err  string
-	Body []byte
+// appender is the encoding half of Message, which is all an argument
+// passed by value needs.
+type appender interface {
+	AppendWire(dst []byte) []byte
 }
 
-// HandlerFunc processes one call: gob-encoded args in, gob-encoded reply
-// out.
-type HandlerFunc func(body []byte) ([]byte, error)
+// appendBody appends the encoding of v: a []byte as is, anything else
+// through its AppendWire.
+func appendBody(dst []byte, v any) ([]byte, error) {
+	switch m := v.(type) {
+	case []byte:
+		return append(dst, m...), nil
+	case *[]byte:
+		return append(dst, *m...), nil
+	case appender:
+		return m.AppendWire(dst), nil
+	}
+	return dst, fmt.Errorf("rmi: cannot encode a %T body: not []byte or rmi.Message", v)
+}
+
+// decodeBody decodes b into v, a *[]byte (filled with a copy of b) or a
+// Message.
+func decodeBody(b []byte, v any) error {
+	switch m := v.(type) {
+	case *[]byte:
+		*m = append((*m)[:0], b...)
+		return nil
+	case Message:
+		return m.DecodeWire(b)
+	}
+	return fmt.Errorf("rmi: cannot decode into %T: not *[]byte or rmi.Message", v)
+}
+
+// checkDecodable reports whether v can receive a reply body.
+func checkDecodable(v any) error {
+	switch v.(type) {
+	case *[]byte, Message:
+		return nil
+	}
+	return fmt.Errorf("rmi: cannot decode into %T: not *[]byte or rmi.Message", v)
+}
+
+// HandlerFunc processes one call: body is the request body, valid only
+// until the handler returns; the handler appends its reply body to
+// reply and returns the extended slice.
+type HandlerFunc func(body, reply []byte) ([]byte, error)
+
+// handler is a registered method; name is the registration's own copy
+// of the method string, so dispatch can hand it to the gate and the
+// metrics without converting the frame's bytes.
+type handler struct {
+	name string
+	fn   HandlerFunc
+}
+
+// tenantSet is one tenant's handlers, keyed by method.
+type tenantSet struct {
+	name    string
+	methods map[string]handler
+}
 
 // Server dispatches incoming calls to registered handlers. Safe for
 // concurrent use. Handler sets are keyed by tenant name; the empty name
-// holds the global set, which doubles as the legacy single-tenant
-// registration target and as the fallback for tenant-independent
-// methods (a method missing from a tenant's set is looked up globally
-// before the call fails).
+// holds the global set, which doubles as the single-tenant registration
+// target and as the fallback for tenant-independent methods (a method
+// missing from a tenant's set is looked up globally before the call
+// fails).
 type Server struct {
 	mu            sync.RWMutex
-	tenants       map[string]map[string]HandlerFunc
+	tenants       map[string]*tenantSet
 	defaultTenant string
 
 	// Stats
@@ -200,7 +265,7 @@ type serverMetrics struct {
 // NewServer returns an empty server.
 func NewServer() *Server {
 	return &Server{
-		tenants: map[string]map[string]HandlerFunc{"": {}},
+		tenants: map[string]*tenantSet{"": {methods: map[string]handler{}}},
 		conns:   map[net.Conn]struct{}{},
 	}
 }
@@ -219,13 +284,13 @@ func (s *Server) HandleAt(tenant, method string, fn HandlerFunc) {
 	defer s.mu.Unlock()
 	set := s.tenants[tenant]
 	if set == nil {
-		set = map[string]HandlerFunc{}
+		set = &tenantSet{name: tenant, methods: map[string]handler{}}
 		s.tenants[tenant] = set
 	}
-	if _, dup := set[method]; dup {
+	if _, dup := set.methods[method]; dup {
 		panic("rmi: duplicate handler for " + tenant + "/" + method)
 	}
-	set[method] = fn
+	set.methods[method] = handler{name: method, fn: fn}
 }
 
 // DropTenant removes a tenant's entire handler set, reporting whether it
@@ -248,11 +313,8 @@ func (s *Server) DropTenant(tenant string) bool {
 	return true
 }
 
-// SetDefaultTenant names the tenant that calls carrying no tenant (v1
-// clients, or v2 clients that never set one) are routed to — the
-// graceful-downgrade rule that keeps pre-tenant client binaries working
-// against a multi-tenant server. An empty name restores the global set
-// as the target.
+// SetDefaultTenant names the tenant that calls carrying no tenant are
+// routed to. An empty name restores the global set as the target.
 func (s *Server) SetDefaultTenant(tenant string) {
 	s.mu.Lock()
 	s.defaultTenant = tenant
@@ -274,51 +336,68 @@ func (s *Server) Tenants() []string {
 }
 
 // HandleFunc registers a typed handler: decode Args, call, encode Reply.
+// Args and Reply must each be []byte or a type whose pointer is a
+// Message; any other type panics at registration.
 func HandleFunc[Args any, Reply any](s *Server, method string, fn func(Args) (Reply, error)) {
 	HandleFuncAt(s, "", method, fn)
 }
 
 // HandleFuncAt is HandleFunc targeting a tenant's handler set.
 func HandleFuncAt[Args any, Reply any](s *Server, tenant, method string, fn func(Args) (Reply, error)) {
-	s.HandleAt(tenant, method, func(body []byte) ([]byte, error) {
+	var args Args
+	var reply Reply
+	for _, v := range [...]any{&args, &reply} {
+		if err := checkDecodable(v); err != nil {
+			panic(fmt.Sprintf("rmi: handler %s: %v", method, err))
+		}
+	}
+	s.HandleAt(tenant, method, func(body, out []byte) ([]byte, error) {
 		var args Args
-		if err := gob.NewDecoder(bytes.NewReader(body)).Decode(&args); err != nil {
-			return nil, fmt.Errorf("decoding args: %w", err)
+		if err := decodeBody(body, &args); err != nil {
+			return out, fmt.Errorf("decoding args: %w", err)
 		}
 		reply, err := fn(args)
 		if err != nil {
-			return nil, err
+			return out, err
 		}
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(&reply); err != nil {
-			return nil, fmt.Errorf("encoding reply: %w", err)
-		}
-		return buf.Bytes(), nil
+		return appendBody(out, &reply)
 	})
 }
 
 // lookup resolves a request's tenant and method to a handler, or to the
-// error message the response should carry.
-func (s *Server) lookup(tenant, method string) (HandlerFunc, string) {
+// error message the response should carry. sent is the tenant as the
+// frame named it, as a string for the gate; map lookups keyed by
+// string(b) do not allocate, and a known tenant's name comes from its
+// registration, so only an unknown tenant costs a conversion.
+func (s *Server) lookup(tenant, method []byte) (h handler, sent, errMsg string) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	name := tenant
-	if name == "" {
-		name = s.defaultTenant
+	set := s.tenants[s.defaultTenant]
+	if len(tenant) > 0 {
+		if set = s.tenants[string(tenant)]; set != nil {
+			sent = set.name
+		} else {
+			sent = string(tenant)
+		}
 	}
-	set, known := s.tenants[name]
-	if fn, ok := set[method]; ok {
-		return fn, ""
+	if set != nil {
+		if h, ok := set.methods[string(method)]; ok {
+			return h, sent, ""
+		}
 	}
 	// Tenant-independent methods (protocol negotiation, admin) live in
 	// the global set and answer under any tenant, known or not.
-	if fn, ok := s.tenants[""][method]; ok {
-		return fn, ""
+	if h, ok := s.tenants[""].methods[string(method)]; ok {
+		return h, sent, ""
 	}
-	if !known {
-		return nil, unknownTenantPrefix + name
+	if set == nil {
+		name := sent
+		if name == "" {
+			name = s.defaultTenant
+		}
+		return handler{}, "", unknownTenantPrefix + name
 	}
-	return nil, unknownMethodPrefix + method
+	return handler{}, "", unknownMethodPrefix + string(method)
 }
 
 // Serve accepts connections until the listener is closed.
@@ -357,11 +436,16 @@ func (s *Server) ServeConn(conn net.Conn) {
 		s.connMu.Unlock()
 		conn.Close()
 	}()
+	var rbuf, wbuf []byte
 	for {
-		var req request
-		n, err := readFrame(conn, &req)
+		frame, err := readFrame(conn, rbuf)
 		if err != nil {
 			return // EOF or broken peer: nothing to report to
+		}
+		rbuf = retain(rbuf, frame)
+		req, err := parseRequest(frame)
+		if err != nil {
+			return // not a v3 peer: there is no framing to answer it in
 		}
 		// The read lock brackets one frame: Shutdown's write lock
 		// cannot proceed until every frame already past the closing
@@ -371,44 +455,45 @@ func (s *Server) ServeConn(conn net.Conn) {
 			s.drain.RUnlock()
 			return
 		}
-		s.bytesIn.Add(int64(n))
+		s.bytesIn.Add(int64(4 + len(frame)))
 		s.calls.Add(1)
-		fn, errMsg := s.lookup(req.Tenant, req.Method)
+		h, tenant, errMsg := s.lookup(req.tenant, req.method)
 		m := s.metrics.Load()
-		if m != nil && req.Trace != 0 {
+		if m != nil && req.trace != 0 {
 			m.traced.Inc()
 		}
-		var resp response
-		resp.Seq = req.Seq
-		if fn == nil {
-			resp.Err = errMsg
-		} else if release, gerr := s.admit(req.Tenant, req.Method, req.Epoch); gerr != nil {
-			resp.Err = gerr.Error()
+		head := binary.AppendUvarint(append(wbuf[:0], 0, 0, 0, 0), req.seq)
+		fail := func(msg string) []byte { return append(append(head, statusErr), msg...) }
+		var out []byte
+		if h.fn == nil {
+			out = fail(errMsg)
+		} else if release, gerr := s.admit(tenant, h.name, req.epoch); gerr != nil {
+			out = fail(gerr.Error())
 		} else {
 			start := time.Time{}
 			if m != nil {
 				start = time.Now()
 			}
-			body, err := fn(req.Body)
+			var err error
+			out, err = h.fn(req.body, append(head, statusOK))
 			if release != nil {
 				release()
 			}
 			if m != nil {
 				m.reg.Histogram("rmi_server_call_seconds", "handler latency by method",
-					obs.Labels{"method": req.Method}).Observe(time.Since(start))
+					obs.Labels{"method": h.name}).Observe(time.Since(start))
 			}
 			if err != nil {
-				resp.Err = err.Error()
-			} else {
-				resp.Body = body
+				out = fail(err.Error())
 			}
 		}
-		n, err = writeFrame(conn, &resp)
+		err = writeFrame(conn, out)
 		s.drain.RUnlock()
 		if err != nil {
 			return
 		}
-		s.bytesOut.Add(int64(n))
+		wbuf = retain(wbuf, out)
+		s.bytesOut.Add(int64(len(out)))
 		if s.closing.Load() {
 			return
 		}
@@ -498,6 +583,8 @@ type Client struct {
 	seq    uint64
 	tenant string
 	epoch  uint64
+	// rbuf and wbuf are the connection's reused frame buffers (mu).
+	rbuf, wbuf []byte
 
 	calls    atomic.Int64
 	bytesOut atomic.Int64
@@ -522,11 +609,9 @@ func NewClient(conn net.Conn) *Client {
 func (c *Client) Close() error { return c.conn.Close() }
 
 // SetTenant names the tenant every subsequent call is issued against.
-// An empty name (the default) routes to the server's default tenant —
-// the wire frames are then indistinguishable from a pre-tenant
-// client's, so old servers keep working. Callers naming a non-default
-// tenant should verify the server speaks the tenant protocol first
-// (see internal/server.ResolveTenant).
+// An empty name (the default) routes to the server's default tenant.
+// Callers naming a non-default tenant should verify the server hosts it
+// first (see internal/server.ResolveTenant).
 func (c *Client) SetTenant(tenant string) {
 	c.mu.Lock()
 	c.tenant = tenant
@@ -541,11 +626,9 @@ func (c *Client) Tenant() string {
 }
 
 // SetEpoch pins every subsequent call to a data epoch. Zero (the
-// default) means unpinned — the frame bytes are then identical to a
-// pre-epoch client's, and epoch-unaware servers keep working. A server
-// with an epoch gate refuses pinned frames whose epoch has passed, so
-// the caller sees a consistent snapshot or a typed stale-epoch error,
-// never a torn read.
+// default) means unpinned. A server with an epoch gate refuses pinned
+// frames whose epoch has passed, so the caller sees a consistent
+// snapshot or a typed stale-epoch error, never a torn read.
 func (c *Client) SetEpoch(epoch uint64) {
 	c.mu.Lock()
 	c.epoch = epoch
@@ -560,8 +643,7 @@ func (c *Client) Epoch() uint64 {
 }
 
 // TraceContext identifies the trace (and the client-side span issuing
-// the call) a frame belongs to. The zero value means "untraced" and
-// encodes to exactly the pre-trace wire bytes.
+// the call) a frame belongs to. The zero value means "untraced".
 type TraceContext struct {
 	Trace uint64
 	Span  uint64
@@ -573,8 +655,9 @@ type FrameInfo struct {
 	BytesIn  int
 }
 
-// Call invokes method with gob-encoded args, decoding the reply into
-// reply (a pointer), and returns a *RemoteError if the handler failed.
+// Call invokes method with args (a []byte or a value whose AppendWire
+// encodes it), decoding the reply into reply (a *[]byte or a Message;
+// nil discards it), and returns a *RemoteError if the handler failed.
 func (c *Client) Call(method string, args any, reply any) error {
 	_, err := c.doCall(method, args, reply, TraceContext{})
 	return err
@@ -589,37 +672,45 @@ func (c *Client) CallTraced(method string, args any, reply any, tc TraceContext)
 
 func (c *Client) doCall(method string, args any, reply any, tc TraceContext) (FrameInfo, error) {
 	var fi FrameInfo
-	var body bytes.Buffer
-	if err := gob.NewEncoder(&body).Encode(args); err != nil {
-		return fi, fmt.Errorf("rmi: encoding args for %s: %w", method, err)
+	if reply != nil {
+		if err := checkDecodable(reply); err != nil {
+			return fi, fmt.Errorf("rmi: %s: %w", method, err)
+		}
 	}
-
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.seq++
-	req := request{Seq: c.seq, Method: method, Body: body.Bytes(), Ver: FrameVersion, Tenant: c.tenant, Trace: tc.Trace, Span: tc.Span, Epoch: c.epoch}
-	n, err := writeFrame(c.conn, &req)
+	frame := appendRequest(append(c.wbuf[:0], 0, 0, 0, 0), c.seq, method, c.tenant, tc, c.epoch)
+	frame, err := appendBody(frame, args)
 	if err != nil {
+		return fi, fmt.Errorf("rmi: encoding args for %s: %w", method, err)
+	}
+	if err := writeFrame(c.conn, frame); err != nil {
 		return fi, &TransportError{Method: method, Err: fmt.Errorf("sending: %w", err)}
 	}
-	c.bytesOut.Add(int64(n))
-	fi.BytesOut = n
-	var resp response
-	n, err = readFrame(c.conn, &resp)
+	c.wbuf = retain(c.wbuf, frame)
+	c.bytesOut.Add(int64(len(frame)))
+	fi.BytesOut = len(frame)
+	body, err := readFrame(c.conn, c.rbuf)
 	if err != nil {
 		return fi, &TransportError{Method: method, Err: fmt.Errorf("receiving reply: %w", err)}
 	}
-	c.bytesIn.Add(int64(n))
+	c.rbuf = retain(c.rbuf, body)
+	c.bytesIn.Add(int64(4 + len(body)))
 	c.calls.Add(1)
-	fi.BytesIn = n
-	if resp.Seq != req.Seq {
-		return fi, &TransportError{Method: method, Err: fmt.Errorf("reply sequence %d for request %d", resp.Seq, req.Seq)}
+	fi.BytesIn = 4 + len(body)
+	seq, status, body, err := parseReply(body)
+	if err != nil {
+		return fi, &TransportError{Method: method, Err: err}
 	}
-	if resp.Err != "" {
-		return fi, &RemoteError{Msg: resp.Err}
+	if seq != c.seq {
+		return fi, &TransportError{Method: method, Err: fmt.Errorf("reply sequence %d for request %d", seq, c.seq)}
+	}
+	if status == statusErr {
+		return fi, &RemoteError{Msg: string(body)}
 	}
 	if reply != nil {
-		if err := gob.NewDecoder(bytes.NewReader(resp.Body)).Decode(reply); err != nil {
+		if err := decodeBody(body, reply); err != nil {
 			return fi, &TransportError{Method: method, Err: fmt.Errorf("decoding reply: %w", err)}
 		}
 	}
@@ -652,41 +743,146 @@ func Pipe(srv *Server) *Client {
 	return NewClient(cConn)
 }
 
-// writeFrame writes a 4-byte big-endian length followed by the gob
-// encoding of v, returning total bytes written.
-func writeFrame(w io.Writer, v any) (int, error) {
-	var buf bytes.Buffer
-	buf.Write([]byte{0, 0, 0, 0}) // length placeholder
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		return 0, err
-	}
-	b := buf.Bytes()
-	payload := len(b) - 4
-	if payload > maxFrame {
-		return 0, fmt.Errorf("frame of %d bytes exceeds limit", payload)
-	}
-	binary.BigEndian.PutUint32(b[:4], uint32(payload))
-	n, err := w.Write(b)
-	return n, err
+// request is a parsed request frame; the byte slices alias the frame.
+type request struct {
+	seq            uint64
+	method, tenant []byte
+	trace, span    uint64
+	epoch          uint64
+	body           []byte
 }
 
-// readFrame reads one length-prefixed gob frame into v, returning total
-// bytes read.
-func readFrame(r io.Reader, v any) (int, error) {
+// appendRequest appends a request header: everything after the length
+// prefix up to the body.
+func appendRequest(dst []byte, seq uint64, method, tenant string, tc TraceContext, epoch uint64) []byte {
+	dst = append(dst, FrameVersion)
+	dst = binary.AppendUvarint(dst, seq)
+	dst = binary.AppendUvarint(dst, uint64(len(method)))
+	dst = append(dst, method...)
+	dst = binary.AppendUvarint(dst, uint64(len(tenant)))
+	dst = append(dst, tenant...)
+	dst = binary.AppendUvarint(dst, tc.Trace)
+	dst = binary.AppendUvarint(dst, tc.Span)
+	return binary.AppendUvarint(dst, epoch)
+}
+
+// errBadHeader reports a frame header that does not parse.
+var errBadHeader = errors.New("malformed frame header")
+
+// parseRequest splits a request frame (without its length prefix) into
+// header fields and body.
+func parseRequest(b []byte) (request, error) {
+	var q request
+	if len(b) == 0 || b[0] != FrameVersion {
+		if len(b) == 0 {
+			return q, errBadHeader
+		}
+		return q, fmt.Errorf("frame version %d, want %d", b[0], FrameVersion)
+	}
+	b = b[1:]
+	var ok bool
+	if q.seq, b, ok = uvarint(b); !ok {
+		return q, errBadHeader
+	}
+	if q.method, b, ok = prefixed(b); !ok {
+		return q, errBadHeader
+	}
+	if q.tenant, b, ok = prefixed(b); !ok {
+		return q, errBadHeader
+	}
+	for _, dst := range [...]*uint64{&q.trace, &q.span, &q.epoch} {
+		if *dst, b, ok = uvarint(b); !ok {
+			return q, errBadHeader
+		}
+	}
+	q.body = b
+	return q, nil
+}
+
+// parseReply splits a reply frame (without its length prefix) into
+// sequence, status, and the body or error text.
+func parseReply(b []byte) (seq uint64, status byte, rest []byte, err error) {
+	seq, b, ok := uvarint(b)
+	if !ok || len(b) == 0 {
+		return 0, 0, nil, errBadHeader
+	}
+	if b[0] != statusOK && b[0] != statusErr {
+		return 0, 0, nil, fmt.Errorf("reply status %d", b[0])
+	}
+	return seq, b[0], b[1:], nil
+}
+
+func uvarint(b []byte) (uint64, []byte, bool) {
+	v, n := binary.Uvarint(b)
+	if n <= 0 {
+		return 0, b, false
+	}
+	return v, b[n:], true
+}
+
+// prefixed reads a uvarint length and that many bytes.
+func prefixed(b []byte) ([]byte, []byte, bool) {
+	n, b, ok := uvarint(b)
+	if !ok || n > uint64(len(b)) {
+		return nil, b, false
+	}
+	return b[:n], b[n:], true
+}
+
+// retain returns the buffer a connection keeps after a frame: the
+// frame's own buffer while it is small enough to keep, else the one it
+// kept before.
+func retain(kept, used []byte) []byte {
+	if cap(used) > maxRetained {
+		return kept
+	}
+	return used[:0]
+}
+
+// writeFrame fills in the length prefix of frame (which starts with four
+// placeholder bytes) and writes it in one Write.
+func writeFrame(w io.Writer, frame []byte) error {
+	size := len(frame) - 4
+	if size > maxFrame {
+		return fmt.Errorf("frame of %d bytes exceeds limit", size)
+	}
+	binary.BigEndian.PutUint32(frame, uint32(size))
+	_, err := w.Write(frame)
+	return err
+}
+
+// readFrame reads one length-prefixed frame and returns its bytes after
+// the prefix, in buf when they fit. A frame larger than buf is read in
+// steps of at most maxRetained into a buffer that starts at maxRetained
+// and doubles only once the bytes already received fill it, so the
+// length prefix alone commits no memory the peer has not sent (at most
+// twice what arrived) and the copies stay linear in the frame size.
+func readFrame(r io.Reader, buf []byte) ([]byte, error) {
 	var lenbuf [4]byte
 	if _, err := io.ReadFull(r, lenbuf[:]); err != nil {
-		return 0, err
+		return nil, err
 	}
-	size := binary.BigEndian.Uint32(lenbuf[:])
+	size := int(binary.BigEndian.Uint32(lenbuf[:]))
 	if size > maxFrame {
-		return 0, fmt.Errorf("frame of %d bytes exceeds limit", size)
+		return nil, fmt.Errorf("frame of %d bytes exceeds limit", size)
 	}
-	body := make([]byte, size)
-	if _, err := io.ReadFull(r, body); err != nil {
-		return 0, err
+	if size <= cap(buf) {
+		buf = buf[:size]
+		_, err := io.ReadFull(r, buf)
+		return buf, err
 	}
-	if err := gob.NewDecoder(bytes.NewReader(body)).Decode(v); err != nil {
-		return 0, err
+	buf = make([]byte, 0, min(size, max(cap(buf), maxRetained)))
+	for len(buf) < size {
+		if len(buf) == cap(buf) {
+			grown := make([]byte, len(buf), min(size, 2*cap(buf)))
+			copy(grown, buf)
+			buf = grown
+		}
+		n, err := io.ReadFull(r, buf[len(buf):min(size, len(buf)+maxRetained, cap(buf))])
+		buf = buf[:len(buf)+n]
+		if err != nil {
+			return nil, err
+		}
 	}
-	return 4 + int(size), nil
+	return buf, nil
 }

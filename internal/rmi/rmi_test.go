@@ -1,6 +1,7 @@
 package rmi
 
 import (
+	"encoding/binary"
 	"errors"
 	"net"
 	"strings"
@@ -9,9 +10,62 @@ import (
 	"time"
 )
 
+// echoArgs, pair and num are test messages in the varint layout the
+// filter codecs use.
 type echoArgs struct {
 	S string
 	N int64
+}
+
+func (a echoArgs) AppendWire(dst []byte) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(a.S)))
+	return binary.AppendVarint(append(dst, a.S...), a.N)
+}
+
+func (a *echoArgs) DecodeWire(b []byte) error {
+	s, b, ok := prefixed(b)
+	if !ok {
+		return errors.New("bad string")
+	}
+	n, k := binary.Varint(b)
+	if k <= 0 || k != len(b) {
+		return errors.New("bad number")
+	}
+	*a = echoArgs{S: string(s), N: n}
+	return nil
+}
+
+type pair [2]int64
+
+func (p pair) AppendWire(dst []byte) []byte {
+	return binary.AppendVarint(binary.AppendVarint(dst, p[0]), p[1])
+}
+
+func (p *pair) DecodeWire(b []byte) error {
+	for i := range p {
+		v, k := binary.Varint(b)
+		if k <= 0 {
+			return errors.New("bad pair")
+		}
+		p[i], b = v, b[k:]
+	}
+	if len(b) != 0 {
+		return errors.New("trailing bytes")
+	}
+	return nil
+}
+
+type num int64
+
+func (n num) AppendWire(dst []byte) []byte { return binary.AppendVarint(dst, int64(n)) }
+
+func (n *num) DecodeWire(b []byte) error {
+	v, k := binary.Varint(b)
+	if k <= 0 || k != len(b) {
+		return errors.New("bad number")
+	}
+	*n = num(v)
+	return nil
 }
 
 func newEchoServer() *Server {
@@ -22,8 +76,8 @@ func newEchoServer() *Server {
 	HandleFunc(srv, "fail", func(a echoArgs) (echoArgs, error) {
 		return echoArgs{}, errors.New("boom: " + a.S)
 	})
-	HandleFunc(srv, "add", func(a [2]int64) (int64, error) {
-		return a[0] + a[1], nil
+	HandleFunc(srv, "add", func(a pair) (num, error) {
+		return num(a[0] + a[1]), nil
 	})
 	return srv
 }
@@ -38,8 +92,8 @@ func TestPipeRoundTrip(t *testing.T) {
 	if out.S != "hi" || out.N != 42 {
 		t.Fatalf("echo = %+v", out)
 	}
-	var sum int64
-	if err := cli.Call("add", [2]int64{20, 22}, &sum); err != nil {
+	var sum num
+	if err := cli.Call("add", pair{20, 22}, &sum); err != nil {
 		t.Fatal(err)
 	}
 	if sum != 42 {
@@ -108,12 +162,12 @@ func TestConcurrentCallsSerialized(t *testing.T) {
 		go func(g int64) {
 			defer wg.Done()
 			for i := int64(0); i < 20; i++ {
-				var sum int64
-				if err := cli.Call("add", [2]int64{g, i}, &sum); err != nil {
+				var sum num
+				if err := cli.Call("add", pair{g, i}, &sum); err != nil {
 					errs <- err
 					return
 				}
-				if sum != g+i {
+				if int64(sum) != g+i {
 					errs <- errors.New("wrong sum")
 					return
 				}
@@ -162,13 +216,13 @@ func TestStatsCounted(t *testing.T) {
 
 func TestDuplicateHandlerPanics(t *testing.T) {
 	srv := NewServer()
-	srv.Handle("m", func(b []byte) ([]byte, error) { return nil, nil })
+	srv.Handle("m", func(b, r []byte) ([]byte, error) { return r, nil })
 	defer func() {
 		if recover() == nil {
 			t.Fatal("duplicate Handle did not panic")
 		}
 	}()
-	srv.Handle("m", func(b []byte) ([]byte, error) { return nil, nil })
+	srv.Handle("m", func(b, r []byte) ([]byte, error) { return r, nil })
 }
 
 func TestNilReplyDiscardsBody(t *testing.T) {
@@ -183,8 +237,8 @@ func BenchmarkPipeCall(b *testing.B) {
 	cli := Pipe(newEchoServer())
 	defer cli.Close()
 	for i := 0; i < b.N; i++ {
-		var sum int64
-		if err := cli.Call("add", [2]int64{1, 2}, &sum); err != nil {
+		var sum num
+		if err := cli.Call("add", pair{1, 2}, &sum); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -205,8 +259,8 @@ func BenchmarkTCPCall(b *testing.B) {
 	defer cli.Close()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		var sum int64
-		if err := cli.Call("add", [2]int64{1, 2}, &sum); err != nil {
+		var sum num
+		if err := cli.Call("add", pair{1, 2}, &sum); err != nil {
 			b.Fatal(err)
 		}
 	}

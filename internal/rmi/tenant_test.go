@@ -1,8 +1,6 @@
 package rmi
 
 import (
-	"bytes"
-	"encoding/gob"
 	"net"
 	"sync"
 	"testing"
@@ -13,9 +11,9 @@ import (
 // global method, mirroring how the runtime lays out handler sets.
 func tenantServer() *Server {
 	srv := NewServer()
-	HandleFuncAt(srv, "alpha", "t.Who", func(struct{}) (string, error) { return "alpha", nil })
-	HandleFuncAt(srv, "beta", "t.Who", func(struct{}) (string, error) { return "beta", nil })
-	HandleFunc(srv, "t.Global", func(struct{}) (string, error) { return "global", nil })
+	HandleFuncAt(srv, "alpha", "t.Who", func([]byte) ([]byte, error) { return []byte("alpha"), nil })
+	HandleFuncAt(srv, "beta", "t.Who", func([]byte) ([]byte, error) { return []byte("beta"), nil })
+	HandleFunc(srv, "t.Global", func([]byte) ([]byte, error) { return []byte("global"), nil })
 	return srv
 }
 
@@ -24,15 +22,15 @@ func TestTenantDispatch(t *testing.T) {
 	for _, tenant := range []string{"alpha", "beta"} {
 		cli := Pipe(srv)
 		cli.SetTenant(tenant)
-		var who string
-		if err := cli.Call("t.Who", struct{}{}, &who); err != nil {
+		var who []byte
+		if err := cli.Call("t.Who", []byte(nil), &who); err != nil {
 			t.Fatalf("Call(%s): %v", tenant, err)
 		}
-		if who != tenant {
+		if string(who) != tenant {
 			t.Errorf("tenant %s answered by %s", tenant, who)
 		}
-		var g string
-		if err := cli.Call("t.Global", struct{}{}, &g); err != nil || g != "global" {
+		var g []byte
+		if err := cli.Call("t.Global", []byte(nil), &g); err != nil || string(g) != "global" {
 			t.Errorf("global method under tenant %s: %q, %v", tenant, g, err)
 		}
 		cli.Close()
@@ -44,14 +42,14 @@ func TestUnknownTenant(t *testing.T) {
 	cli := Pipe(srv)
 	defer cli.Close()
 	cli.SetTenant("gamma")
-	err := cli.Call("t.Who", struct{}{}, new(string))
+	err := cli.Call("t.Who", []byte(nil), new([]byte))
 	if !IsUnknownTenant(err, "gamma") {
 		t.Fatalf("want unknown-tenant error, got %v", err)
 	}
 	// The global set still answers under an unknown tenant: protocol
 	// negotiation must work before the tenant is validated.
-	var g string
-	if err := cli.Call("t.Global", struct{}{}, &g); err != nil || g != "global" {
+	var g []byte
+	if err := cli.Call("t.Global", []byte(nil), &g); err != nil || string(g) != "global" {
 		t.Fatalf("global method under unknown tenant: %q, %v", g, err)
 	}
 }
@@ -61,18 +59,18 @@ func TestDefaultTenantMapping(t *testing.T) {
 	cli := Pipe(srv)
 	defer cli.Close()
 	// No default designated: a bare client finds only the global set.
-	err := cli.Call("t.Who", struct{}{}, new(string))
+	err := cli.Call("t.Who", []byte(nil), new([]byte))
 	if !IsUnknownMethod(err, "t.Who") {
 		t.Fatalf("want unknown-method before default set, got %v", err)
 	}
 	srv.SetDefaultTenant("beta")
-	var who string
-	if err := cli.Call("t.Who", struct{}{}, &who); err != nil || who != "beta" {
+	var who []byte
+	if err := cli.Call("t.Who", []byte(nil), &who); err != nil || string(who) != "beta" {
 		t.Fatalf("default-tenant call: %q, %v", who, err)
 	}
 	// A method the tenant does not expose stays unknown-method (the
 	// tenant itself is known).
-	err = cli.Call("t.Missing", struct{}{}, nil)
+	err = cli.Call("t.Missing", []byte(nil), nil)
 	if !IsUnknownMethod(err, "t.Missing") {
 		t.Fatalf("want unknown-method, got %v", err)
 	}
@@ -83,7 +81,7 @@ func TestDropTenant(t *testing.T) {
 	cli := Pipe(srv)
 	defer cli.Close()
 	cli.SetTenant("alpha")
-	if err := cli.Call("t.Who", struct{}{}, new(string)); err != nil {
+	if err := cli.Call("t.Who", []byte(nil), new([]byte)); err != nil {
 		t.Fatalf("before drop: %v", err)
 	}
 	if !srv.DropTenant("alpha") {
@@ -92,43 +90,12 @@ func TestDropTenant(t *testing.T) {
 	if srv.DropTenant("alpha") {
 		t.Fatal("second DropTenant(alpha) = true")
 	}
-	err := cli.Call("t.Who", struct{}{}, new(string))
+	err := cli.Call("t.Who", []byte(nil), new([]byte))
 	if !IsUnknownTenant(err, "alpha") {
 		t.Fatalf("after drop: want unknown-tenant, got %v", err)
 	}
 	if got := srv.Tenants(); len(got) != 1 || got[0] != "beta" {
 		t.Fatalf("Tenants() = %v, want [beta]", got)
-	}
-}
-
-// TestLegacyFrameDecodesAsDefaultTenant pins the downgrade rule at the
-// wire level: a frame encoded from the pre-tenant request struct (no
-// Ver, no Tenant field) must decode and route to the default tenant.
-func TestLegacyFrameDecodesAsDefaultTenant(t *testing.T) {
-	type legacyRequest struct {
-		Seq    uint64
-		Method string
-		Body   []byte
-	}
-	srv := tenantServer()
-	srv.SetDefaultTenant("alpha")
-	cConn, sConn := net.Pipe()
-	go srv.ServeConn(sConn)
-	defer cConn.Close()
-
-	var body bytes.Buffer
-	if err := gob.NewEncoder(&body).Encode(struct{}{}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := writeFrame(cConn, &legacyRequest{Seq: 1, Method: "t.Who", Body: body.Bytes()}); err != nil {
-		t.Fatal(err)
-	}
-	var resp response
-	if _, err := readFrame(cConn, &resp); err != nil {
-		t.Fatal(err)
-	}
-	if resp.Err != "" {
-		t.Fatalf("legacy frame rejected: %s", resp.Err)
 	}
 }
 
@@ -139,17 +106,17 @@ func TestShutdownDrainsInFlightFrame(t *testing.T) {
 	srv := NewServer()
 	entered := make(chan struct{})
 	release := make(chan struct{})
-	HandleFunc(srv, "slow", func(struct{}) (string, error) {
+	HandleFunc(srv, "slow", func([]byte) ([]byte, error) {
 		close(entered)
 		<-release
-		return "done", nil
+		return []byte("done"), nil
 	})
 	cli := Pipe(srv)
 	defer cli.Close()
 
 	callErr := make(chan error, 1)
-	var reply string
-	go func() { callErr <- cli.Call("slow", struct{}{}, &reply) }()
+	var reply []byte
+	go func() { callErr <- cli.Call("slow", []byte(nil), &reply) }()
 	<-entered
 
 	shutdownDone := make(chan struct{})
@@ -163,7 +130,7 @@ func TestShutdownDrainsInFlightFrame(t *testing.T) {
 	if err := <-callErr; err != nil {
 		t.Fatalf("in-flight call failed across shutdown: %v", err)
 	}
-	if reply != "done" {
+	if string(reply) != "done" {
 		t.Fatalf("reply = %q", reply)
 	}
 	select {
@@ -173,7 +140,7 @@ func TestShutdownDrainsInFlightFrame(t *testing.T) {
 	}
 	// The connection is closed now: the next call fails with a
 	// transport error, not a hang.
-	if err := cli.Call("slow", struct{}{}, nil); err == nil {
+	if err := cli.Call("slow", []byte(nil), nil); err == nil {
 		t.Fatal("call after shutdown succeeded")
 	}
 }
@@ -189,15 +156,11 @@ func TestShutdownSurvivesStuckPeer(t *testing.T) {
 
 	srv := NewServer()
 	big := make([]byte, 1<<20)
-	HandleFunc(srv, "big", func(struct{}) ([]byte, error) { return big, nil })
+	HandleFunc(srv, "big", func([]byte) ([]byte, error) { return big, nil })
 	cConn, sConn := net.Pipe() // unbuffered: the reply write blocks until read
 	go srv.ServeConn(sConn)
 	defer cConn.Close()
-	var body bytes.Buffer
-	if err := gob.NewEncoder(&body).Encode(struct{}{}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := writeFrame(cConn, &request{Seq: 1, Method: "big", Body: body.Bytes(), Ver: FrameVersion}); err != nil {
+	if err := writeFrame(cConn, appendRequest([]byte{0, 0, 0, 0}, 1, "big", "", TraceContext{}, 0)); err != nil {
 		t.Fatal(err)
 	}
 	// Never read the reply; give the server a moment to block in the
@@ -217,7 +180,7 @@ func TestShutdownSurvivesStuckPeer(t *testing.T) {
 // Serve returns nil after the listener closes and Shutdown drains.
 func TestShutdownStopsNewConnections(t *testing.T) {
 	srv := NewServer()
-	HandleFunc(srv, "ping", func(struct{}) (bool, error) { return true, nil })
+	HandleFunc(srv, "ping", func([]byte) ([]byte, error) { return nil, nil })
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -229,7 +192,7 @@ func TestShutdownStopsNewConnections(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := cli.Call("ping", struct{}{}, nil); err != nil {
+	if err := cli.Call("ping", []byte(nil), nil); err != nil {
 		t.Fatal(err)
 	}
 

@@ -1,157 +1,34 @@
 package rmi
 
 import (
-	"bytes"
-	"encoding/gob"
-	"net"
 	"testing"
-	"time"
 
 	"encshare/internal/obs"
 )
-
-// TestUntracedValueBytesUnchanged pins the zero-overhead rule: gob
-// omits zero-valued fields from the value section, so an untraced
-// request's value bytes are identical to a pre-trace client's (the
-// one-time type descriptor is the only difference, and only because it
-// names the new fields). The test compares the second message on a
-// shared encoder stream — descriptors ride only on the first — between
-// the old and new struct shapes, and then checks that a nonzero trace
-// context actually does add bytes (proving the fields were omitted, not
-// merely compressed).
-func TestUntracedValueBytesUnchanged(t *testing.T) {
-	// Pre-trace shape, shadowing the package type so the gob stream
-	// carries the same wire name ("request").
-	oldValue := func() []byte {
-		type request struct {
-			Seq    uint64
-			Method string
-			Body   []byte
-			Ver    uint8
-			Tenant string
-		}
-		var buf bytes.Buffer
-		enc := gob.NewEncoder(&buf)
-		r := request{Seq: 7, Method: "m", Body: []byte{9}, Ver: FrameVersion, Tenant: "acme"}
-		if err := enc.Encode(&r); err != nil {
-			t.Fatal(err)
-		}
-		mark := buf.Len()
-		if err := enc.Encode(&r); err != nil {
-			t.Fatal(err)
-		}
-		return append([]byte(nil), buf.Bytes()[mark:]...)
-	}()
-
-	newValue := func(tc TraceContext) []byte {
-		var buf bytes.Buffer
-		enc := gob.NewEncoder(&buf)
-		r := request{Seq: 7, Method: "m", Body: []byte{9}, Ver: FrameVersion, Tenant: "acme", Trace: tc.Trace, Span: tc.Span}
-		if err := enc.Encode(&r); err != nil {
-			t.Fatal(err)
-		}
-		mark := buf.Len()
-		if err := enc.Encode(&r); err != nil {
-			t.Fatal(err)
-		}
-		return append([]byte(nil), buf.Bytes()[mark:]...)
-	}
-
-	untraced := newValue(TraceContext{})
-	// A value message is [len][typeid][fields...]; the type id is drawn
-	// from gob's process-global registry, so it differs between the two
-	// struct shapes even though the field encoding is identical. Compare
-	// the message length (single byte: this payload is well under 128)
-	// and everything after the 2-byte type id.
-	if len(oldValue) < 4 || len(untraced) < 4 {
-		t.Fatalf("unexpectedly short value messages: %x / %x", oldValue, untraced)
-	}
-	if oldValue[0] != untraced[0] || !bytes.Equal(oldValue[3:], untraced[3:]) {
-		t.Fatalf("untraced value bytes differ from pre-trace encoding:\nold %x\nnew %x", oldValue, untraced)
-	}
-	traced := newValue(TraceContext{Trace: 99, Span: 4})
-	if len(traced) <= len(untraced) {
-		t.Fatalf("traced value (%d bytes) not larger than untraced (%d): zero-field omission not exercised", len(traced), len(untraced))
-	}
-}
-
-// TestTracedFrameDecodesOnPreTraceServer pins the forward direction at
-// the wire level: a traced client's frame decodes into the pre-trace
-// request struct (gob drops the unknown Trace/Span fields) with every
-// shared field intact.
-func TestTracedFrameDecodesOnPreTraceServer(t *testing.T) {
-	type preTraceRequest struct {
-		Seq    uint64
-		Method string
-		Body   []byte
-		Ver    uint8
-		Tenant string
-	}
-	var buf bytes.Buffer
-	traced := request{Seq: 3, Method: "Eval", Body: []byte{1, 2}, Ver: FrameVersion, Tenant: "acme", Trace: 99, Span: 4}
-	if _, err := writeFrame(&buf, &traced); err != nil {
-		t.Fatal(err)
-	}
-	var got preTraceRequest
-	if _, err := readFrame(&buf, &got); err != nil {
-		t.Fatalf("pre-trace server failed to decode traced frame: %v", err)
-	}
-	if got.Seq != 3 || got.Method != "Eval" || !bytes.Equal(got.Body, []byte{1, 2}) || got.Ver != FrameVersion || got.Tenant != "acme" {
-		t.Fatalf("shared fields corrupted: %+v", got)
-	}
-}
-
-// TestPreTraceFrameDecodesWithZeroTraceContext pins the backward
-// direction: a pre-trace client's frame decodes on a traced server with
-// a zero-valued trace context, and the server does not count it as
-// traced.
-func TestPreTraceFrameDecodesWithZeroTraceContext(t *testing.T) {
-	type preTraceRequest struct {
-		Seq    uint64
-		Method string
-		Body   []byte
-		Ver    uint8
-		Tenant string
-	}
-	var buf bytes.Buffer
-	if _, err := writeFrame(&buf, &preTraceRequest{Seq: 5, Method: "Eval", Ver: FrameVersion}); err != nil {
-		t.Fatal(err)
-	}
-	var got request
-	if _, err := readFrame(&buf, &got); err != nil {
-		t.Fatalf("traced server failed to decode pre-trace frame: %v", err)
-	}
-	if got.Trace != 0 || got.Span != 0 {
-		t.Fatalf("trace context not zero: trace=%d span=%d", got.Trace, got.Span)
-	}
-	if got.Seq != 5 || got.Method != "Eval" {
-		t.Fatalf("shared fields corrupted: %+v", got)
-	}
-}
 
 // TestCallTracedEndToEnd drives a traced call through a live server and
 // checks the byte accounting and the traced-frame counter.
 func TestCallTracedEndToEnd(t *testing.T) {
 	srv := NewServer()
-	HandleFunc(srv, "echo", func(s string) (string, error) { return s, nil })
+	HandleFunc(srv, "echo", func(b []byte) ([]byte, error) { return b, nil })
 	reg := obs.NewRegistry()
 	srv.SetMetrics(reg)
 	cli := Pipe(srv)
 	defer cli.Close()
 
-	var reply string
-	fi, err := cli.CallTraced("echo", "hello", &reply, TraceContext{Trace: 11, Span: 2})
+	var reply []byte
+	fi, err := cli.CallTraced("echo", []byte("hello"), &reply, TraceContext{Trace: 11, Span: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if reply != "hello" {
+	if string(reply) != "hello" {
 		t.Fatalf("reply = %q", reply)
 	}
 	if fi.BytesOut <= 0 || fi.BytesIn <= 0 {
 		t.Fatalf("frame info not populated: %+v", fi)
 	}
 	// Untraced call for contrast.
-	if err := cli.Call("echo", "again", &reply); err != nil {
+	if err := cli.Call("echo", []byte("again"), &reply); err != nil {
 		t.Fatal(err)
 	}
 
@@ -180,41 +57,5 @@ func TestCallTracedEndToEnd(t *testing.T) {
 	}
 	if histCount != 2 {
 		t.Fatalf("per-method histogram count = %v, want 2", histCount)
-	}
-}
-
-// TestTracedClientAgainstLiveLegacyServeLoop runs the full
-// traced-client-vs-v1-server exchange over a pipe: a serve loop reading
-// into the pre-trace struct answers a CallTraced without error.
-func TestTracedClientAgainstLiveLegacyServeLoop(t *testing.T) {
-	type preTraceRequest struct {
-		Seq    uint64
-		Method string
-		Body   []byte
-		Ver    uint8
-		Tenant string
-	}
-	cConn, sConn := net.Pipe()
-	defer cConn.Close()
-	go func() {
-		defer sConn.Close()
-		for {
-			var req preTraceRequest
-			if _, err := readFrame(sConn, &req); err != nil {
-				return
-			}
-			if _, err := writeFrame(sConn, &response{Seq: req.Seq, Body: req.Body}); err != nil {
-				return
-			}
-		}
-	}()
-	cli := NewClient(cConn)
-	cConn.SetDeadline(time.Now().Add(5 * time.Second))
-	var echoed string
-	if _, err := cli.CallTraced("echo", "legacy", &echoed, TraceContext{Trace: 1, Span: 1}); err != nil {
-		t.Fatalf("traced call against legacy server: %v", err)
-	}
-	if echoed != "legacy" {
-		t.Fatalf("echoed = %q", echoed)
 	}
 }

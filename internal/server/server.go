@@ -19,6 +19,7 @@
 package server
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
@@ -231,10 +232,11 @@ func New(cfg Config) *Runtime {
 		}
 		rt.shared = filter.NewPolyCache(size)
 	}
-	rmi.HandleFunc(rt.srv, methodResolveTenant, func(name string) (string, error) {
-		return rt.resolve(name)
+	rmi.HandleFunc(rt.srv, methodResolveTenant, func(name []byte) ([]byte, error) {
+		resolved, err := rt.resolve(string(name))
+		return []byte(resolved), err
 	})
-	rmi.HandleFunc(rt.srv, methodTenants, func(struct{}) ([]string, error) {
+	rmi.HandleFunc(rt.srv, methodTenants, func([]byte) (tenantList, error) {
 		return rt.Tenants(), nil
 	})
 	// The epoch gate brackets every read frame: it holds the tenant's
@@ -875,11 +877,11 @@ func (e *TenantError) Unwrap() error { return e.Err }
 // answering from the wrong table.
 func ResolveTenant(c *rmi.Client) (string, error) {
 	tenant := c.Tenant()
-	var name string
-	err := c.Call(methodResolveTenant, tenant, &name)
+	var name []byte
+	err := c.Call(methodResolveTenant, []byte(tenant), &name)
 	switch {
 	case err == nil:
-		return name, nil
+		return string(name), nil
 	case rmi.IsUnknownMethod(err, methodResolveTenant):
 		if tenant == "" {
 			return "", nil // pre-tenant server, pre-tenant client: compatible
@@ -895,10 +897,45 @@ func ResolveTenant(c *rmi.Client) (string, error) {
 // ListTenants asks a server for its attached tenant names (empty on
 // pre-tenant servers).
 func ListTenants(c *rmi.Client) ([]string, error) {
-	var names []string
-	err := c.Call(methodTenants, struct{}{}, &names)
+	var names tenantList
+	err := c.Call(methodTenants, []byte(nil), &names)
 	if rmi.IsUnknownMethod(err, methodTenants) {
 		return nil, nil
 	}
 	return names, err
+}
+
+// tenantList is the runtime.Tenants reply body: a uvarint count, then
+// each name as a uvarint length and its bytes.
+type tenantList []string
+
+func (l tenantList) AppendWire(dst []byte) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(l)))
+	for _, name := range l {
+		dst = append(binary.AppendUvarint(dst, uint64(len(name))), name...)
+	}
+	return dst
+}
+
+func (l *tenantList) DecodeWire(b []byte) error {
+	bad := errors.New("server: malformed tenant list")
+	n, k := binary.Uvarint(b)
+	if k <= 0 || n > uint64(len(b)-k) {
+		return bad
+	}
+	b = b[k:]
+	names := make(tenantList, 0, n)
+	for i := uint64(0); i < n; i++ {
+		size, k := binary.Uvarint(b)
+		if k <= 0 || size > uint64(len(b)-k) {
+			return bad
+		}
+		names = append(names, string(b[k:k+int(size)]))
+		b = b[k+int(size):]
+	}
+	if len(b) != 0 {
+		return bad
+	}
+	*l = names
+	return nil
 }

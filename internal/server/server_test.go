@@ -398,7 +398,7 @@ func TestResolveTenantDowngrade(t *testing.T) {
 	// the resolve method must also yield a TenantError naming the
 	// protocol gap.
 	noResolve := rmi.NewServer()
-	rmi.HandleFuncAt(noResolve, "alpha", "x", func(struct{}) (bool, error) { return true, nil })
+	rmi.HandleFuncAt(noResolve, "alpha", "x", func([]byte) ([]byte, error) { return nil, nil })
 	nrCli := rmi.Pipe(noResolve)
 	defer nrCli.Close()
 	nrCli.SetTenant("alpha")

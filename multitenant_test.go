@@ -131,9 +131,8 @@ func TestEndToEndMultiTenant(t *testing.T) {
 			aStats, rtStats["auction"], bStats, rtStats["books"])
 	}
 
-	// A client that never names a tenant sends frames wire-identical
-	// to a pre-PR binary's (the tenant field is gob-omitted when
-	// empty): it must land on the default tenant and see exactly the
+	// A client that never names a tenant sends an empty tenant field:
+	// it must land on the default tenant and see exactly the
 	// single-tenant behavior.
 	legacy, err := Dial(aKeys, addr)
 	if err != nil {
