@@ -60,6 +60,10 @@ type enc struct {
 	sink RowSink
 	r    *ring.Ring
 
+	// server is the scratch the next row's server share is split into;
+	// only its serialized blob outlives emit.
+	server ring.Poly
+
 	pre   int64
 	post  int64
 	stack []frame
@@ -210,11 +214,14 @@ func (e *enc) emitSubtree(n *xmldoc.Node, parentPre int64) (ring.Poly, error) {
 	return poly, nil
 }
 
-// emit splits a completed polynomial and writes its row.
+// emit splits a completed polynomial and writes its row. poly itself is
+// left intact: the caller still multiplies it into the parent's product.
 func (e *enc) emit(poly ring.Poly, pre, parentPre int64) error {
 	e.post++
-	server := e.opts.Scheme.Split(poly, uint64(pre))
-	blob := e.r.Bytes(server)
+	if e.server == nil {
+		e.server = e.r.NewPoly()
+	}
+	blob := e.r.Bytes(e.opts.Scheme.SplitInto(e.server, poly, uint64(pre)))
 	row := store.NodeRow{Pre: pre, Post: e.post, Parent: parentPre, Poly: blob}
 	if err := e.sink.InsertNode(row); err != nil {
 		return err

@@ -3,8 +3,24 @@
 //
 // The prototype in the paper regenerates the client share of a node's
 // polynomial from a secret seed and the node's pre value. We realize this
-// with a SHA-256 counter-mode stream keyed by the seed and domain-separated
-// by an arbitrary label plus a 64-bit index, so that:
+// with SHA-256 in counter mode: a stream is a 32-byte key, and its block
+// i is sha256(key ‖ i). Two key layouts exist, both hashes of the seed
+// with length-framed domain separation:
+//
+//   - a generic stream (Generator.Stream) is keyed
+//     sha256(seed ‖ len(domain) ‖ domain ‖ index). Documents, test data
+//     and other non-share randomness draw from these; their bytes are
+//     frozen.
+//   - a keyed-domain stream (DomainKey.StreamInto) is keyed
+//     sha256(domainKey ‖ index) with domainKey = sha256(seed ‖
+//     len(domain) ‖ domain) derived once, so opening a stream costs one
+//     SHA-256 compression instead of two. Client shares draw from these.
+//
+// Here seed is sha256 of the caller's seed bytes. The generic key input
+// is 48+len(domain) bytes and a domain key's 40+len(domain), with the
+// length field telling them apart, so a domain key never equals a
+// generic stream key and neither family can reproduce the other.
+// Either way:
 //
 //   - the same (seed, domain, index) always yields the same stream, which
 //     is what lets the client discard its share tree and keep only the
@@ -58,11 +74,9 @@ func NewRandom() (*Generator, []byte, error) {
 // index is the node's pre value.
 //
 // The key is sha256(seed || len(domain) || domain || index), assembled
-// in a stack buffer and hashed with one Sum256 call: stream derivation
-// sits on the per-check hot path (every client-share evaluation derives
-// a fresh stream), and the buffer spares the hash.Hash allocation. For
-// unusually long domains the buffer spills to the heap; the digest is
-// identical either way.
+// in a stack buffer and hashed with one Sum256 call: the buffer spares
+// the hash.Hash allocation. For unusually long domains the buffer spills
+// to the heap; the digest is identical either way.
 func (g *Generator) Stream(domain string, index uint64) *Stream {
 	s := &Stream{}
 	g.StreamInto(s, domain, index)
@@ -71,21 +85,43 @@ func (g *Generator) Stream(domain string, index uint64) *Stream {
 
 // StreamInto is Stream writing into a caller-supplied Stream value —
 // the allocation-free form for hot paths that derive a fresh stream per
-// operation (the client filter derives one per share evaluation). Any
-// previous state of s is discarded.
+// operation. Any previous state of s is discarded.
 func (g *Generator) StreamInto(s *Stream, domain string, index uint64) {
 	var arr [96]byte
-	buf := append(arr[:0], g.seed[:]...)
-	var lenbuf [8]byte
-	binary.BigEndian.PutUint64(lenbuf[:], uint64(len(domain)))
-	buf = append(buf, lenbuf[:]...)
-	buf = append(buf, domain...)
-	binary.BigEndian.PutUint64(lenbuf[:], index)
-	buf = append(buf, lenbuf[:]...)
-	s.key = sha256.Sum256(buf)
-	s.ctr = 0
-	s.off = 0
-	s.init = false
+	buf := binary.BigEndian.AppendUint64(g.framed(arr[:0], domain), index)
+	*s = Stream{key: sha256.Sum256(buf)}
+}
+
+// framed appends seed ‖ len(domain) ‖ domain to buf: the prefix both key
+// layouts share.
+func (g *Generator) framed(buf []byte, domain string) []byte {
+	buf = append(buf, g.seed[:]...)
+	buf = binary.BigEndian.AppendUint64(buf, uint64(len(domain)))
+	return append(buf, domain...)
+}
+
+// DomainKey is the key of one domain's family of streams,
+// sha256(seed ‖ len(domain) ‖ domain). It is derived once and then opens
+// any stream of the domain with a single SHA-256 compression. Immutable
+// and safe for concurrent use.
+type DomainKey struct {
+	key [32]byte
+}
+
+// DomainKey derives the key of domain's stream family.
+func (g *Generator) DomainKey(domain string) DomainKey {
+	var arr [96]byte
+	return DomainKey{key: sha256.Sum256(g.framed(arr[:0], domain))}
+}
+
+// StreamInto opens the stream for index into s: its key is
+// sha256(domainKey ‖ index), 40 bytes, which SHA-256 pads into a single
+// 64-byte block. Any previous state of s is discarded.
+func (d *DomainKey) StreamInto(s *Stream, index uint64) {
+	var b [40]byte
+	copy(b[:32], d.key[:])
+	binary.BigEndian.PutUint64(b[32:], index)
+	*s = Stream{key: sha256.Sum256(b[:])}
 }
 
 // Stream is a deterministic pseudorandom byte/integer stream. Not safe for
@@ -148,8 +184,7 @@ func (s *Stream) Uint64() uint64 {
 }
 
 // Uniform returns a uniformly distributed value in [0, m) using rejection
-// sampling, so polynomial coefficients drawn from it are unbiased in F_q.
-// It panics if m == 0.
+// sampling on 32-bit draws. It panics if m == 0.
 func (s *Stream) Uniform(m uint32) uint32 {
 	if m == 0 {
 		panic("prg: Uniform(0)")
@@ -167,50 +202,95 @@ func (s *Stream) Uniform(m uint32) uint32 {
 	}
 }
 
-// Sampler carries the precomputed reduction constants of Uniform(m) so
-// bulk consumers (a polynomial draw is q−1 samples) avoid the two
-// hardware divisions Uniform pays per call — the rejection limit and
-// the reciprocal for the final reduction. Sample consumes exactly the
-// same stream bytes and returns exactly the same values as Uniform(m);
-// the equivalence is property-tested, because the client-share stream
-// layout is part of the storage format.
+// Sampler draws exactly uniform values in [0, m) by rejection — the
+// polynomial coefficient sampler. The draw width follows m:
+//
+//   - m ≤ 256: one stream byte per attempt, rejecting bytes ≥
+//     256 − 256 mod m (none when m is a power of two);
+//   - m > 256: one Uint32 per attempt, byte- and value-identical to
+//     Uniform(m).
+//
+// The precomputed rejection limit and Granlund–Montgomery reciprocal
+// spare the two hardware divisions a Uniform call pays. The draw layout
+// is part of the storage format (client shares are drawn with it), so
+// both widths are pinned by tests against plain references.
 type Sampler struct {
 	m     uint32
-	mask  uint32 // m-1 when m is a power of two, else 0
-	limit uint32
+	small bool   // m ≤ 256: one byte per attempt
+	pow2  bool   // m is a power of two: mask, never reject
+	limit uint32 // attempts ≥ limit are rejected (unused for m > 256 when pow2)
 	recip uint64 // ⌊2^64/m⌋+1: ⌊v/m⌋ == (v·recip)>>64 for v < 2^32
 }
 
-// NewSampler precomputes the Uniform(m) constants. Panics if m == 0.
+// NewSampler precomputes the constants for modulus m. Panics if m == 0.
 func NewSampler(m uint32) Sampler {
 	if m == 0 {
 		panic("prg: NewSampler(0)")
 	}
-	if m&(m-1) == 0 {
-		return Sampler{m: m, mask: m - 1}
+	u := Sampler{m: m, small: m <= 256, pow2: m&(m-1) == 0}
+	if !u.pow2 {
+		u.recip = math.MaxUint64/uint64(m) + 1
 	}
-	return Sampler{
-		m:     m,
-		limit: uint32(1<<32 - (uint64(1<<32) % uint64(m))),
-		recip: math.MaxUint64/uint64(m) + 1,
+	switch {
+	case u.small:
+		u.limit = 256 - 256%m
+	case !u.pow2:
+		u.limit = uint32(1<<32 - (uint64(1<<32) % uint64(m)))
 	}
+	return u
 }
 
 // M returns the modulus the sampler was built for.
 func (u Sampler) M() uint32 { return u.m }
 
-// Sample draws the next value in [0, m), byte-identical to Uniform(m).
+// reduce returns v mod m for an accepted attempt v < 2^32.
+func (u *Sampler) reduce(v uint32) uint32 {
+	if u.pow2 {
+		return v & (u.m - 1)
+	}
+	// v - ⌊v/m⌋·m via the precomputed reciprocal; exact for v < 2^32.
+	q, _ := bits.Mul64(uint64(v), u.recip)
+	return v - uint32(q)*u.m
+}
+
+// Sample draws the next value in [0, m).
 func (s *Stream) Sample(u Sampler) uint32 {
-	if u.mask != 0 || u.m == 1 {
-		return s.Uint32() & u.mask
+	if u.small {
+		var v [1]uint32
+		s.SampleInto(u, v[:])
+		return v[0]
 	}
 	for {
-		v := s.Uint32()
-		if v < u.limit {
-			// v - ⌊v/m⌋·m via the precomputed reciprocal; exact for
-			// v < 2^32 (Granlund–Montgomery), so identical to v % m.
-			q, _ := bits.Mul64(uint64(v), u.recip)
-			return v - uint32(q)*u.m
+		if v := s.Uint32(); u.pow2 || v < u.limit {
+			return u.reduce(v)
 		}
+	}
+}
+
+// SampleInto fills dst with len(dst) successive Sample(u) draws: the same
+// values from the same stream bytes, leaving the cursor where those calls
+// would. For m ≤ 256 it reads straight out of the counter block, one
+// refill per 32 attempts and no call per coefficient — the form the
+// client-share hot loops use, a chunk at a time.
+func (s *Stream) SampleInto(u Sampler, dst []uint32) {
+	if !u.small {
+		for i := range dst {
+			dst[i] = s.Sample(u)
+		}
+		return
+	}
+	for i := 0; i < len(dst); {
+		if !s.init || s.off == len(s.buf) {
+			s.refill()
+		}
+		blk := s.buf[s.off:]
+		k := 0
+		for ; k < len(blk) && i < len(dst); k++ {
+			if v := uint32(blk[k]); v < u.limit {
+				dst[i] = u.reduce(v)
+				i++
+			}
+		}
+		s.off += k
 	}
 }

@@ -672,17 +672,19 @@ func (r *Ring) Rand(s *prg.Stream) Poly {
 // RandInto fills dst (len == N()) with coefficients drawn uniformly
 // from the stream and returns it — Rand without the allocation.
 func (r *Ring) RandInto(dst Poly, s *prg.Stream) Poly {
-	u := r.sampler
-	for i := range dst {
-		dst[i] = s.Sample(u)
-	}
+	s.SampleInto(r.sampler, dst)
 	return dst
 }
 
-// Sampler returns the precomputed Uniform(Q()) sampler — for callers
-// (the sharing scheme) that draw coefficients from the same stream
-// layout as Rand.
+// Sampler returns the precomputed coefficient sampler of F_q — for
+// callers (the sharing scheme) that draw coefficients from the same
+// stream layout as Rand.
 func (r *Ring) Sampler() prg.Sampler { return r.sampler }
+
+// DrawChunk is how many coefficients the streaming paths draw per
+// prg.Stream.SampleInto call, into a stack buffer: a share over F_83 is
+// two calls, and no polynomial is ever materialized.
+const DrawChunk = 64
 
 // EvalStream evaluates, at point v, the polynomial whose coefficients
 // Rand would draw from s — WITHOUT materializing it: the coefficients
@@ -701,31 +703,25 @@ func (r *Ring) EvalStream(s *prg.Stream, v gf.Elem) gf.Elem {
 	logv := lg[v]
 	var pw uint32 // log of v^i, updated incrementally mod N
 	var acc gf.Elem
-	if r.prime {
-		for i := 0; i < r.n; i++ {
-			c := s.Sample(u)
+	var buf [DrawChunk]gf.Elem
+	for i := 0; i < r.n; i += DrawChunk {
+		cs := buf[:min(DrawChunk, r.n-i)]
+		s.SampleInto(u, cs)
+		for _, c := range cs {
 			if c != 0 {
-				acc += ex[lg[c]+pw]
-				if acc >= q {
-					acc -= q
+				if r.prime {
+					acc += ex[lg[c]+pw]
+					if acc >= q {
+						acc -= q
+					}
+				} else {
+					acc = r.f.Add(acc, ex[lg[c]+pw])
 				}
 			}
 			pw += logv
 			if pw >= t.N {
 				pw -= t.N
 			}
-		}
-		return acc
-	}
-	f := r.f
-	for i := 0; i < r.n; i++ {
-		c := s.Sample(u)
-		if c != 0 {
-			acc = f.Add(acc, ex[lg[c]+pw])
-		}
-		pw += logv
-		if pw >= t.N {
-			pw -= t.N
 		}
 	}
 	return acc
@@ -764,37 +760,41 @@ func (r *Ring) EvalStreamMany(s *prg.Stream, vs []gf.Elem, out []gf.Elem) {
 	prime := r.prime
 	f := r.f
 	u := r.sampler
-	for i := 0; i < r.n; i++ {
-		c := s.Sample(u)
-		if c != 0 {
-			lc := lg[c]
+	var buf [DrawChunk]gf.Elem
+	for i0 := 0; i0 < r.n; i0 += DrawChunk {
+		cs := buf[:min(DrawChunk, r.n-i0)]
+		s.SampleInto(u, cs)
+		for k, c := range cs {
+			if c != 0 {
+				lc := lg[c]
+				for j, v := range vs {
+					if v == 0 {
+						if i0+k == 0 {
+							out[j] = c
+						}
+						continue
+					}
+					if prime {
+						acc := out[j] + ex[lc+pw[j]]
+						if acc >= q {
+							acc -= q
+						}
+						out[j] = acc
+					} else {
+						out[j] = f.Add(out[j], ex[lc+pw[j]])
+					}
+				}
+			}
 			for j, v := range vs {
 				if v == 0 {
-					if i == 0 {
-						out[j] = c
-					}
 					continue
 				}
-				if prime {
-					acc := out[j] + ex[lc+pw[j]]
-					if acc >= q {
-						acc -= q
-					}
-					out[j] = acc
-				} else {
-					out[j] = f.Add(out[j], ex[lc+pw[j]])
+				p := pw[j] + logs[j]
+				if p >= t.N {
+					p -= t.N
 				}
+				pw[j] = p
 			}
-		}
-		for j, v := range vs {
-			if v == 0 {
-				continue
-			}
-			p := pw[j] + logs[j]
-			if p >= t.N {
-				p -= t.N
-			}
-			pw[j] = p
 		}
 	}
 }

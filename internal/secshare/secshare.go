@@ -25,15 +25,19 @@ import (
 )
 
 // Domain is the PRG domain-separation label for client share streams. The
-// encoder and the client filter must agree on it; it is part of the wire
-// format between "encrypt time" and "query time".
-const Domain = "encshare/client-poly/v1"
+// encoder and the client filter must agree on it; it is part of the
+// storage format between "encrypt time" and "query time". v2 streams are
+// keyed sha256(domainKey ‖ pre), domainKey = sha256(seed ‖ len ‖ Domain),
+// and draw one byte per coefficient when q ≤ 256 (prg.Sampler). A table
+// encoded under v1 would reconstruct to garbage without any error, so the
+// page dump's header version moved with this label and refuses it.
+const Domain = "encshare/client-poly/v2"
 
 // Scheme ties a ring and a PRG together and produces/regenerates shares.
 // Immutable and safe for concurrent use; the counter is atomic.
 type Scheme struct {
-	r *ring.Ring
-	g *prg.Generator
+	r   *ring.Ring
+	key prg.DomainKey // the generator's key for Domain, derived once
 
 	// recons counts full polynomial reconstructions, so tests can
 	// cross-check the engines' Stats.Reconstructions against the number
@@ -43,7 +47,7 @@ type Scheme struct {
 
 // New creates a sharing scheme over ring r with client shares drawn from g.
 func New(r *ring.Ring, g *prg.Generator) *Scheme {
-	return &Scheme{r: r, g: g}
+	return &Scheme{r: r, key: g.DomainKey(Domain)}
 }
 
 // Ring returns the underlying polynomial ring.
@@ -53,17 +57,18 @@ func (s *Scheme) Ring() *ring.Ring { return s.r }
 // recombined (Reconstruct/ReconstructInto calls).
 func (s *Scheme) Reconstructions() int64 { return s.recons.Load() }
 
-// clientStream opens the deterministic coefficient stream of the client
-// share for the node at pre.
-func (s *Scheme) clientStream(pre uint64) *prg.Stream {
-	return s.g.Stream(Domain, pre)
-}
-
 // ClientShare regenerates the client share for the node stored at the
 // given pre position. This is deterministic: it is how the client
 // "remembers" its half of every polynomial while storing only the seed.
 func (s *Scheme) ClientShare(pre uint64) ring.Poly {
-	return s.r.Rand(s.clientStream(pre))
+	return s.ClientShareInto(s.r.NewPoly(), pre)
+}
+
+// ClientShareInto is ClientShare writing into dst (len == N()).
+func (s *Scheme) ClientShareInto(dst ring.Poly, pre uint64) ring.Poly {
+	var st prg.Stream
+	s.key.StreamInto(&st, pre)
+	return s.r.RandInto(dst, &st)
 }
 
 // Split computes the server share for node polynomial f at position pre:
@@ -76,27 +81,7 @@ func (s *Scheme) Split(f ring.Poly, pre uint64) (server ring.Poly) {
 // streaming the client coefficients instead of materializing the client
 // polynomial. dst may alias f.
 func (s *Scheme) SplitInto(dst, f ring.Poly, pre uint64) ring.Poly {
-	var st prg.Stream
-	s.g.StreamInto(&st, Domain, pre)
-	r := s.r
-	field := r.Field()
-	q := field.Q()
-	u := r.Sampler()
-	if field.E() == 1 {
-		for i := range dst {
-			fv, cv := f[i], st.Sample(u)
-			if fv >= cv {
-				dst[i] = fv - cv
-			} else {
-				dst[i] = fv + q - cv
-			}
-		}
-		return dst
-	}
-	for i := range dst {
-		dst[i] = field.Sub(f[i], st.Sample(u))
-	}
-	return dst
+	return s.addClient(dst, f, pre, s.r.Field().Neg(1))
 }
 
 // Reconstruct recombines a server share with the regenerated client share:
@@ -110,27 +95,8 @@ func (s *Scheme) Reconstruct(server ring.Poly, pre uint64) ring.Poly {
 // no intermediate polynomial. dst may alias server, so callers can
 // decode a blob into a pooled buffer and reconstruct in place.
 func (s *Scheme) ReconstructInto(dst, server ring.Poly, pre uint64) ring.Poly {
-	var st prg.Stream
-	s.g.StreamInto(&st, Domain, pre)
-	r := s.r
-	field := r.Field()
-	q := field.Q()
-	u := r.Sampler()
-	if field.E() == 1 {
-		for i := range dst {
-			v := server[i] + st.Sample(u)
-			if v >= q {
-				v -= q
-			}
-			dst[i] = v
-		}
-	} else {
-		for i := range dst {
-			dst[i] = field.Add(server[i], st.Sample(u))
-		}
-	}
 	s.recons.Add(1)
-	return dst
+	return s.addClient(dst, server, pre, 1)
 }
 
 // AddShares folds the regenerated client shares of every listed node
@@ -164,49 +130,43 @@ func (s *Scheme) AddClientShareScaled(dst ring.Poly, pre uint64, c gf.Elem) ring
 	if c == 0 {
 		return dst
 	}
+	return s.addClient(dst, dst, pre, c)
+}
+
+// addClient sets dst = base + c·client(pre) for a nonzero c and returns
+// dst; dst may alias base. It is the one loop behind split (c = −1),
+// reconstruction, folds and masked folds: the client coefficients are
+// drawn a chunk at a time straight out of the PRG counter blocks into a
+// stack buffer, so no client polynomial is materialized.
+func (s *Scheme) addClient(dst, base ring.Poly, pre uint64, c gf.Elem) ring.Poly {
 	var st prg.Stream
-	s.g.StreamInto(&st, Domain, pre)
+	s.key.StreamInto(&st, pre)
 	r := s.r
 	field := r.Field()
 	q := field.Q()
-	u := r.Sampler()
-	if c == 1 {
-		if field.E() == 1 {
-			for i := range dst {
-				v := dst[i] + st.Sample(u)
-				if v >= q {
-					v -= q
-				}
-				dst[i] = v
-			}
-			return dst
-		}
-		for i := range dst {
-			dst[i] = field.Add(dst[i], st.Sample(u))
-		}
-		return dst
-	}
+	prime := field.E() == 1
 	t := field.Tables()
 	lg, ex := t.Log, t.Exp
 	lc := lg[c]
-	if field.E() == 1 {
-		for i := range dst {
-			cv := st.Sample(u)
-			if cv == 0 {
-				continue
+	u := r.Sampler()
+	var buf [ring.DrawChunk]gf.Elem
+	for i := 0; i < len(dst); i += len(buf) {
+		cs := buf[:min(len(buf), len(dst)-i)]
+		st.SampleInto(u, cs)
+		d, b := dst[i:i+len(cs)], base[i:i+len(cs)]
+		for k, cv := range cs {
+			if c != 1 && cv != 0 {
+				cv = ex[lg[cv]+lc]
 			}
-			v := dst[i] + ex[lg[cv]+lc]
-			if v >= q {
-				v -= q
+			if prime {
+				v := b[k] + cv
+				if v >= q {
+					v -= q
+				}
+				d[k] = v
+			} else {
+				d[k] = field.Add(b[k], cv)
 			}
-			dst[i] = v
-		}
-		return dst
-	}
-	for i := range dst {
-		cv := st.Sample(u)
-		if cv != 0 {
-			dst[i] = field.Add(dst[i], ex[lg[cv]+lc])
 		}
 	}
 	return dst
@@ -227,7 +187,7 @@ func (s *Scheme) EvalShared(server ring.Poly, pre uint64, v uint32) uint32 {
 // share streams off the PRG without being materialized.
 func (s *Scheme) EvalClientAt(pre uint64, v uint32) uint32 {
 	var st prg.Stream
-	s.g.StreamInto(&st, Domain, pre)
+	s.key.StreamInto(&st, pre)
 	return s.r.EvalStream(&st, v)
 }
 
@@ -238,6 +198,6 @@ func (s *Scheme) EvalClientAt(pre uint64, v uint32) uint32 {
 // node look-ahead cheap on the client side.
 func (s *Scheme) EvalClientMany(pre uint64, vs []gf.Elem, out []gf.Elem) {
 	var st prg.Stream
-	s.g.StreamInto(&st, Domain, pre)
+	s.key.StreamInto(&st, pre)
 	s.r.EvalStreamMany(&st, vs, out)
 }

@@ -222,3 +222,41 @@ func TestReconstructionCounterAndAllocs(t *testing.T) {
 		t.Fatalf("Reconstructions advanced by %d, want %d", got, runs+1)
 	}
 }
+
+// TestClientShareKnownAnswers pins the first 16 coefficients of
+// ClientShare under a fixed seed, computed outside Go from the v2
+// definition: SHA-256 counter blocks keyed sha256(domainKey ‖ pre), one
+// byte per coefficient, bytes ≥ 256 − 256 mod q rejected. Every encoded
+// table depends on these values; a change here re-keys all of them and
+// must come with a Domain bump and a dump version bump.
+func TestClientShareKnownAnswers(t *testing.T) {
+	cases := []struct {
+		q, e uint32
+		pre  uint64
+		want []gf.Elem
+	}{
+		{83, 1, 0, []gf.Elem{7, 30, 27, 14, 50, 54, 45, 7, 5, 32, 10, 64, 17, 37, 6, 48}},
+		{83, 1, 1, []gf.Elem{63, 27, 56, 17, 32, 9, 54, 77, 52, 14, 44, 76, 29, 38, 70, 9}},
+		{83, 1, 1 << 40, []gf.Elem{25, 13, 67, 5, 25, 36, 48, 2, 68, 10, 34, 3, 42, 47, 1, 51}},
+		{3, 5, 0, []gf.Elem{7, 196, 110, 180, 216, 54, 211, 7, 88, 198, 93, 64, 17, 203, 89, 131}},
+		{3, 5, 1, []gf.Elem{146, 27, 139, 17, 115, 92, 137, 77, 218, 14, 44, 159, 29, 38, 153, 175}},
+		{3, 5, 1 << 40, []gf.Elem{25, 179, 233, 5, 108, 202, 131, 85, 151, 10, 117, 169, 42, 130, 84, 134}},
+	}
+	for _, c := range cases {
+		r := ring.MustNew(gf.MustNew(c.q, c.e))
+		s := New(r, prg.New([]byte("known-answer")))
+		got := s.ClientShare(c.pre)
+		for i, w := range c.want {
+			if got[i] != w {
+				t.Fatalf("%v pre=%d: coefficient %d = %d, want %d (first 16: %v)", r.Field(), c.pre, i, got[i], w, got[:16])
+			}
+		}
+		if into := s.ClientShareInto(r.GetPoly(), c.pre); !r.Equal(into, got) {
+			t.Fatalf("%v pre=%d: ClientShareInto differs from ClientShare", r.Field(), c.pre)
+		}
+		f := r.Rand(prg.New([]byte("known-answer-data")).Stream("f", c.pre))
+		if back := s.Reconstruct(s.Split(f, c.pre), c.pre); !r.Equal(back, f) {
+			t.Fatalf("%v pre=%d: Reconstruct(Split(f)) != f", r.Field(), c.pre)
+		}
+	}
+}

@@ -16,19 +16,26 @@ import (
 // slots, deterministic splits).
 //
 //	[ 0:16) magic "encshare-pagesv2"
-//	[16:20) version  uint32 = 1
+//	[16:20) version  uint32 = 2
 //	[20:24) pageSize uint32
 //	[24:28) nPages   uint32
 //	[28:32) firstHeap uint32
 //	[32:40) rowCount uint64
 //	then nPages × pageSize bytes, pages 1..nPages
 //
+// The version covers the share blobs as well as the page layout:
+// version 2 means the shares were split against client shares drawn
+// from secshare.Domain "encshare/client-poly/v2". Version 1 files hold
+// v1 shares, which the current client would silently reconstruct to
+// garbage, so they are refused with a request to re-encode.
+//
 // Store.Load sniffs the first 16 bytes, so either engine loads either
 // format: a v2 server attaches v1 gob files and vice versa (the
-// -engine v1 oracle legs in CI rely on this).
+// -engine v1 oracle legs in CI rely on this). The v1 gob dump carries
+// no version and is not checked.
 const (
 	v2Magic     = "encshare-pagesv2"
-	v2Version   = 1
+	v2Version   = 2
 	v2HeaderLen = 40
 )
 
@@ -78,7 +85,11 @@ func readV2Header(r io.Reader) (nPages, firstHeap uint32, rowCount int64, err er
 	if string(hdr[:16]) != v2Magic {
 		return 0, 0, 0, fmt.Errorf("store: load: not a v2 page file")
 	}
-	if v := binary.LittleEndian.Uint32(hdr[16:]); v != v2Version {
+	switch v := binary.LittleEndian.Uint32(hdr[16:]); v {
+	case v2Version:
+	case 1:
+		return 0, 0, 0, fmt.Errorf("store: load: v2 dump version 1 holds shares drawn from client-poly/v1, which current clients cannot reconstruct: re-encode the table from its XML")
+	default:
 		return 0, 0, 0, fmt.Errorf("store: load: v2 dump version %d (want %d)", v, v2Version)
 	}
 	if ps := binary.LittleEndian.Uint32(hdr[20:]); ps != pageSize {

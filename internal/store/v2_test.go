@@ -2,8 +2,10 @@ package store
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"encshare/internal/minisql"
@@ -539,6 +541,28 @@ func TestV2CrossFormatLoadErrors(t *testing.T) {
 		junk := []byte("this is neither a gob nor a page file")
 		if err := s.Load(bytes.NewReader(junk)); err == nil {
 			t.Fatal("junk stream loaded")
+		}
+	})
+}
+
+// TestV2DumpRefusesVersion1: a dump whose header says version 1 holds
+// shares drawn from the previous client stream; both engines refuse it
+// and the error says to re-encode, instead of loading a table that
+// would answer every query wrongly.
+func TestV2DumpRefusesVersion1(t *testing.T) {
+	src := newStoreEngine(t, EngineV2)
+	randomOps(t, src, 3, 50)
+	var buf bytes.Buffer
+	if err := src.Dump(&buf); err != nil {
+		t.Fatal(err)
+	}
+	old := buf.Bytes()
+	binary.LittleEndian.PutUint32(old[16:], 1)
+	forEachEngine(t, func(t *testing.T, eng Engine) {
+		s := newStoreEngine(t, eng)
+		err := s.Load(bytes.NewReader(old))
+		if err == nil || !strings.Contains(err.Error(), "re-encode") {
+			t.Fatalf("version-1 dump: err = %v, want a re-encode refusal", err)
 		}
 	})
 }

@@ -334,12 +334,14 @@ func (s *Session) childProducts(pre, replacePre int64, replaceWith ring.Poly) (c
 
 // rebindDelta re-binds an unchanged polynomial from the client share of
 // oldPre to that of newPre: the stored server share s = f − c(pre)
-// needs s += c(oldPre) − c(newPre). Pure client-side PRG work.
+// needs s += c(oldPre) − c(newPre). Pure client-side PRG work on one
+// pooled polynomial; only the returned blob is allocated.
 func (s *Session) rebindDelta(oldPre, newPre int64) []byte {
 	r := s.keys.ring
-	cOld := s.scheme.ClientShare(uint64(oldPre))
-	cNew := s.scheme.ClientShare(uint64(newPre))
-	return r.Bytes(r.Sub(cOld, cNew))
+	buf := r.GetPoly()
+	defer r.PutPoly(buf)
+	delta := s.scheme.SplitInto(buf, s.scheme.ClientShareInto(buf, uint64(oldPre)), uint64(newPre))
+	return r.Bytes(delta)
 }
 
 // recoverTag recovers t from f = (x − t)·c: at any β ∈ F_q^* with
