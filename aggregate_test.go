@@ -11,9 +11,9 @@ import (
 
 	"encshare/internal/filter"
 	"encshare/internal/gf"
-	"encshare/internal/minisql"
 	"encshare/internal/ring"
 	"encshare/internal/server"
+	"encshare/internal/store"
 	"encshare/internal/xmldoc"
 )
 
@@ -24,7 +24,7 @@ func aggSession(t *testing.T, params Params) *Session {
 	if err != nil {
 		t.Fatal(err)
 	}
-	db, err := CreateDatabase(minisql.FreshDSN())
+	db, err := CreateDatabase(store.FreshDSN())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +136,7 @@ func TestAggregateRemoteEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	db, err := CreateDatabase(minisql.FreshDSN())
+	db, err := CreateDatabase(store.FreshDSN())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +210,7 @@ func TestAggregateClusterEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	db, err := CreateDatabase(minisql.FreshDSN())
+	db, err := CreateDatabase(store.FreshDSN())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +228,7 @@ func TestAggregateClusterEndToEnd(t *testing.T) {
 		if err := db.DumpShard(&dump, r); err != nil {
 			t.Fatal(err)
 		}
-		shardDB, err := CreateDatabase(minisql.FreshDSN())
+		shardDB, err := CreateDatabase(store.FreshDSN())
 		if err != nil {
 			t.Fatal(err)
 		}

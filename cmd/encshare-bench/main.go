@@ -35,7 +35,7 @@ type jsonReport struct {
 
 func main() {
 	var (
-		which    = flag.String("experiment", "all", "fig4|fig5|fig6|fig7|trie|ablation|compute|cluster|failover|multitenant|aggregate|loadtest|mutate|store|all")
+		which    = flag.String("experiment", "all", "fig4|fig5|fig6|fig7|trie|ablation|compute|cluster|failover|multitenant|aggregate|loadtest|mutate|all")
 		scale    = flag.Float64("scale", 0.1, "XMark scale for the query experiments")
 		scales   = flag.String("scales", "0.25,0.5,1,2", "comma-separated scales for fig4")
 		shards   = flag.String("shards", "1,2,4", "comma-separated shard counts for the cluster experiment")
@@ -46,7 +46,7 @@ func main() {
 	)
 	flag.Parse()
 
-	needEnv := map[string]bool{"fig5": true, "fig6": true, "fig7": true, "ablation": true, "compute": true, "cluster": true, "failover": true, "multitenant": true, "aggregate": true, "loadtest": true, "store": true, "all": true}
+	needEnv := map[string]bool{"fig5": true, "fig6": true, "fig7": true, "ablation": true, "compute": true, "cluster": true, "failover": true, "multitenant": true, "aggregate": true, "loadtest": true, "all": true}
 	var env *experiment.Env
 	if needEnv[*which] {
 		var err error
@@ -127,15 +127,13 @@ func main() {
 			}
 		case "mutate":
 			show(experiment.Mutate(experiment.MutateConfig{Ops: *ops, Seed: *seed}))
-		case "store":
-			show(experiment.StoreEngines(env))
 		default:
 			fatal(fmt.Errorf("unknown experiment %q", name))
 		}
 	}
 
 	if *which == "all" {
-		for _, name := range []string{"fig4", "fig5", "fig6", "fig7", "trie", "ablation", "compute", "cluster", "failover", "multitenant", "aggregate", "loadtest", "mutate", "store"} {
+		for _, name := range []string{"fig4", "fig5", "fig6", "fig7", "trie", "ablation", "compute", "cluster", "failover", "multitenant", "aggregate", "loadtest", "mutate"} {
 			run(name)
 		}
 	} else {

@@ -45,7 +45,7 @@ import (
 
 	"encshare"
 	"encshare/internal/cluster"
-	"encshare/internal/minisql"
+	"encshare/internal/store"
 )
 
 func main() {
@@ -60,7 +60,6 @@ func main() {
 		shards   = flag.Int("shards", 1, "split the table into N pre-range shard files plus a manifest")
 		replicas = flag.Int("replicas", 1, "with -shards: emit M byte-identical copies of every shard file")
 		tenant   = flag.String("tenant", "", "write the manifest in the v2 multi-tenant format under this tenant name")
-		engine   = flag.String("engine", "", "storage engine and dump format to emit: v2 (paged, default) or v1 (minisql gob)")
 	)
 	flag.Parse()
 	if *xmlPath == "" {
@@ -98,7 +97,7 @@ func main() {
 		fatal(err)
 	}
 
-	db, err := encshare.CreateDatabaseWith(minisql.FreshDSN(), *engine)
+	db, err := encshare.CreateDatabase(store.FreshDSN())
 	if err != nil {
 		fatal(err)
 	}

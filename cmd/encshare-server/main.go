@@ -90,7 +90,6 @@ func main() {
 		compact  = flag.Int64("compact-bytes", 0, "with -wal: fold the log into a snapshot once it exceeds this many bytes (0 never folds)")
 		compIdle = flag.Duration("compact-idle", 0, "with -wal: fold the log into a snapshot after this long without a write (0, the default, never folds on idle)")
 		faultN   = flag.Int("fault-fsync-after", 0, "TESTING ONLY: fail the n-th and every later WAL fsync, degrading written tenants to read-only (0 disables); for disk-fault drills, never production")
-		engine   = flag.String("engine", "", "storage engine for attached tables: v2 (paged, default) or v1 (minisql oracle)")
 	)
 	flag.Parse()
 
@@ -131,7 +130,6 @@ func main() {
 				Workers: *workers, CacheEntries: *cache,
 				WALDir: tenantWAL(""), CompactBytes: *compact,
 				CompactIdle: *compIdle, FS: walFS,
-				Engine: *engine,
 			}}, "", "", 0, nil
 		}
 		m, err := cluster.LoadManifest(*manifest)
@@ -181,7 +179,6 @@ func main() {
 				Workers: tw, CacheEntries: tc,
 				WALDir: tenantWAL(tn.Name), CompactBytes: *compact,
 				CompactIdle: *compIdle, FS: walFS,
-				Engine: *engine,
 			})
 			if addr == "" {
 				if addrs := info.ReplicaAddrs(); *replica < len(addrs) {

@@ -36,7 +36,6 @@
 package encshare
 
 import (
-	"bytes"
 	"crypto/rand"
 	"encoding/hex"
 	"fmt"
@@ -51,7 +50,6 @@ import (
 	"encshare/internal/filter"
 	"encshare/internal/gf"
 	"encshare/internal/mapping"
-	"encshare/internal/minisql"
 	"encshare/internal/obs"
 	"encshare/internal/prg"
 	"encshare/internal/ring"
@@ -169,20 +167,9 @@ type Database struct {
 	dsn string
 }
 
-// CreateDatabase creates a fresh named database with the nodes schema on
-// the default storage engine (the paged v2 engine).
+// CreateDatabase creates a fresh named database with the nodes schema.
 func CreateDatabase(name string) (*Database, error) {
-	return CreateDatabaseWith(name, "")
-}
-
-// CreateDatabaseWith is CreateDatabase with an explicit storage engine:
-// "" or "v2" for the paged engine, "v1" for the minisql oracle.
-func CreateDatabaseWith(name, engine string) (*Database, error) {
-	eng, err := store.ParseEngine(engine)
-	if err != nil {
-		return nil, err
-	}
-	st, err := store.OpenWith(name, store.Options{Engine: eng})
+	st, err := store.Open(name)
 	if err != nil {
 		return nil, err
 	}
@@ -253,7 +240,7 @@ func (db *Database) DumpShard(w io.Writer, r ShardRange) error {
 	}
 	defer func() {
 		tmp.Close()
-		minisql.Drop(dsn)
+		store.Drop(dsn)
 	}()
 	return tmp.Dump(w)
 }
@@ -264,7 +251,7 @@ func (db *Database) LoadFrom(r io.Reader) error { return db.st.Load(r) }
 // Close releases the handle and drops the in-memory data.
 func (db *Database) Close() error {
 	err := db.st.Close()
-	minisql.Drop(db.dsn)
+	store.Drop(db.dsn)
 	return err
 }
 
@@ -281,10 +268,6 @@ type ServeConfig struct {
 	// snapshot + log state on a later restart (see server.Tenant).
 	// Empty means mutations are accepted but die with the process.
 	WALDir string
-	// Engine selects the storage engine the served table runs on
-	// ("" keeps the database's current engine; "v1"/"v2" convert a
-	// mismatched table before serving). See store.Engine.
-	Engine string
 }
 
 // Serve exposes the database's ServerFilter over the RMI protocol until
@@ -303,34 +286,6 @@ func (db *Database) Serve(l net.Listener, params Params) error {
 // tenants runs the runtime directly (see cmd/encshare-server).
 func (db *Database) ServeWith(l net.Listener, params Params, cfg ServeConfig) error {
 	params = params.normalized()
-	st := db.st
-	if cfg.Engine != "" {
-		eng, err := store.ParseEngine(cfg.Engine)
-		if err != nil {
-			return err
-		}
-		if eng != st.Engine() {
-			// Convert through the dump formats: either engine loads the
-			// other's dump, so a v1-built file serves on v2 and vice versa.
-			var buf bytes.Buffer
-			if err := db.st.Dump(&buf); err != nil {
-				return err
-			}
-			dsn := minisql.FreshDSN()
-			conv, err := store.OpenWith(dsn, store.Options{Engine: eng})
-			if err != nil {
-				return err
-			}
-			defer func() {
-				conv.Close()
-				minisql.Drop(dsn)
-			}()
-			if err := conv.Load(&buf); err != nil {
-				return err
-			}
-			st = conv
-		}
-	}
 	rt := server.New(server.Config{})
 	// Tenant.CacheEntries shares ServeConfig.CacheSize's convention
 	// (0 = default, negative disables), so the raw value passes through.
@@ -339,7 +294,7 @@ func (db *Database) ServeWith(l net.Listener, params Params, cfg ServeConfig) er
 		Workers:      cfg.Workers,
 		CacheEntries: cfg.CacheSize,
 		WALDir:       cfg.WALDir,
-	}, st)
+	}, db.st)
 	if err != nil {
 		return err
 	}

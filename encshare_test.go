@@ -7,7 +7,7 @@ import (
 	"strings"
 	"testing"
 
-	"encshare/internal/minisql"
+	"encshare/internal/store"
 	"encshare/internal/xmldoc"
 )
 
@@ -27,7 +27,7 @@ func TestEndToEndLocal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dsn := minisql.FreshDSN()
+	dsn := store.FreshDSN()
 	db, err := CreateDatabase(dsn)
 	if err != nil {
 		t.Fatal(err)
@@ -92,7 +92,7 @@ func TestEndToEndRemote(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dsn := minisql.FreshDSN()
+	dsn := store.FreshDSN()
 	db, err := CreateDatabase(dsn)
 	if err != nil {
 		t.Fatal(err)
@@ -160,7 +160,7 @@ func TestEndToEndCluster(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	db, err := CreateDatabase(minisql.FreshDSN())
+	db, err := CreateDatabase(store.FreshDSN())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +182,7 @@ func TestEndToEndCluster(t *testing.T) {
 		if err := db.DumpShard(&dump, r); err != nil {
 			t.Fatal(err)
 		}
-		shardDB, err := CreateDatabase(minisql.FreshDSN())
+		shardDB, err := CreateDatabase(store.FreshDSN())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -274,7 +274,7 @@ func TestKeyRoundTrip(t *testing.T) {
 
 	// A database encoded with the original keys must answer queries under
 	// the restored keys.
-	dsn := minisql.FreshDSN()
+	dsn := store.FreshDSN()
 	db, err := CreateDatabase(dsn)
 	if err != nil {
 		t.Fatal(err)
@@ -303,7 +303,7 @@ func TestWrongKeysGarbleQueries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dsn := minisql.FreshDSN()
+	dsn := store.FreshDSN()
 	db, err := CreateDatabase(dsn)
 	if err != nil {
 		t.Fatal(err)
@@ -337,7 +337,7 @@ func TestTrieContentSearchPublicAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dsn := minisql.FreshDSN()
+	dsn := store.FreshDSN()
 	db, err := CreateDatabase(dsn)
 	if err != nil {
 		t.Fatal(err)
@@ -368,7 +368,7 @@ func TestDumpLoadAcrossDatabases(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	db1, err := CreateDatabase(minisql.FreshDSN())
+	db1, err := CreateDatabase(store.FreshDSN())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -381,13 +381,13 @@ func TestDumpLoadAcrossDatabases(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	db2, err := OpenDatabase(minisql.FreshDSN())
+	db2, err := OpenDatabase(store.FreshDSN())
 	if err == nil {
 		// Attach on an empty database fails to prepare; expect error path
 		// to be exercised via LoadFrom instead.
 		defer db2.Close()
 	}
-	db3, err := CreateDatabase(minisql.FreshDSN())
+	db3, err := CreateDatabase(store.FreshDSN())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -422,7 +422,7 @@ func TestBadQuerySyntax(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	db, err := CreateDatabase(minisql.FreshDSN())
+	db, err := CreateDatabase(store.FreshDSN())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,7 +8,7 @@ import (
 	"sync"
 	"testing"
 
-	"encshare/internal/minisql"
+	"encshare/internal/store"
 	"encshare/internal/xmldoc"
 )
 
@@ -52,7 +52,7 @@ func TestEndToEndFailover(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	db, err := CreateDatabase(minisql.FreshDSN())
+	db, err := CreateDatabase(store.FreshDSN())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func TestEndToEndFailover(t *testing.T) {
 			t.Fatal(err)
 		}
 		for j := 0; j < 2; j++ {
-			shardDB, err := CreateDatabase(minisql.FreshDSN())
+			shardDB, err := CreateDatabase(store.FreshDSN())
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -13,7 +13,6 @@ import (
 	"sync"
 	"testing"
 
-	"encshare/internal/minisql"
 	"encshare/internal/store"
 	"encshare/internal/xmldoc"
 	"encshare/internal/xpath"
@@ -65,7 +64,7 @@ func TestIntegrationRandomizedOracleParity(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			db, err := CreateDatabase(minisql.FreshDSN())
+			db, err := CreateDatabase(store.FreshDSN())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -107,6 +106,60 @@ func TestIntegrationRandomizedOracleParity(t *testing.T) {
 	}
 }
 
+// TestEngineParityFullPipeline runs the query grid over a random
+// document encoded once and served over TCP: every query engine × test
+// combination must agree with the plaintext oracle through the wire
+// path, not just the in-process one above.
+func TestEngineParityFullPipeline(t *testing.T) {
+	rng := rand.New(rand.NewSource(427))
+	xml := randomDocXML(rng, 160)
+	doc, err := xmldoc.ParseString(xml)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys, err := GenerateKeys(Params{P: 83}, doc.Names())
+	if err != nil {
+		t.Fatal(err)
+	}
+	oracle := xpath.NewOracle(doc)
+	db := encodeFresh(t, keys, xml)
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go db.Serve(l, keys.Params())
+	defer l.Close()
+	session, err := Dial(keys, l.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer session.Close()
+
+	for _, qs := range []string{
+		"/site", "//item", "//person//city", "/site/*/person",
+		"/site//europe/item", "//*", "/site/regions/../people",
+	} {
+		q := xpath.MustParse(qs)
+		for _, opt := range []QueryOptions{
+			{Engine: Simple, Test: TestExact},
+			{Engine: Advanced, Test: TestContainment},
+		} {
+			mode := xpath.MatchEqual
+			if opt.Test == TestContainment {
+				mode = xpath.MatchContain
+			}
+			want := xpath.Pres(oracle.Eval(q, mode))
+			got, err := session.QueryWith(qs, opt)
+			if err != nil {
+				t.Fatalf("%s %+v: %v", qs, opt, err)
+			}
+			if fmt.Sprint(got.Pres) != fmt.Sprint(want) {
+				t.Fatalf("%s %+v: result %v != oracle %v", qs, opt, got.Pres, want)
+			}
+		}
+	}
+}
+
 // TestIntegrationCorruptedShareDetected: flipping bytes in a stored share
 // must not crash the pipeline; out-of-range blobs surface as errors, and
 // in-range corruption garbles results (it cannot silently pass the exact
@@ -118,7 +171,7 @@ func TestIntegrationCorruptedShare(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dsn := minisql.FreshDSN()
+	dsn := store.FreshDSN()
 	db, err := CreateDatabase(dsn)
 	if err != nil {
 		t.Fatal(err)
@@ -155,14 +208,14 @@ func TestIntegrationCorruptedShare(t *testing.T) {
 // TestIntegrationStoreErrNotFound: ErrNotFound propagates with errors.Is
 // semantics through the store layer.
 func TestIntegrationStoreErrNotFound(t *testing.T) {
-	dsn := minisql.FreshDSN()
+	dsn := store.FreshDSN()
 	st, err := store.Open(dsn)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer func() {
 		st.Close()
-		minisql.Drop(dsn)
+		store.Drop(dsn)
 	}()
 	if err := st.Init(); err != nil {
 		t.Fatal(err)
@@ -182,7 +235,7 @@ func TestIntegrationConcurrentSessions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	db, err := CreateDatabase(minisql.FreshDSN())
+	db, err := CreateDatabase(store.FreshDSN())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +295,7 @@ func TestIntegrationExtensionField(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	db, err := CreateDatabase(minisql.FreshDSN())
+	db, err := CreateDatabase(store.FreshDSN())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,7 +328,7 @@ func TestIntegrationEngineWorkOrdering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	db, err := CreateDatabase(minisql.FreshDSN())
+	db, err := CreateDatabase(store.FreshDSN())
 	if err != nil {
 		t.Fatal(err)
 	}

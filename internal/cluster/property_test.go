@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"encshare/internal/cluster"
-	"encshare/internal/minisql"
 	"encshare/internal/store"
 )
 
@@ -15,7 +14,7 @@ import (
 // is needed and sizes can range freely.
 func randomStore(t *testing.T, rng *rand.Rand, n int) *store.Store {
 	t.Helper()
-	dsn := minisql.FreshDSN()
+	dsn := store.FreshDSN()
 	st, err := store.Open(dsn)
 	if err != nil {
 		t.Fatal(err)
@@ -25,7 +24,7 @@ func randomStore(t *testing.T, rng *rand.Rand, n int) *store.Store {
 	}
 	t.Cleanup(func() {
 		st.Close()
-		minisql.Drop(dsn)
+		store.Drop(dsn)
 	})
 	for pre := int64(1); pre <= int64(n); pre++ {
 		poly := make([]byte, 1+rng.Intn(40))
@@ -102,7 +101,7 @@ func TestPartitionSplitProperty(t *testing.T) {
 				cleanup()
 				t.Fatal(err)
 			}
-			dsn := minisql.FreshDSN()
+			dsn := store.FreshDSN()
 			loaded, err := store.Open(dsn)
 			if err != nil {
 				cleanup()
@@ -128,7 +127,7 @@ func TestPartitionSplitProperty(t *testing.T) {
 			}
 			rebuilt = append(rebuilt, rows...)
 			loaded.Close()
-			minisql.Drop(dsn)
+			store.Drop(dsn)
 		}
 		cleanup()
 

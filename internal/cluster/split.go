@@ -1,9 +1,6 @@
 package cluster
 
-import (
-	"encshare/internal/minisql"
-	"encshare/internal/store"
-)
+import "encshare/internal/store"
 
 // SplitStore copies the rows of src into one fresh store per range — the
 // in-process shard builder used by tests, the experiments, and the
@@ -15,7 +12,7 @@ func SplitStore(src *store.Store, ranges []Range) (shards []*store.Store, cleanu
 	cleanup = func() {
 		for i, st := range shards {
 			st.Close()
-			minisql.Drop(dsns[i])
+			store.Drop(dsns[i])
 		}
 	}
 	for _, r := range ranges {

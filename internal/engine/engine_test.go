@@ -7,7 +7,6 @@ import (
 	"encshare/internal/filter"
 	"encshare/internal/gf"
 	"encshare/internal/mapping"
-	"encshare/internal/minisql"
 	"encshare/internal/prg"
 	"encshare/internal/ring"
 	"encshare/internal/secshare"
@@ -43,7 +42,7 @@ func build(t testing.TB, doc *xmldoc.Doc, extraNames []string) *fixture {
 	r := ring.MustNew(f)
 	scheme := secshare.New(r, prg.New([]byte("engine-test")))
 
-	dsn := minisql.FreshDSN()
+	dsn := store.FreshDSN()
 	st, err := store.Open(dsn)
 	if err != nil {
 		t.Fatal(err)
@@ -53,7 +52,7 @@ func build(t testing.TB, doc *xmldoc.Doc, extraNames []string) *fixture {
 	}
 	t.Cleanup(func() {
 		st.Close()
-		minisql.Drop(dsn)
+		store.Drop(dsn)
 	})
 	if _, err := encoder.EncodeDoc(doc, encoder.Options{Map: m, Scheme: scheme}, st); err != nil {
 		t.Fatal(err)

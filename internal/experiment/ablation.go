@@ -2,12 +2,13 @@ package experiment
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"encshare/internal/gf"
-	"encshare/internal/minisql"
 	"encshare/internal/prg"
 	"encshare/internal/ring"
+	"encshare/internal/store"
 )
 
 // AblationDescendants compares the boundary-optimized descendant scan
@@ -72,55 +73,78 @@ func AblationDescendants(env *Env) (*Table, error) {
 	return t, nil
 }
 
-// AblationIndexes measures why the paper indexes pre/post/parent: point
-// child lookups against an indexed vs unindexed table.
+// AblationIndexes measures why the paper indexes parent: child lookups
+// through the store's (parent, pre) B⁺-tree against one full pre-range
+// scan filtered on parent, over the same rows. Both arms must return
+// the same children.
 func AblationIndexes(rows int64) (*Table, error) {
-	build := func(indexed bool) (*minisql.DB, error) {
-		db := minisql.NewDB()
-		if _, err := db.Exec("CREATE TABLE nodes (pre BIGINT PRIMARY KEY, post BIGINT NOT NULL, parent BIGINT NOT NULL, poly BLOB)"); err != nil {
+	dsn := store.FreshDSN()
+	st, err := store.Open(dsn)
+	if err != nil {
+		return nil, err
+	}
+	defer func() { st.Close(); store.Drop(dsn) }()
+	if err := st.Init(); err != nil {
+		return nil, err
+	}
+	blob := make([]byte, 66)
+	for i := int64(1); i <= rows; i++ {
+		if err := st.InsertNode(store.NodeRow{Pre: i, Post: rows - i + 1, Parent: i / 2, Poly: blob}); err != nil {
 			return nil, err
 		}
-		if indexed {
-			if _, err := db.Exec("CREATE INDEX idx_parent ON nodes (parent)"); err != nil {
-				return nil, err
-			}
-		}
-		blob := make([]byte, 66)
-		for i := int64(1); i <= rows; i++ {
-			if _, err := db.Exec("INSERT INTO nodes VALUES (?, ?, ?, ?)", i, rows-i+1, i/2, blob); err != nil {
-				return nil, err
-			}
-		}
-		return db, nil
 	}
-	measure := func(db *minisql.DB) (time.Duration, error) {
+	scan := func(parent int64) ([]int64, error) {
+		all, err := st.Range(1, rows)
+		if err != nil {
+			return nil, err
+		}
+		var pres []int64
+		for _, r := range all {
+			if r.Parent == parent {
+				pres = append(pres, r.Pre)
+			}
+		}
+		return pres, nil
+	}
+	indexed := func(parent int64) ([]int64, error) {
+		kids, err := st.Children(parent)
+		if err != nil {
+			return nil, err
+		}
+		var pres []int64
+		for _, r := range kids {
+			pres = append(pres, r.Pre)
+		}
+		return pres, nil
+	}
+	const lookups = 200
+	measure := func(arm func(int64) ([]int64, error)) (time.Duration, [][]int64, error) {
+		answers := make([][]int64, lookups)
 		start := time.Now()
-		const lookups = 200
-		for i := int64(0); i < lookups; i++ {
-			if _, _, err := db.Query("SELECT pre FROM nodes WHERE parent = ?", i%(rows/2+1)); err != nil {
-				return 0, err
+		for i := range answers {
+			pres, err := arm(int64(i) % (rows/2 + 1))
+			if err != nil {
+				return 0, nil, err
 			}
+			answers[i] = pres
 		}
-		return time.Since(start) / lookups, nil
+		return time.Since(start) / lookups, answers, nil
 	}
-	withIdx, err := build(true)
+	di, want, err := measure(indexed)
 	if err != nil {
 		return nil, err
 	}
-	without, err := build(false)
+	dn, got, err := measure(scan)
 	if err != nil {
 		return nil, err
 	}
-	di, err := measure(withIdx)
-	if err != nil {
-		return nil, err
-	}
-	dn, err := measure(without)
-	if err != nil {
-		return nil, err
+	for i := range want {
+		if !slices.Equal(got[i], want[i]) {
+			return nil, fmt.Errorf("experiment: children of %d: index %v, scan %v", int64(i)%(rows/2+1), want[i], got[i])
+		}
 	}
 	t := &Table{
-		Title:  fmt.Sprintf("Ablation — B-tree index on parent (%d rows, per child lookup)", rows),
+		Title:  fmt.Sprintf("Ablation — B⁺-tree index on parent (%d rows, per child lookup)", rows),
 		Header: []string{"variant", "µs/lookup"},
 		Rows: [][]string{
 			{"indexed (paper §5.1)", fmt.Sprintf("%.1f", float64(di.Nanoseconds())/1000)},

@@ -16,7 +16,6 @@ import (
 	"encshare/internal/filter"
 	"encshare/internal/gf"
 	"encshare/internal/mapping"
-	"encshare/internal/minisql"
 	"encshare/internal/prg"
 	"encshare/internal/ring"
 	"encshare/internal/secshare"
@@ -114,19 +113,19 @@ func NewEnv(scale float64, seed int64) (*Env, error) {
 	}
 	scheme := secshare.New(r, prg.New([]byte(fmt.Sprintf("experiment-%d", seed))))
 
-	dsn := minisql.FreshDSN()
+	dsn := store.FreshDSN()
 	st, err := store.Open(dsn)
 	if err != nil {
 		return nil, err
 	}
 	if err := st.Init(); err != nil {
 		st.Close()
-		minisql.Drop(dsn)
+		store.Drop(dsn)
 		return nil, err
 	}
 	if _, err := encoder.EncodeDoc(doc, encoder.Options{Map: m, Scheme: scheme}, st); err != nil {
 		st.Close()
-		minisql.Drop(dsn)
+		store.Drop(dsn)
 		return nil, err
 	}
 	cli := filter.NewClient(filter.NewServerFilter(st, r, 4096), scheme)
@@ -147,7 +146,7 @@ func NewEnv(scale float64, seed int64) (*Env, error) {
 // Close releases the environment's database.
 func (e *Env) Close() {
 	e.Store.Close()
-	minisql.Drop(e.dsn)
+	store.Drop(e.dsn)
 }
 
 // Table1Queries are the nine queries of increasing length (paper Table 1).

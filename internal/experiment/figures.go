@@ -8,7 +8,6 @@ import (
 	"encshare/internal/engine"
 	"encshare/internal/gf"
 	"encshare/internal/mapping"
-	"encshare/internal/minisql"
 	"encshare/internal/prg"
 	"encshare/internal/ring"
 	"encshare/internal/secshare"
@@ -49,7 +48,7 @@ func Encoding(scales []float64, seed int64) (*Table, error) {
 			return nil, err
 		}
 		scheme := secshare.New(r, prg.New([]byte(fmt.Sprintf("fig4-%d", seed))))
-		dsn := minisql.FreshDSN()
+		dsn := store.FreshDSN()
 		st, err := store.Open(dsn)
 		if err != nil {
 			return nil, err
@@ -59,7 +58,7 @@ func Encoding(scales []float64, seed int64) (*Table, error) {
 		}
 		stats, err := encoder.EncodeDoc(doc, encoder.Options{Map: m, Scheme: scheme}, st)
 		st.Close()
-		minisql.Drop(dsn)
+		store.Drop(dsn)
 		if err != nil {
 			return nil, err
 		}

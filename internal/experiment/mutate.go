@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"encshare"
-	"encshare/internal/minisql"
 	"encshare/internal/server"
 	"encshare/internal/store"
 	"encshare/internal/wal"
@@ -85,7 +84,7 @@ func newMutateDB(cfg MutateConfig) (*encshare.Keys, *encshare.Database, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	db, err := encshare.CreateDatabase(minisql.FreshDSN())
+	db, err := encshare.CreateDatabase(store.FreshDSN())
 	if err != nil {
 		return nil, nil, err
 	}
@@ -214,12 +213,12 @@ func mutateConcurrentArm(cfg MutateConfig, sessions int, perAppendSync bool) (ti
 
 	// The runtime is driven directly (not through Database.Serve) so the
 	// arm can flip WALPerAppendSync and read the append/fsync counters.
-	dsn := minisql.FreshDSN()
+	dsn := store.FreshDSN()
 	st, err := store.Open(dsn)
 	if err != nil {
 		return 0, tw, err
 	}
-	defer func() { st.Close(); minisql.Drop(dsn) }()
+	defer func() { st.Close(); store.Drop(dsn) }()
 	if err := st.Init(); err != nil {
 		return 0, tw, err
 	}

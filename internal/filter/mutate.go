@@ -22,8 +22,8 @@
 //     sequence behind gets a typed error, not a silently lost update.
 //
 // Apply is deterministic: replicas that accept the same batch sequence
-// hold byte-identical node tables (minisql updates rows in place and
-// its dump order is physical), and a batch that fails mid-way fails at
+// hold byte-identical node tables (the store rewrites a row in its own
+// slot and dumps heap pages in page order), and a batch that fails mid-way fails at
 // the same op on every replica — consistency never depends on a batch
 // succeeding, only on everyone applying the same prefix.
 package filter

@@ -1,296 +1,15 @@
-// Package minisql is a small embedded relational engine with a SQL subset,
-// B-tree secondary indexes and a database/sql driver. It is the repo's
-// stand-in for the MySQL back-end of the paper's prototype (§5.1): the
-// prototype stores one row (pre, post, parent, poly) per XML node, indexes
-// pre, post and parent with B-trees, and only ever issues point lookups,
-// range scans and simple aggregates — exactly the subset implemented here.
-//
-// # Supported SQL
-//
-//	CREATE TABLE t (col TYPE [PRIMARY KEY] [NOT NULL], ...)
-//	CREATE [UNIQUE] INDEX idx ON t (col)        -- integer columns only
-//	DROP TABLE t
-//	INSERT INTO t [(cols)] VALUES (v, ...)[, (v, ...)]...
-//	SELECT cols | * | AGG(col) FROM t [WHERE conj] [ORDER BY col [ASC|DESC]]
-//	       [LIMIT n [OFFSET m]]
-//	UPDATE t SET col = v, ... [WHERE conj]
-//	DELETE FROM t [WHERE conj]
-//
-// WHERE clauses are conjunctions (AND) of simple predicates:
-// col op value (=, !=, <>, <, <=, >, >=), col BETWEEN a AND b,
-// col IS [NOT] NULL. Values are literals or ? placeholders. Aggregates:
-// COUNT(*), COUNT(col), MIN(col), MAX(col), SUM(col).
-//
-// Types: INT/INTEGER/BIGINT (int64), DOUBLE/FLOAT/REAL (float64),
-// TEXT/VARCHAR (string), BLOB ([]byte).
-//
-// The engine is process-internal and in-memory, with gob-based Dump/Load
-// persistence used by the CLI tools. A single RWMutex per database
-// serializes writers; readers materialize result sets under the read lock.
+// Package minisql exists only because the benchmark harness under
+// bench/, which is its own module and is not edited alongside the
+// program, still imports it for FreshDSN and Drop. Both forward to
+// package store, which owns the DSN namespace. The next change that
+// may edit bench/ (ROADMAP G1) switches it to store.FreshDSN and
+// store.Drop, and deletes this package.
 package minisql
 
-import (
-	"fmt"
-	"sort"
-	"strings"
-	"sync"
+import "encshare/internal/store"
 
-	"encshare/internal/btree"
-)
+// FreshDSN forwards to store.FreshDSN.
+func FreshDSN() string { return store.FreshDSN() }
 
-// Value is a cell value: int64, float64, string, []byte or nil.
-type Value any
-
-// ColType enumerates storable column types.
-type ColType int
-
-const (
-	TInt ColType = iota
-	TFloat
-	TText
-	TBlob
-)
-
-func (t ColType) String() string {
-	switch t {
-	case TInt:
-		return "BIGINT"
-	case TFloat:
-		return "DOUBLE"
-	case TText:
-		return "TEXT"
-	case TBlob:
-		return "BLOB"
-	}
-	return "?"
-}
-
-// Column describes one table column.
-type Column struct {
-	Name       string
-	Type       ColType
-	PrimaryKey bool
-	NotNull    bool
-}
-
-// index is a secondary (or primary) index over one integer column.
-type index struct {
-	name   string
-	col    int // column ordinal
-	unique bool
-	tree   btree.Tree
-}
-
-// Table holds rows as dense slices; deleted rows become nil tombstones.
-type Table struct {
-	name    string
-	cols    []Column
-	colIdx  map[string]int
-	rows    [][]Value
-	live    int
-	indexes []*index
-}
-
-// DB is one named database: a set of tables guarded by a RWMutex.
-type DB struct {
-	mu     sync.RWMutex
-	tables map[string]*Table
-}
-
-// NewDB creates an empty database.
-func NewDB() *DB {
-	return &DB{tables: map[string]*Table{}}
-}
-
-// global registry backing the database/sql driver: one *DB per DSN.
-var (
-	registryMu sync.Mutex
-	registry   = map[string]*DB{}
-	anonSeq    int
-)
-
-// Get returns the database registered under name, creating it on demand.
-func Get(name string) *DB {
-	registryMu.Lock()
-	defer registryMu.Unlock()
-	db, ok := registry[name]
-	if !ok {
-		db = NewDB()
-		registry[name] = db
-	}
-	return db
-}
-
-// dropHooks run on every Drop, after the registry entry is removed.
-// Packages that register other per-DSN state under the same names (the
-// store's v2 page engine) hook in here so one Drop call releases a DSN's
-// memory no matter which engine backs it.
-var (
-	dropHooksMu sync.Mutex
-	dropHooks   []func(name string)
-)
-
-// OnDrop registers a hook invoked by every Drop with the dropped name.
-// Hooks must not call back into the registry.
-func OnDrop(fn func(name string)) {
-	dropHooksMu.Lock()
-	defer dropHooksMu.Unlock()
-	dropHooks = append(dropHooks, fn)
-}
-
-// Drop removes a database from the registry, releasing its memory once
-// all handles are gone.
-func Drop(name string) {
-	registryMu.Lock()
-	delete(registry, name)
-	registryMu.Unlock()
-	dropHooksMu.Lock()
-	hooks := dropHooks
-	dropHooksMu.Unlock()
-	for _, fn := range hooks {
-		fn(name)
-	}
-}
-
-// FreshDSN returns a unique DSN for a private in-memory database, handy
-// for tests and parallel benchmarks.
-func FreshDSN() string {
-	registryMu.Lock()
-	defer registryMu.Unlock()
-	anonSeq++
-	return fmt.Sprintf("anon-%d", anonSeq)
-}
-
-func (db *DB) table(name string) (*Table, error) {
-	t, ok := db.tables[strings.ToLower(name)]
-	if !ok {
-		return nil, fmt.Errorf("minisql: no such table %q", name)
-	}
-	return t, nil
-}
-
-// Tables returns the table names, sorted.
-func (db *DB) Tables() []string {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	out := make([]string, 0, len(db.tables))
-	for n := range db.tables {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
-func (t *Table) column(name string) (int, error) {
-	i, ok := t.colIdx[strings.ToLower(name)]
-	if !ok {
-		return 0, fmt.Errorf("minisql: no column %q in table %q", name, t.name)
-	}
-	return i, nil
-}
-
-// coerce validates/converts v for storage in a column of type ct.
-func coerce(v Value, ct ColType) (Value, error) {
-	if v == nil {
-		return nil, nil
-	}
-	switch ct {
-	case TInt:
-		switch x := v.(type) {
-		case int64:
-			return x, nil
-		case int:
-			return int64(x), nil
-		case int32:
-			return int64(x), nil
-		case uint64:
-			return int64(x), nil
-		case float64:
-			if x == float64(int64(x)) {
-				return int64(x), nil
-			}
-		}
-	case TFloat:
-		switch x := v.(type) {
-		case float64:
-			return x, nil
-		case int64:
-			return float64(x), nil
-		case int:
-			return float64(x), nil
-		}
-	case TText:
-		switch x := v.(type) {
-		case string:
-			return x, nil
-		case []byte:
-			return string(x), nil
-		}
-	case TBlob:
-		switch x := v.(type) {
-		case []byte:
-			// Copy: callers may reuse their buffer.
-			return append([]byte(nil), x...), nil
-		case string:
-			return []byte(x), nil
-		}
-	}
-	return nil, fmt.Errorf("minisql: cannot store %T in %s column", v, ct)
-}
-
-// compareValues orders two non-nil values of compatible type. nil sorts
-// before everything (SQL-ish, adequate for ORDER BY).
-func compareValues(a, b Value) int {
-	if a == nil || b == nil {
-		switch {
-		case a == nil && b == nil:
-			return 0
-		case a == nil:
-			return -1
-		default:
-			return 1
-		}
-	}
-	switch x := a.(type) {
-	case int64:
-		switch y := b.(type) {
-		case int64:
-			switch {
-			case x < y:
-				return -1
-			case x > y:
-				return 1
-			}
-			return 0
-		case float64:
-			return compareFloat(float64(x), y)
-		}
-	case float64:
-		switch y := b.(type) {
-		case float64:
-			return compareFloat(x, y)
-		case int64:
-			return compareFloat(x, float64(y))
-		}
-	case string:
-		if y, ok := b.(string); ok {
-			return strings.Compare(x, y)
-		}
-	case []byte:
-		if y, ok := b.([]byte); ok {
-			return strings.Compare(string(x), string(y))
-		}
-	}
-	// Incomparable types: order by type name for determinism.
-	return strings.Compare(fmt.Sprintf("%T", a), fmt.Sprintf("%T", b))
-}
-
-func compareFloat(x, y float64) int {
-	switch {
-	case x < y:
-		return -1
-	case x > y:
-		return 1
-	}
-	return 0
-}
+// Drop forwards to store.Drop.
+func Drop(dsn string) { store.Drop(dsn) }

@@ -33,7 +33,6 @@ import (
 
 	"encshare/internal/filter"
 	"encshare/internal/gf"
-	"encshare/internal/minisql"
 	"encshare/internal/obs"
 	"encshare/internal/ring"
 	"encshare/internal/rmi"
@@ -128,12 +127,9 @@ type Tenant struct {
 	// batch pays its own fdatasync. The pre-group-commit baseline, kept
 	// for the mutation experiment's comparison arm.
 	WALPerAppendSync bool
-	// Engine selects the storage engine AttachFile builds the tenant's
-	// table on ("" or "v2" = paged engine, "v1" = minisql oracle).
-	// Ignored by AttachStore, where the caller already opened the store.
-	Engine string
-	// PoolPages bounds the tenant's v2 buffer pool. Zero derives a quota
-	// from CacheEntries (see poolPages); ignored by the v1 engine.
+	// PoolPages bounds the tenant's buffer pool. Zero derives a quota
+	// from CacheEntries (see poolPages). Ignored by AttachStore, where
+	// the caller already opened the store.
 	PoolPages int
 }
 
@@ -340,18 +336,14 @@ func (rt *Runtime) budgetLeft(skip string) int {
 // it acknowledged. The runtime owns the store: Detach (and a failed
 // attach) closes it and drops its backing DSN.
 func (rt *Runtime) AttachFile(t Tenant) error {
-	eng, err := store.ParseEngine(t.Engine)
-	if err != nil {
-		return err
-	}
-	dsn := minisql.FreshDSN()
-	st, err := store.OpenWith(dsn, store.Options{Engine: eng, PoolPages: t.poolPages()})
+	dsn := store.FreshDSN()
+	st, err := store.OpenWith(dsn, store.Options{PoolPages: t.poolPages()})
 	if err != nil {
 		return err
 	}
 	if err := st.Init(); err != nil {
 		st.Close()
-		minisql.Drop(dsn)
+		store.Drop(dsn)
 		return err
 	}
 	var lastSeq uint64
@@ -380,7 +372,7 @@ func (rt *Runtime) AttachFile(t Tenant) error {
 	}
 	if err != nil {
 		st.Close()
-		minisql.Drop(dsn)
+		store.Drop(dsn)
 		return fmt.Errorf("server: attaching tenant %q from %s: %w", t.Name, t.Path, err)
 	}
 	return nil
@@ -614,7 +606,7 @@ func (rt *Runtime) Detach(name string) error {
 	}
 	if ts.owned {
 		ts.st.Close()
-		minisql.Drop(ts.dsn)
+		store.Drop(ts.dsn)
 	}
 	return nil
 }
@@ -727,9 +719,8 @@ func (rt *Runtime) Metrics() *obs.Registry {
 			emit(obs.Sample{Name: "encshare_lease_acquires_total", Help: "writer-lease grants (extensions included)", Type: obs.TypeCounter, Labels: lbl, Value: float64(dw.LeaseAcquires)})
 			emit(obs.Sample{Name: "encshare_lease_expirations_total", Help: "expired writer leases fenced or taken over", Type: obs.TypeCounter, Labels: lbl, Value: float64(dw.LeaseExpirations)})
 		}
-		// Buffer-pool families of the v2 storage engine, emitted for
-		// every tenant (zeros on v1, which has no pool) so scrapes see a
-		// stable set. Hits/(hits+misses) is the page hit rate.
+		// Buffer-pool families of the storage engine, emitted for every
+		// tenant. Hits/(hits+misses) is the page hit rate.
 		for name, ps := range rt.PoolStats() {
 			if name == "" {
 				name = "default"
@@ -778,8 +769,7 @@ func (rt *Runtime) WALStats() map[string]TenantWAL {
 }
 
 // PoolStats returns every tenant's buffer-pool counters, keyed by
-// tenant name. Tenants on the v1 engine (no pool) report zeros, so the
-// metric families stay present across the fleet.
+// tenant name.
 func (rt *Runtime) PoolStats() map[string]store.PoolStats {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()

@@ -1,7 +1,10 @@
 package server_test
 
 import (
+	"bytes"
+	"encoding/gob"
 	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -12,13 +15,13 @@ import (
 	"encshare/internal/filter"
 	"encshare/internal/gf"
 	"encshare/internal/mapping"
-	"encshare/internal/minisql"
 	"encshare/internal/prg"
 	"encshare/internal/ring"
 	"encshare/internal/rmi"
 	"encshare/internal/secshare"
 	"encshare/internal/server"
 	"encshare/internal/store"
+	"encshare/internal/wal"
 	"encshare/internal/xmldoc"
 )
 
@@ -44,7 +47,7 @@ func newTenantFixture(t testing.TB, xml, seed string) *tenantFixture {
 	}
 	r := ring.MustNew(f)
 	scheme := secshare.New(r, prg.New([]byte(seed)))
-	dsn := minisql.FreshDSN()
+	dsn := store.FreshDSN()
 	st, err := store.Open(dsn)
 	if err != nil {
 		t.Fatal(err)
@@ -54,7 +57,7 @@ func newTenantFixture(t testing.TB, xml, seed string) *tenantFixture {
 	}
 	t.Cleanup(func() {
 		st.Close()
-		minisql.Drop(dsn)
+		store.Drop(dsn)
 	})
 	if _, err := encoder.EncodeDoc(doc, encoder.Options{Map: m, Scheme: scheme}, st); err != nil {
 		t.Fatal(err)
@@ -428,5 +431,66 @@ func TestResolveTenantDowngrade(t *testing.T) {
 	}
 	if names, err := server.ListTenants(ncli); err != nil || !reflect.DeepEqual(names, []string{"alpha"}) {
 		t.Fatalf("ListTenants = %v, %v", names, err)
+	}
+}
+
+// TestAttachFileRefusesForeignDumps: a file that is not a current page
+// dump — junk, an encoding/gob stream (the shape of the retired
+// SQL-backed engine's dumps), a page header cut short — fails at
+// attach with an error that says to re-encode, and no tenant is
+// served. The same holds for such a stream in a WAL directory's
+// base.snap, which attach prefers over the table file.
+func TestAttachFileRefusesForeignDumps(t *testing.T) {
+	fx := newTenantFixture(t, alphaXML, "seed-alpha")
+	dir := t.TempDir()
+	good := dumpFixture(t, fx, dir, "good.db")
+	img, err := os.ReadFile(good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, err := fx.st.Range(0, fx.nodes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var gobDump bytes.Buffer
+	if err := gob.NewEncoder(&gobDump).Encode(map[string][]store.NodeRow{"nodes": rows}); err != nil {
+		t.Fatal(err)
+	}
+	streams := map[string][]byte{
+		"junk":             []byte("this is neither a gob nor a page file"),
+		"gob":              gobDump.Bytes(),
+		"truncated header": img[:30],
+	}
+	refused := func(what string, tn server.Tenant) {
+		t.Helper()
+		rt := server.New(server.Config{})
+		defer rt.Shutdown()
+		err := rt.AttachFile(tn)
+		if err == nil || !strings.Contains(err.Error(), "re-encode") {
+			t.Fatalf("%s: attach err = %v, want a re-encode refusal", what, err)
+		}
+		if names := rt.Tenants(); len(names) != 0 {
+			t.Fatalf("%s: refused attach still serves %v", what, names)
+		}
+	}
+	for name, stream := range streams {
+		path := filepath.Join(dir, strings.ReplaceAll(name, " ", "-")+".db")
+		if err := os.WriteFile(path, stream, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		refused(name+" file", server.Tenant{Name: "alpha", Path: path, P: 83})
+
+		walDir := filepath.Join(dir, "wal-"+strings.ReplaceAll(name, " ", "-"))
+		if err := os.MkdirAll(walDir, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		err := wal.WriteSnapshot(filepath.Join(walDir, "base.snap"), 1, func(w io.Writer) error {
+			_, err := w.Write(stream)
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		refused(name+" base.snap", server.Tenant{Name: "alpha", Path: good, P: 83, WALDir: walDir})
 	}
 }

@@ -3,9 +3,9 @@ package store
 import "encoding/binary"
 
 // Disk-aware B⁺-tree over pool-managed index pages, keyed by a pair of
-// int64s compared lexicographically. The v2 engine runs two of them per
+// int64s compared lexicographically. The engine runs two of them per
 // table: (pre, 0) → RID for point lookups and pre-range scans, and
-// (parent, pre) → RID replacing minisql's parent index for Children.
+// (parent, pre) → RID standing in for the paper's parent index.
 // Index pages live in the same buffer pool as heap pages — hot upper
 // levels stay resident under CLOCK exactly like hot heap pages — but in
 // their own page space: the tree is rebuilt on Load and never dumped,

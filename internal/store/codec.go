@@ -5,7 +5,7 @@ import (
 	"fmt"
 )
 
-// Fixed-offset binary row layout of the v2 engine. Every stored row is
+// Fixed-offset binary row layout of the engine. Every stored row is
 //
 //	[ 0: 8)  pre     int64, little endian
 //	[ 8:16)  post    int64, little endian
@@ -51,7 +51,7 @@ func decodeRowMeta(b []byte) (pre, post, parent int64) {
 }
 
 // decodeRow decodes a full row. The returned Poly aliases b — callers
-// that let the row escape the page pin must copy it (see v2 arena).
+// that let the row escape the page pin must copy it (see rowAt).
 func decodeRow(b []byte) (NodeRow, error) {
 	if len(b) < rowHeaderLen {
 		return NodeRow{}, fmt.Errorf("store: short row: %d bytes", len(b))

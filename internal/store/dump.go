@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-
-	"encshare/internal/minisql"
 )
 
 // v2 dump format: a 40-byte header followed by the raw heap page images
@@ -29,17 +27,23 @@ import (
 // v1 shares, which the current client would silently reconstruct to
 // garbage, so they are refused with a request to re-encode.
 //
-// Store.Load sniffs the first 16 bytes, so either engine loads either
-// format: a v2 server attaches v1 gob files and vice versa (the
-// -engine v1 oracle legs in CI rely on this). The v1 gob dump carries
-// no version and is not checked.
+// This is the only dump format. Load refuses any stream without this
+// header at this version — including the gob dumps of the SQL-backed
+// engine earlier releases shipped, whose shares the current client
+// cannot reconstruct either — and says to re-encode.
 const (
 	v2Magic     = "encshare-pagesv2"
 	v2Version   = 2
 	v2HeaderLen = 40
 )
 
-func (s *v2store) Dump(w io.Writer) error {
+// reencode is appended to every refusal of a stream that is not a
+// current dump: the only repair is a fresh encode.
+const reencode = "re-encode the table from its XML"
+
+// Dump serializes the table as raw heap page images, byte-deterministic
+// across replicas applying the same op sequence.
+func (s *Store) Dump(w io.Writer) error {
 	tb := s.tbl
 	tb.mu.RLock()
 	defer tb.mu.RUnlock()
@@ -79,21 +83,23 @@ func (tb *pagedTable) reset() {
 // readV2Header validates the stream header and returns its fields.
 func readV2Header(r io.Reader) (nPages, firstHeap uint32, rowCount int64, err error) {
 	var hdr [v2HeaderLen]byte
-	if _, err = io.ReadFull(r, hdr[:]); err != nil {
-		return 0, 0, 0, fmt.Errorf("store: load: %w", err)
+	n, err := io.ReadFull(r, hdr[:])
+	m := min(n, len(v2Magic))
+	if string(hdr[:m]) != v2Magic[:m] {
+		return 0, 0, 0, fmt.Errorf("store: load: not an %s dump: %s", v2Magic, reencode)
 	}
-	if string(hdr[:16]) != v2Magic {
-		return 0, 0, 0, fmt.Errorf("store: load: not a v2 page file")
+	if err != nil {
+		return 0, 0, 0, fmt.Errorf("store: load: truncated dump header (%d of %d bytes): %s", n, v2HeaderLen, reencode)
 	}
 	switch v := binary.LittleEndian.Uint32(hdr[16:]); v {
 	case v2Version:
 	case 1:
-		return 0, 0, 0, fmt.Errorf("store: load: v2 dump version 1 holds shares drawn from client-poly/v1, which current clients cannot reconstruct: re-encode the table from its XML")
+		return 0, 0, 0, fmt.Errorf("store: load: dump version 1 holds shares drawn from client-poly/v1, which current clients cannot reconstruct: %s", reencode)
 	default:
-		return 0, 0, 0, fmt.Errorf("store: load: v2 dump version %d (want %d)", v, v2Version)
+		return 0, 0, 0, fmt.Errorf("store: load: dump version %d (want %d): %s", v, v2Version, reencode)
 	}
 	if ps := binary.LittleEndian.Uint32(hdr[20:]); ps != pageSize {
-		return 0, 0, 0, fmt.Errorf("store: load: dump page size %d (want %d)", ps, pageSize)
+		return 0, 0, 0, fmt.Errorf("store: load: dump page size %d (want %d): %s", ps, pageSize, reencode)
 	}
 	nPages = binary.LittleEndian.Uint32(hdr[24:])
 	firstHeap = binary.LittleEndian.Uint32(hdr[28:])
@@ -101,10 +107,12 @@ func readV2Header(r io.Reader) (nPages, firstHeap uint32, rowCount int64, err er
 	return nPages, firstHeap, rowCount, nil
 }
 
-// loadNative restores a v2 dump exactly: page images are adopted
-// verbatim (so dump→load→dump is the identity) and the trees are
-// rebuilt from the live slots.
-func (s *v2store) loadNative(r io.Reader) error {
+// Load restores the table from a Dump stream and leaves the store
+// attached. Page images are adopted verbatim (so dump→load→dump is the
+// byte identity) and the trees are rebuilt from the live slots. A
+// stream without a current header is refused before the table is
+// touched, with an error that says to re-encode.
+func (s *Store) Load(r io.Reader) error {
 	tb := s.tbl
 	tb.mu.Lock()
 	defer tb.mu.Unlock()
@@ -154,79 +162,4 @@ func (s *v2store) loadNative(r io.Reader) error {
 	}
 	tb.rowCount = rowCount
 	return nil
-}
-
-// loadRows replaces the table contents with rows (pre-sorted by the
-// caller) through the normal placement path — the cross-format load.
-func (s *v2store) loadRows(rows []NodeRow) error {
-	tb := s.tbl
-	tb.mu.Lock()
-	defer tb.mu.Unlock()
-	tb.reset()
-	for _, row := range rows {
-		r, err := tb.place(row)
-		if err != nil {
-			return fmt.Errorf("store: load: insert pre=%d: %w", row.Pre, err)
-		}
-		if tb.pre.set(treeKey{a: row.Pre}, r) {
-			return fmt.Errorf("store: load: duplicate pre %d", row.Pre)
-		}
-		tb.kids.set(treeKey{a: row.Parent, b: row.Pre}, r)
-		tb.rowCount++
-	}
-	return nil
-}
-
-// readV2Rows extracts the rows of a v2 dump stream, sorted by pre, for
-// loading into a v1 engine. Poly slices are private copies.
-func readV2Rows(r io.Reader) ([]NodeRow, error) {
-	nPages, _, rowCount, err := readV2Header(r)
-	if err != nil {
-		return nil, err
-	}
-	var rows []NodeRow
-	p := make([]byte, pageSize)
-	for id := uint32(1); id <= nPages; id++ {
-		if _, err := io.ReadFull(r, p); err != nil {
-			return nil, fmt.Errorf("store: load: page %d: %w", id, err)
-		}
-		if p[0] != pageTypeHeap {
-			return nil, fmt.Errorf("store: load: page %d has type %q", id, p[0])
-		}
-		for i := 0; i < pageNSlots(p); i++ {
-			sl := pageSlot(p, i)
-			if sl == nil {
-				continue
-			}
-			row, err := decodeRow(sl)
-			if err != nil {
-				return nil, fmt.Errorf("store: load: page %d slot %d: %w", id, i, err)
-			}
-			row.Poly = append([]byte(nil), row.Poly...)
-			rows = append(rows, row)
-		}
-	}
-	if int64(len(rows)) != rowCount {
-		return nil, fmt.Errorf("store: load: %d live rows but header says %d", len(rows), rowCount)
-	}
-	sort.Slice(rows, func(i, j int) bool { return rows[i].Pre < rows[j].Pre })
-	return rows, nil
-}
-
-// readV1Rows extracts the rows of a minisql gob dump, sorted by pre,
-// for loading into a v2 engine.
-func readV1Rows(r io.Reader) ([]NodeRow, error) {
-	db := minisql.NewDB()
-	if err := db.Load(r); err != nil {
-		return nil, fmt.Errorf("store: load: %w", err)
-	}
-	q, err := db.Prepare("SELECT pre, post, parent, poly FROM nodes ORDER BY pre")
-	if err != nil {
-		return nil, fmt.Errorf("store: load: %w", err)
-	}
-	_, vals, err := q.Query()
-	if err != nil {
-		return nil, fmt.Errorf("store: load: %w", err)
-	}
-	return rowsFromValues(vals, true)
 }

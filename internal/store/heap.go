@@ -5,21 +5,17 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-
-	"encshare/internal/minisql"
 )
 
-// The v2 engine: slotted heap pages clustered by pre, a B⁺-tree on pre
-// for point lookups and range scans, a (parent, pre) B⁺-tree replacing
-// the parent index, and one CLOCK buffer pool holding both heap and
-// index pages. Descendants(pre) is a tree descent to the first key past
-// pre followed by leaf-chain reads that decode (or, for the *Meta
-// twins, skip) poly blobs straight out of pinned pages — no SQL layer,
-// no per-cell boxing.
+// The engine: slotted heap pages clustered by pre, a B⁺-tree on pre
+// for point lookups and range scans, a (parent, pre) B⁺-tree standing
+// in for the parent index, and one CLOCK buffer pool holding both heap
+// and index pages. Descendants(pre) is a tree descent to the first key
+// past pre followed by leaf-chain reads that decode (or, for the *Meta
+// twins, skip) poly blobs straight out of pinned pages.
 //
-// Tables register under the same DSN namespace as minisql databases so
-// every existing lifecycle call keeps working: Open(dsn) twice shares
-// one table, minisql.Drop(dsn) frees it (via minisql.OnDrop).
+// Tables register under a process-wide DSN namespace: Open(dsn) twice
+// shares one table, Drop(dsn) frees it, FreshDSN names a private one.
 type pagedTable struct {
 	mu sync.RWMutex
 
@@ -37,30 +33,39 @@ type pagedTable struct {
 }
 
 var (
-	v2mu     sync.Mutex
-	v2tables = map[string]*pagedTable{}
+	tablesMu sync.Mutex
+	tables   = map[string]*pagedTable{}
+	anonSeq  uint64
 )
 
-func init() {
-	// One Drop call releases a DSN whichever engine backs it.
-	minisql.OnDrop(func(name string) {
-		v2mu.Lock()
-		delete(v2tables, name)
-		v2mu.Unlock()
-	})
-}
-
-// v2get returns the table registered under dsn, creating it on demand
-// (mirroring minisql.Get). poolPages only applies to a fresh table.
-func v2get(dsn string, poolPages int) *pagedTable {
-	v2mu.Lock()
-	defer v2mu.Unlock()
-	if tb, ok := v2tables[dsn]; ok {
+// tableFor returns the table registered under dsn, creating it on
+// demand. poolPages only applies to a fresh table.
+func tableFor(dsn string, poolPages int) *pagedTable {
+	tablesMu.Lock()
+	defer tablesMu.Unlock()
+	if tb, ok := tables[dsn]; ok {
 		return tb
 	}
 	tb := newPagedTable(poolPages)
-	v2tables[dsn] = tb
+	tables[dsn] = tb
 	return tb
+}
+
+// Drop removes the table registered under dsn, releasing its memory
+// once every handle on it is gone.
+func Drop(dsn string) {
+	tablesMu.Lock()
+	delete(tables, dsn)
+	tablesMu.Unlock()
+}
+
+// FreshDSN returns a unique DSN for a private in-memory table, handy
+// for tests, shard copies and parallel benchmarks.
+func FreshDSN() string {
+	tablesMu.Lock()
+	defer tablesMu.Unlock()
+	anonSeq++
+	return fmt.Sprintf("anon-%d", anonSeq)
 }
 
 func newPagedTable(poolPages int) *pagedTable {
@@ -71,42 +76,10 @@ func newPagedTable(poolPages int) *pagedTable {
 	return tb
 }
 
-// v2store is one Store handle on a pagedTable.
-type v2store struct {
-	dsn string
-	tbl *pagedTable
-}
-
-func (s *v2store) Init() error {
-	tb := s.tbl
-	tb.mu.Lock()
-	defer tb.mu.Unlock()
-	if tb.created {
-		return fmt.Errorf("store: init: table nodes already exists")
-	}
-	tb.created = true
-	return nil
-}
-
-func (s *v2store) Attach() error {
-	tb := s.tbl
-	tb.mu.RLock()
-	defer tb.mu.RUnlock()
-	if !tb.created {
-		return fmt.Errorf("store: attach: no nodes table under %q", s.dsn)
-	}
-	return nil
-}
-
-func (s *v2store) Close() error { return nil }
-
-func (s *v2store) PoolStats() (PoolStats, bool) {
-	return s.tbl.pool.stats(), true
-}
-
 // ---- mutations ----
 
-func (s *v2store) InsertNode(row NodeRow) error {
+// InsertNode stores one row. It satisfies the encoder's RowSink.
+func (s *Store) InsertNode(row NodeRow) error {
 	tb := s.tbl
 	tb.mu.Lock()
 	defer tb.mu.Unlock()
@@ -303,7 +276,10 @@ func (tb *pagedTable) splitHeap(id uint32, fi int, b []byte) (rightID uint32, ri
 	return rightID, rightMin, nil
 }
 
-func (s *v2store) UpdateNode(oldPre int64, row NodeRow) error {
+// UpdateNode rewrites the row currently stored at oldPre to row —
+// numbering and share blob together, so one call renumbers a shifted
+// row or patches a rebuilt one. ErrNotFound when no row sits at oldPre.
+func (s *Store) UpdateNode(oldPre int64, row NodeRow) error {
 	tb := s.tbl
 	tb.mu.Lock()
 	defer tb.mu.Unlock()
@@ -352,7 +328,8 @@ func (s *v2store) UpdateNode(oldPre int64, row NodeRow) error {
 	return nil
 }
 
-func (s *v2store) DeleteNode(pre int64) error {
+// DeleteNode removes the row at pre. ErrNotFound when absent.
+func (s *Store) DeleteNode(pre int64) error {
 	tb := s.tbl
 	tb.mu.Lock()
 	defer tb.mu.Unlock()
@@ -399,10 +376,14 @@ func (tb *pagedTable) rowAt(b []byte, r rid, withPoly bool, arena *[]byte) (Node
 	return row, nil
 }
 
-func (s *v2store) Node(pre int64) (NodeRow, error)     { return s.node(pre, true) }
-func (s *v2store) NodeMeta(pre int64) (NodeRow, error) { return s.node(pre, false) }
+// Node returns the node at pre.
+func (s *Store) Node(pre int64) (NodeRow, error) { return s.node(pre, true) }
 
-func (s *v2store) node(pre int64, withPoly bool) (NodeRow, error) {
+// NodeMeta returns the node at pre without its share blob (Poly nil) —
+// the cheap fetch for structural navigation.
+func (s *Store) NodeMeta(pre int64) (NodeRow, error) { return s.node(pre, false) }
+
+func (s *Store) node(pre int64, withPoly bool) (NodeRow, error) {
 	tb := s.tbl
 	tb.mu.RLock()
 	defer tb.mu.RUnlock()
@@ -416,7 +397,8 @@ func (s *v2store) node(pre int64, withPoly bool) (NodeRow, error) {
 	return tb.rowAt(b, r, withPoly, &arena)
 }
 
-func (s *v2store) Root() (NodeRow, error) {
+// Root returns the unique node with parent = 0.
+func (s *Store) Root() (NodeRow, error) {
 	tb := s.tbl
 	tb.mu.RLock()
 	defer tb.mu.RUnlock()
@@ -501,10 +483,13 @@ func (tb *pagedTable) fetchRowsSized(rids []rid, withPoly bool, polyBytes int) (
 	return out, nil
 }
 
-func (s *v2store) Children(pre int64) ([]NodeRow, error)     { return s.children(pre, true) }
-func (s *v2store) ChildrenMeta(pre int64) ([]NodeRow, error) { return s.children(pre, false) }
+// Children returns the child rows of the node at pre, in document order.
+func (s *Store) Children(pre int64) ([]NodeRow, error) { return s.children(pre, true) }
 
-func (s *v2store) children(pre int64, withPoly bool) ([]NodeRow, error) {
+// ChildrenMeta is Children without the share blobs.
+func (s *Store) ChildrenMeta(pre int64) ([]NodeRow, error) { return s.children(pre, false) }
+
+func (s *Store) children(pre int64, withPoly bool) ([]NodeRow, error) {
 	tb := s.tbl
 	tb.mu.RLock()
 	defer tb.mu.RUnlock()
@@ -558,15 +543,19 @@ func (tb *pagedTable) scanDesc(pre, post int64, fn func(sl []byte, r rid) error)
 	return err
 }
 
-func (s *v2store) Descendants(pre, post int64) ([]NodeRow, error) {
+// Descendants returns all proper descendants of the node (pre, post), in
+// document order, using the boundary optimization.
+func (s *Store) Descendants(pre, post int64) ([]NodeRow, error) {
 	return s.descendants(pre, post, true)
 }
 
-func (s *v2store) DescendantsMeta(pre, post int64) ([]NodeRow, error) {
+// DescendantsMeta is Descendants without the share blobs — what the
+// engines' frontier expansion consumes.
+func (s *Store) DescendantsMeta(pre, post int64) ([]NodeRow, error) {
 	return s.descendants(pre, post, false)
 }
 
-func (s *v2store) descendants(pre, post int64, withPoly bool) ([]NodeRow, error) {
+func (s *Store) descendants(pre, post int64, withPoly bool) ([]NodeRow, error) {
 	tb := s.tbl
 	tb.mu.RLock()
 	defer tb.mu.RUnlock()
@@ -594,7 +583,10 @@ func (s *v2store) descendants(pre, post int64, withPoly bool) ([]NodeRow, error)
 	return out, nil
 }
 
-func (s *v2store) VisitDescendantsMeta(pre, post int64, fn func(pre, post, parent int64)) error {
+// VisitDescendantsMeta streams the numbering of every proper descendant
+// of (pre, post) in document order without materializing rows — the
+// zero-allocation path behind the filter's subtree expansion.
+func (s *Store) VisitDescendantsMeta(pre, post int64, fn func(pre, post, parent int64)) error {
 	tb := s.tbl
 	tb.mu.RLock()
 	defer tb.mu.RUnlock()
@@ -609,7 +601,9 @@ func (s *v2store) VisitDescendantsMeta(pre, post int64, fn func(pre, post, paren
 	return nil
 }
 
-func (s *v2store) DescendantsNaive(pre, post int64) ([]NodeRow, error) {
+// DescendantsNaive is the unoptimized variant (full pre-range scan with a
+// post filter); kept for the ablation benchmark.
+func (s *Store) DescendantsNaive(pre, post int64) ([]NodeRow, error) {
 	tb := s.tbl
 	tb.mu.RLock()
 	defer tb.mu.RUnlock()
@@ -652,7 +646,9 @@ func (s *v2store) DescendantsNaive(pre, post int64) ([]NodeRow, error) {
 	return rows, nil
 }
 
-func (s *v2store) Range(lo, hi int64) ([]NodeRow, error) {
+// Range returns the rows with pre in [lo, hi], in document order — the
+// slice of the node table one cluster shard holds.
+func (s *Store) Range(lo, hi int64) ([]NodeRow, error) {
 	tb := s.tbl
 	tb.mu.RLock()
 	defer tb.mu.RUnlock()
@@ -671,7 +667,10 @@ func (s *v2store) Range(lo, hi int64) ([]NodeRow, error) {
 	return rows, nil
 }
 
-func (s *v2store) MinMaxPre() (int64, int64, error) {
+// MinMaxPre returns the smallest and largest stored pre — the contiguous
+// interval this table covers (shards report it to cluster clients at
+// dial time). An empty table is ErrNotFound.
+func (s *Store) MinMaxPre() (int64, int64, error) {
 	tb := s.tbl
 	tb.mu.RLock()
 	defer tb.mu.RUnlock()
@@ -683,14 +682,17 @@ func (s *v2store) MinMaxPre() (int64, int64, error) {
 	return lo.a, hi.a, nil
 }
 
-func (s *v2store) Count() (int64, error) {
+// Count returns the number of stored nodes.
+func (s *Store) Count() (int64, error) {
 	tb := s.tbl
 	tb.mu.RLock()
 	defer tb.mu.RUnlock()
 	return tb.rowCount, nil
 }
 
-func (s *v2store) ChildCount(pre int64) (int64, error) {
+// ChildCount returns the number of children of the node at pre without
+// fetching the rows (used by the equality-test cost accounting).
+func (s *Store) ChildCount(pre int64) (int64, error) {
 	tb := s.tbl
 	tb.mu.RLock()
 	defer tb.mu.RUnlock()

@@ -2,7 +2,7 @@ package store
 
 import "encoding/binary"
 
-// Slotted heap page of the v2 engine. Every page is pageSize bytes:
+// Slotted heap page of the engine. Every page is pageSize bytes:
 //
 //	[ 0: 1)  type byte ('H' heap)
 //	[ 1: 2)  flags (unused)

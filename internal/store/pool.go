@@ -2,7 +2,7 @@ package store
 
 import "sync"
 
-// pager is the page "disk" of one v2 table: a flat array of pageSize
+// pager is the page "disk" of one table: a flat array of pageSize
 // pages addressed by 1-based IDs. It is the authority for every page
 // not currently held dirty in the buffer pool. Two spaces exist per
 // table — heap pages (dumped, byte-deterministic) and index pages

@@ -2,32 +2,25 @@
 // row (pre, post, parent, poly) per XML node, where poly is the server's
 // share of the node polynomial (paper §5.1).
 //
-// Two engines sit behind the Store handle. The default, v2, is a
-// purpose-built storage engine: a fixed-width binary row codec, slotted
-// 8 KiB heap pages holding rows clustered in pre order, a B⁺-tree keyed
-// on pre (plus a composite (parent, pre) tree for child navigation) and
-// a CLOCK-evicting buffer pool. The v1 engine is the original
-// minisql-backed implementation, kept as a correctness oracle — it talks
-// to the embedded SQL engine through database/sql exactly as the paper's
-// prototype talks to MySQL.
+// The paper's prototype keeps these rows in MySQL with B-tree indexes on
+// pre, post and parent. This package is a purpose-built storage engine
+// for the same table: a fixed-width binary row codec, slotted 8 KiB heap
+// pages holding rows clustered in pre order, a B⁺-tree keyed on pre
+// (plus a composite (parent, pre) tree for child navigation) and a
+// CLOCK-evicting buffer pool.
 //
 // The descendant query exploits the contiguity of descendants in pre
 // order: the subtree boundary — the smallest pre greater than pre(n)
 // whose post exceeds post(n), i.e. the first non-descendant — bounds a
-// range scan of (pre(n), boundary). v1 locates it with a loose index
-// scan; v2 folds it into the scan itself as a stop condition (the first
-// row met with post > post(n) IS the boundary). Cost is
-// O(log N + |subtree|) either way, instead of the naive O(N) post-filter
-// (kept as DescendantsNaive for the ablation benchmark).
+// range scan of (pre(n), boundary). The scan discovers the boundary as
+// its own stop condition (the first row met with post > post(n) IS the
+// boundary), so it costs O(log N + |subtree|) instead of the naive O(N)
+// post-filter (kept as DescendantsNaive for the ablation benchmark).
 package store
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
-	"io"
-
-	"encshare/internal/minisql"
 )
 
 // NodeRow is one stored node: the Grust numbering plus the server share of
@@ -49,176 +42,72 @@ func NotFoundError(pre int64) error {
 	return fmt.Errorf("store: node %d: %w", pre, ErrNotFound)
 }
 
-// Engine selects the storage engine behind a Store.
-type Engine string
-
-const (
-	// EngineV2 is the paged engine (slotted heap pages + B⁺-trees +
-	// buffer pool) — the default.
-	EngineV2 Engine = "v2"
-	// EngineV1 is the original minisql-backed engine, kept as the
-	// correctness oracle and ablation baseline.
-	EngineV1 Engine = "v1"
-)
-
-// ParseEngine maps a CLI/config string ("", "v1", "v2") to an Engine.
-func ParseEngine(s string) (Engine, error) {
-	switch Engine(s) {
-	case "", EngineV2:
-		return EngineV2, nil
-	case EngineV1:
-		return EngineV1, nil
-	}
-	return "", fmt.Errorf("store: unknown engine %q (want v1 or v2)", s)
-}
-
 // Options configures OpenWith.
 type Options struct {
-	// Engine selects the storage engine; empty means EngineV2.
-	Engine Engine
-	// PoolPages bounds the v2 buffer pool (0 = DefaultPoolPages).
-	// Ignored by v1.
+	// PoolPages bounds the buffer pool (0 = DefaultPoolPages). It only
+	// applies when the DSN's table is created by this call.
 	PoolPages int
-}
-
-// tableEngine is what each storage engine implements. Methods mirror the
-// Store API one-for-one; Load is handled in the façade because it must
-// sniff the stream format before dispatching.
-type tableEngine interface {
-	Init() error
-	Attach() error
-	InsertNode(row NodeRow) error
-	UpdateNode(oldPre int64, row NodeRow) error
-	DeleteNode(pre int64) error
-	Root() (NodeRow, error)
-	Node(pre int64) (NodeRow, error)
-	NodeMeta(pre int64) (NodeRow, error)
-	Children(pre int64) ([]NodeRow, error)
-	ChildrenMeta(pre int64) ([]NodeRow, error)
-	Descendants(pre, post int64) ([]NodeRow, error)
-	DescendantsMeta(pre, post int64) ([]NodeRow, error)
-	VisitDescendantsMeta(pre, post int64, fn func(pre, post, parent int64)) error
-	DescendantsNaive(pre, post int64) ([]NodeRow, error)
-	Range(lo, hi int64) ([]NodeRow, error)
-	MinMaxPre() (lo, hi int64, err error)
-	Count() (int64, error)
-	ChildCount(pre int64) (int64, error)
-	Dump(w io.Writer) error
-	loadNative(r io.Reader) error
-	loadRows(rows []NodeRow) error
-	Close() error
-	PoolStats() (PoolStats, bool)
 }
 
 // Store is a handle on one node table.
 type Store struct {
 	dsn  string
 	opts Options
-	eng  tableEngine
+	tbl  *pagedTable
 }
 
-// Open connects to (creating if necessary) the database named by dsn
-// using the default engine. Call Init before first use of a fresh
-// database.
+// Open connects to (creating if necessary) the table named by dsn with
+// default options. Call Init before first use of a fresh table.
 func Open(dsn string) (*Store, error) {
 	return OpenWith(dsn, Options{})
 }
 
-// OpenWith is Open with an explicit engine selection.
+// OpenWith is Open with explicit options. Opening one DSN twice yields
+// two handles on the same table.
 func OpenWith(dsn string, opts Options) (*Store, error) {
-	var err error
-	if opts.Engine, err = ParseEngine(string(opts.Engine)); err != nil {
-		return nil, err
-	}
-	s := &Store{dsn: dsn, opts: opts}
-	switch opts.Engine {
-	case EngineV1:
-		if s.eng, err = openV1(dsn); err != nil {
-			return nil, err
-		}
-	default:
-		s.eng = &v2store{dsn: dsn, tbl: v2get(dsn, opts.PoolPages)}
-	}
-	return s, nil
+	return &Store{dsn: dsn, opts: opts, tbl: tableFor(dsn, opts.PoolPages)}, nil
 }
 
 // DSN returns the database name this store is attached to.
 func (s *Store) DSN() string { return s.dsn }
 
-// Engine reports which storage engine backs this store.
-func (s *Store) Engine() Engine { return s.opts.Engine }
-
-// PoolStats returns the buffer-pool counters of a v2 store; ok is false
-// for v1 (which has no pool).
-func (s *Store) PoolStats() (stats PoolStats, ok bool) { return s.eng.PoolStats() }
+// PoolStats returns the buffer-pool counters. ok is always true; the
+// flag remains so callers written against an engine without a pool
+// still compile.
+func (s *Store) PoolStats() (stats PoolStats, ok bool) {
+	return s.tbl.pool.stats(), true
+}
 
 // Init creates the nodes table (the schema of §5.1), failing if it
 // already exists.
-func (s *Store) Init() error { return s.eng.Init() }
+func (s *Store) Init() error {
+	tb := s.tbl
+	tb.mu.Lock()
+	defer tb.mu.Unlock()
+	if tb.created {
+		return fmt.Errorf("store: init: table nodes already exists")
+	}
+	tb.created = true
+	return nil
+}
 
 // Attach binds to an existing nodes table (e.g. after Load restored a
 // dump).
-func (s *Store) Attach() error { return s.eng.Attach() }
-
-// InsertNode stores one row. It satisfies the encoder's RowSink.
-func (s *Store) InsertNode(row NodeRow) error { return s.eng.InsertNode(row) }
-
-// UpdateNode rewrites the row currently stored at oldPre to row —
-// numbering and share blob together, so one call renumbers a shifted
-// row or patches a rebuilt one. ErrNotFound when no row sits at oldPre.
-func (s *Store) UpdateNode(oldPre int64, row NodeRow) error { return s.eng.UpdateNode(oldPre, row) }
-
-// DeleteNode removes the row at pre. ErrNotFound when absent.
-func (s *Store) DeleteNode(pre int64) error { return s.eng.DeleteNode(pre) }
-
-// Root returns the unique node with parent = 0.
-func (s *Store) Root() (NodeRow, error) { return s.eng.Root() }
-
-// Node returns the node at pre.
-func (s *Store) Node(pre int64) (NodeRow, error) { return s.eng.Node(pre) }
-
-// NodeMeta returns the node at pre without its share blob (Poly nil) —
-// the cheap fetch for structural navigation.
-func (s *Store) NodeMeta(pre int64) (NodeRow, error) { return s.eng.NodeMeta(pre) }
-
-// Children returns the child rows of the node at pre, in document order.
-func (s *Store) Children(pre int64) ([]NodeRow, error) { return s.eng.Children(pre) }
-
-// ChildrenMeta is Children without the share blobs.
-func (s *Store) ChildrenMeta(pre int64) ([]NodeRow, error) { return s.eng.ChildrenMeta(pre) }
-
-// Descendants returns all proper descendants of the node (pre, post), in
-// document order, using the boundary optimization.
-func (s *Store) Descendants(pre, post int64) ([]NodeRow, error) { return s.eng.Descendants(pre, post) }
-
-// DescendantsMeta is Descendants without the share blobs — what the
-// engines' frontier expansion consumes.
-func (s *Store) DescendantsMeta(pre, post int64) ([]NodeRow, error) {
-	return s.eng.DescendantsMeta(pre, post)
+func (s *Store) Attach() error {
+	tb := s.tbl
+	tb.mu.RLock()
+	defer tb.mu.RUnlock()
+	if !tb.created {
+		return fmt.Errorf("store: attach: no nodes table under %q", s.dsn)
+	}
+	return nil
 }
-
-// VisitDescendantsMeta streams the numbering of every proper descendant
-// of (pre, post) in document order without materializing rows — the
-// zero-allocation path behind the filter's subtree expansion.
-func (s *Store) VisitDescendantsMeta(pre, post int64, fn func(pre, post, parent int64)) error {
-	return s.eng.VisitDescendantsMeta(pre, post, fn)
-}
-
-// DescendantsNaive is the unoptimized variant (full pre-range scan with a
-// post filter); kept for the ablation benchmark.
-func (s *Store) DescendantsNaive(pre, post int64) ([]NodeRow, error) {
-	return s.eng.DescendantsNaive(pre, post)
-}
-
-// Range returns the rows with pre in [lo, hi], in document order — the
-// slice of the node table one cluster shard holds.
-func (s *Store) Range(lo, hi int64) ([]NodeRow, error) { return s.eng.Range(lo, hi) }
 
 // CopyRange copies the rows with pre in [lo, hi] into a fresh store
 // under a new DSN — the shared shard builder behind Database.DumpShard
 // (shard files) and cluster.SplitStore (in-process shards). The result
-// uses the same engine as the source. The caller owns it: Close it and
-// minisql.Drop the DSN when done.
+// is opened with the source's options. The caller owns it: Close it
+// and Drop the DSN when done.
 func (s *Store) CopyRange(lo, hi int64) (*Store, string, error) {
 	rows, err := s.Range(lo, hi)
 	if err != nil {
@@ -227,14 +116,14 @@ func (s *Store) CopyRange(lo, hi int64) (*Store, string, error) {
 	if len(rows) == 0 {
 		return nil, "", fmt.Errorf("store: range [%d, %d] holds no rows", lo, hi)
 	}
-	dsn := minisql.FreshDSN()
+	dsn := FreshDSN()
 	dst, err := OpenWith(dsn, s.opts)
 	if err != nil {
 		return nil, "", err
 	}
 	fail := func(err error) (*Store, string, error) {
 		dst.Close()
-		minisql.Drop(dsn)
+		Drop(dsn)
 		return nil, "", err
 	}
 	if err := dst.Init(); err != nil {
@@ -248,47 +137,6 @@ func (s *Store) CopyRange(lo, hi int64) (*Store, string, error) {
 	return dst, dsn, nil
 }
 
-// MinMaxPre returns the smallest and largest stored pre — the contiguous
-// interval this table covers (shards report it to cluster clients at
-// dial time). An empty table is ErrNotFound.
-func (s *Store) MinMaxPre() (lo, hi int64, err error) { return s.eng.MinMaxPre() }
-
-// Count returns the number of stored nodes.
-func (s *Store) Count() (int64, error) { return s.eng.Count() }
-
-// ChildCount returns the number of children of the node at pre without
-// fetching the rows (used by the equality-test cost accounting).
-func (s *Store) ChildCount(pre int64) (int64, error) { return s.eng.ChildCount(pre) }
-
-// Dump serializes the table in the engine's native format: raw heap page
-// images for v2 (byte-deterministic across replicas applying the same op
-// sequence), the minisql gob for v1.
-func (s *Store) Dump(w io.Writer) error { return s.eng.Dump(w) }
-
-// Load restores the table from a dump in either format — the first 16
-// bytes distinguish a v2 page file from a minisql gob — and leaves the
-// store attached. A native-format dump loads verbatim (for v2,
-// dump→load→dump is the byte identity); a foreign-format dump is
-// converted row-by-row in pre order.
-func (s *Store) Load(r io.Reader) error {
-	br := bufio.NewReader(r)
-	head, err := br.Peek(len(v2Magic))
-	isV2File := err == nil && string(head) == v2Magic
-	if isV2File == (s.opts.Engine == EngineV2) {
-		return s.eng.loadNative(br)
-	}
-	var rows []NodeRow
-	if isV2File {
-		rows, err = readV2Rows(br)
-	} else {
-		rows, err = readV1Rows(br)
-	}
-	if err != nil {
-		return err
-	}
-	return s.eng.loadRows(rows)
-}
-
-// Close releases the engine handle (the data stays registered under the
-// DSN until minisql.Drop).
-func (s *Store) Close() error { return s.eng.Close() }
+// Close releases the handle (the data stays registered under the DSN
+// until Drop).
+func (s *Store) Close() error { return nil }

@@ -4,20 +4,8 @@ import (
 	"bytes"
 	"testing"
 
-	"encshare/internal/minisql"
 	"encshare/internal/xmldoc"
 )
-
-// engines lists the storage engines every API test runs against: v2 (the
-// paged default) and v1 (the minisql oracle).
-var engines = []Engine{EngineV2, EngineV1}
-
-// forEachEngine runs fn as a subtest per storage engine.
-func forEachEngine(t *testing.T, fn func(t *testing.T, eng Engine)) {
-	for _, eng := range engines {
-		t.Run(string(eng), func(t *testing.T) { fn(t, eng) })
-	}
-}
 
 // fill inserts rows matching a parsed document with dummy polynomials.
 func fill(t testing.TB, s *Store, d *xmldoc.Doc) {
@@ -35,30 +23,41 @@ func fill(t testing.TB, s *Store, d *xmldoc.Doc) {
 	})
 }
 
-func newStoreEngine(t testing.TB, eng Engine) *Store {
+// openBare opens a handle on a fresh DSN without creating the table —
+// the state Load starts from. The DSN is dropped when the test ends.
+func openBare(t testing.TB, opts Options) *Store {
 	t.Helper()
-	dsn := minisql.FreshDSN()
-	s, err := OpenWith(dsn, Options{Engine: eng})
+	dsn := FreshDSN()
+	s, err := OpenWith(dsn, opts)
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Init(); err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() {
 		s.Close()
-		minisql.Drop(dsn)
+		Drop(dsn)
 	})
 	return s
 }
 
-func newStore(t testing.TB) *Store { return newStoreEngine(t, EngineV2) }
+// newStore is openBare plus Init: an empty, writable table.
+func newStore(t testing.TB) *Store {
+	t.Helper()
+	s := openBare(t, Options{})
+	if err := s.Init(); err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// The row-level tests below run as the subtest "v2", after the paged
+// engine's dump format (encshare-pagesv2, version 2); the round trip's
+// subtest is "v2_to_v2".
 
 const testDoc = `<site><regions><europe><item><name/></item><item/></europe><asia/></regions><people><person><name/></person></people></site>`
 
 func TestRootAndNode(t *testing.T) {
-	forEachEngine(t, func(t *testing.T, eng Engine) {
-		s := newStoreEngine(t, eng)
+	t.Run("v2", func(t *testing.T) {
+		s := newStore(t)
 		d, err := xmldoc.ParseString(testDoc)
 		if err != nil {
 			t.Fatal(err)
@@ -86,8 +85,8 @@ func TestRootAndNode(t *testing.T) {
 }
 
 func TestRootMissing(t *testing.T) {
-	forEachEngine(t, func(t *testing.T, eng Engine) {
-		s := newStoreEngine(t, eng)
+	t.Run("v2", func(t *testing.T) {
+		s := newStore(t)
 		if _, err := s.Root(); err == nil {
 			t.Fatal("root on empty store succeeded")
 		}
@@ -95,8 +94,8 @@ func TestRootMissing(t *testing.T) {
 }
 
 func TestChildrenMatchTree(t *testing.T) {
-	forEachEngine(t, func(t *testing.T, eng Engine) {
-		s := newStoreEngine(t, eng)
+	t.Run("v2", func(t *testing.T) {
+		s := newStore(t)
 		d, _ := xmldoc.ParseString(testDoc)
 		fill(t, s, d)
 		d.Walk(func(n *xmldoc.Node) bool {
@@ -127,8 +126,8 @@ func TestChildrenMatchTree(t *testing.T) {
 }
 
 func TestDescendantsMatchTree(t *testing.T) {
-	forEachEngine(t, func(t *testing.T, eng Engine) {
-		s := newStoreEngine(t, eng)
+	t.Run("v2", func(t *testing.T) {
+		s := newStore(t)
 		d, _ := xmldoc.ParseString(testDoc)
 		fill(t, s, d)
 		d.Walk(func(n *xmldoc.Node) bool {
@@ -190,8 +189,8 @@ func TestDescendantsMatchTree(t *testing.T) {
 }
 
 func TestCount(t *testing.T) {
-	forEachEngine(t, func(t *testing.T, eng Engine) {
-		s := newStoreEngine(t, eng)
+	t.Run("v2", func(t *testing.T) {
+		s := newStore(t)
 		d, _ := xmldoc.ParseString(testDoc)
 		fill(t, s, d)
 		n, err := s.Count()
@@ -205,8 +204,8 @@ func TestCount(t *testing.T) {
 }
 
 func TestDuplicatePreRejected(t *testing.T) {
-	forEachEngine(t, func(t *testing.T, eng Engine) {
-		s := newStoreEngine(t, eng)
+	t.Run("v2", func(t *testing.T) {
+		s := newStore(t)
 		if err := s.InsertNode(NodeRow{Pre: 1, Post: 1, Parent: 0, Poly: []byte{1}}); err != nil {
 			t.Fatal(err)
 		}
@@ -217,67 +216,55 @@ func TestDuplicatePreRejected(t *testing.T) {
 }
 
 func TestDumpLoadRoundTrip(t *testing.T) {
-	// Every (dump engine, load engine) pair must round-trip: native loads
-	// adopt the dump verbatim, cross-format loads convert row-by-row.
-	for _, from := range engines {
-		for _, to := range engines {
-			t.Run(string(from)+"_to_"+string(to), func(t *testing.T) {
-				s := newStoreEngine(t, from)
-				d, _ := xmldoc.ParseString(testDoc)
-				fill(t, s, d)
-				var buf bytes.Buffer
-				if err := s.Dump(&buf); err != nil {
-					t.Fatal(err)
-				}
-
-				dsn2 := minisql.FreshDSN()
-				s2, err := OpenWith(dsn2, Options{Engine: to})
-				if err != nil {
-					t.Fatal(err)
-				}
-				t.Cleanup(func() {
-					s2.Close()
-					minisql.Drop(dsn2)
-				})
-				if err := s2.Load(&buf); err != nil {
-					t.Fatal(err)
-				}
-				n, err := s2.Count()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if n != d.Count {
-					t.Fatalf("Count after load = %d, want %d", n, d.Count)
-				}
-				kids, err := s2.Children(1)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if len(kids) != len(d.Root.Children) {
-					t.Fatalf("children after load = %d", len(kids))
-				}
-				// Row-level identity with the source.
-				for pre := int64(1); pre <= d.Count; pre++ {
-					a, err := s.Node(pre)
-					if err != nil {
-						t.Fatal(err)
-					}
-					b, err := s2.Node(pre)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if a.Pre != b.Pre || a.Post != b.Post || a.Parent != b.Parent || !bytes.Equal(a.Poly, b.Poly) {
-						t.Fatalf("node %d: %+v != %+v", pre, a, b)
-					}
-				}
-			})
+	t.Run("v2_to_v2", func(t *testing.T) {
+		s := newStore(t)
+		d, _ := xmldoc.ParseString(testDoc)
+		fill(t, s, d)
+		var buf bytes.Buffer
+		if err := s.Dump(&buf); err != nil {
+			t.Fatal(err)
 		}
-	}
+		s2 := openBare(t, Options{})
+		if err := s2.Load(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if err := s2.Attach(); err != nil {
+			t.Fatal(err)
+		}
+		n, err := s2.Count()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n != d.Count {
+			t.Fatalf("Count after load = %d, want %d", n, d.Count)
+		}
+		kids, err := s2.Children(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(kids) != len(d.Root.Children) {
+			t.Fatalf("children after load = %d", len(kids))
+		}
+		// Row-level identity with the source.
+		for pre := int64(1); pre <= d.Count; pre++ {
+			a, err := s.Node(pre)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := s2.Node(pre)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if a.Pre != b.Pre || a.Post != b.Post || a.Parent != b.Parent || !bytes.Equal(a.Poly, b.Poly) {
+				t.Fatalf("node %d: %+v != %+v", pre, a, b)
+			}
+		}
+	})
 }
 
 func TestInitTwiceFails(t *testing.T) {
-	forEachEngine(t, func(t *testing.T, eng Engine) {
-		s := newStoreEngine(t, eng)
+	t.Run("v2", func(t *testing.T) {
+		s := newStore(t)
 		if err := s.Init(); err == nil {
 			t.Fatal("double Init succeeded")
 		}

@@ -3,12 +3,11 @@ package store
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/gob"
 	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
-
-	"encshare/internal/minisql"
 )
 
 // ---- row codec ----
@@ -274,55 +273,7 @@ func TestBufferPoolGrowsWhenAllPinned(t *testing.T) {
 	}
 }
 
-// ---- engine-level v2 behavior ----
-
-// randomOps drives the same pseudo-random op sequence into any store.
-func randomOps(t *testing.T, s *Store, seed int64, n int) {
-	t.Helper()
-	rng := rand.New(rand.NewSource(seed))
-	present := map[int64]bool{}
-	var order []int64
-	poly := func(pre int64) []byte {
-		b := make([]byte, 40+rng.Intn(100))
-		for i := range b {
-			b[i] = byte(pre + int64(i))
-		}
-		return b
-	}
-	for i := 0; i < n; i++ {
-		switch op := rng.Intn(10); {
-		case op < 6 || len(order) == 0: // insert
-			pre := int64(len(present)*2 + 1 + rng.Intn(2))
-			for present[pre] {
-				pre++
-			}
-			row := NodeRow{Pre: pre, Post: pre + int64(rng.Intn(5)), Parent: pre / 2, Poly: poly(pre)}
-			if err := s.InsertNode(row); err != nil {
-				t.Fatal(err)
-			}
-			present[pre] = true
-			order = append(order, pre)
-		case op < 8: // update in place
-			pre := order[rng.Intn(len(order))]
-			if !present[pre] {
-				continue
-			}
-			row := NodeRow{Pre: pre, Post: pre + int64(rng.Intn(7)), Parent: pre / 2, Poly: poly(pre + 1)}
-			if err := s.UpdateNode(pre, row); err != nil {
-				t.Fatal(err)
-			}
-		default: // delete
-			pre := order[rng.Intn(len(order))]
-			if !present[pre] {
-				continue
-			}
-			if err := s.DeleteNode(pre); err != nil {
-				t.Fatal(err)
-			}
-			delete(present, pre)
-		}
-	}
-}
+// ---- table-level behavior ----
 
 // TestV2DumpReplicaDeterminism: two v2 tables that apply the identical op
 // sequence dump byte-identical images, and dump→load→dump is the byte
@@ -331,8 +282,8 @@ func randomOps(t *testing.T, s *Store, seed int64, n int) {
 func TestV2DumpReplicaDeterminism(t *testing.T) {
 	var dumps [][]byte
 	for r := 0; r < 2; r++ {
-		s := newStoreEngine(t, EngineV2)
-		randomOps(t, s, 7, 3000)
+		s := newStore(t)
+		randomOps(t, s, &model{}, 7, 3000)
 		var buf bytes.Buffer
 		if err := s.Dump(&buf); err != nil {
 			t.Fatal(err)
@@ -344,15 +295,7 @@ func TestV2DumpReplicaDeterminism(t *testing.T) {
 	}
 
 	// dump → load → dump identity.
-	dsn := minisql.FreshDSN()
-	s2, err := OpenWith(dsn, Options{Engine: EngineV2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() {
-		s2.Close()
-		minisql.Drop(dsn)
-	})
+	s2 := openBare(t, Options{})
 	if err := s2.Load(bytes.NewReader(dumps[0])); err != nil {
 		t.Fatal(err)
 	}
@@ -365,98 +308,10 @@ func TestV2DumpReplicaDeterminism(t *testing.T) {
 	}
 }
 
-// TestV2MatchesV1UnderRandomOps: the paged engine and the minisql oracle,
-// driven by one op sequence, must agree on every read API.
-func TestV2MatchesV1UnderRandomOps(t *testing.T) {
-	v1 := newStoreEngine(t, EngineV1)
-	v2 := newStoreEngine(t, EngineV2)
-	randomOps(t, v1, 11, 4000)
-	randomOps(t, v2, 11, 4000)
-
-	n1, err := v1.Count()
-	if err != nil {
-		t.Fatal(err)
-	}
-	n2, err := v2.Count()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n1 != n2 {
-		t.Fatalf("count %d != %d", n2, n1)
-	}
-	lo, hi, err := v1.MinMaxPre()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lo2, hi2, err := v2.MinMaxPre(); err != nil || lo2 != lo || hi2 != hi {
-		t.Fatalf("minmax (%d, %d, %v) != (%d, %d)", lo2, hi2, err, lo, hi)
-	}
-
-	rows1, err := v1.Range(lo, hi)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows2, err := v2.Range(lo, hi)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows1) != len(rows2) {
-		t.Fatalf("range %d != %d rows", len(rows2), len(rows1))
-	}
-	for i := range rows1 {
-		a, b := rows1[i], rows2[i]
-		if a.Pre != b.Pre || a.Post != b.Post || a.Parent != b.Parent || !bytes.Equal(a.Poly, b.Poly) {
-			t.Fatalf("range[%d]: %+v != %+v", i, b, a)
-		}
-	}
-
-	// Spot checks across the read surface.
-	for _, r := range rows1 {
-		a, err := v1.Node(r.Pre)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := v2.Node(r.Pre)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(a.Poly, b.Poly) {
-			t.Fatalf("node %d polys differ", r.Pre)
-		}
-		c1, err := v1.ChildCount(r.Pre)
-		if err != nil {
-			t.Fatal(err)
-		}
-		c2, err := v2.ChildCount(r.Pre)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if c1 != c2 {
-			t.Fatalf("childcount(%d) %d != %d", r.Pre, c2, c1)
-		}
-		d1, err := v1.Descendants(r.Pre, r.Post)
-		if err != nil {
-			t.Fatal(err)
-		}
-		d2, err := v2.Descendants(r.Pre, r.Post)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(d1) != len(d2) {
-			t.Fatalf("descendants(%d) %d != %d", r.Pre, len(d2), len(d1))
-		}
-		for i := range d1 {
-			if d1[i].Pre != d2[i].Pre || !bytes.Equal(d1[i].Poly, d2[i].Poly) {
-				t.Fatalf("descendants(%d)[%d] differ", r.Pre, i)
-			}
-		}
-	}
-}
-
 // TestV2HeapSplits: enough large rows to overflow many heap pages; every
 // row must remain reachable through the tree afterwards.
 func TestV2HeapSplits(t *testing.T) {
-	s := newStoreEngine(t, EngineV2)
+	s := newStore(t)
 	const n = 2000
 	poly := bytes.Repeat([]byte{7}, 200) // ~35 rows per 8 KiB page
 	// Post-order-ish arrival (the encoder emits on EndElement): insert
@@ -496,15 +351,7 @@ func TestV2HeapSplits(t *testing.T) {
 // TestV2SmallPoolScans: a pool far smaller than the table still answers
 // every query correctly (pages stream through the clock).
 func TestV2SmallPoolScans(t *testing.T) {
-	dsn := minisql.FreshDSN()
-	s, err := OpenWith(dsn, Options{Engine: EngineV2, PoolPages: minPoolPages})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() {
-		s.Close()
-		minisql.Drop(dsn)
-	})
+	s := openBare(t, Options{PoolPages: minPoolPages})
 	if err := s.Init(); err != nil {
 		t.Fatal(err)
 	}
@@ -522,10 +369,7 @@ func TestV2SmallPoolScans(t *testing.T) {
 	if len(rows) != n {
 		t.Fatalf("range = %d rows", len(rows))
 	}
-	st, ok := s.PoolStats()
-	if !ok {
-		t.Fatal("no pool stats from v2")
-	}
+	st, _ := s.PoolStats()
 	if st.Evictions == 0 {
 		t.Fatalf("no evictions with %d-page pool over %d rows: %+v", minPoolPages, n, st)
 	}
@@ -534,56 +378,78 @@ func TestV2SmallPoolScans(t *testing.T) {
 	}
 }
 
-// TestV2CrossFormatLoadErrors: junk streams are rejected by both engines.
+// TestV2CrossFormatLoadErrors: Load accepts only a current page dump.
+// Junk, an encoding/gob stream (the shape of the dumps the retired
+// SQL-backed engine wrote, which carry no header), a page header cut
+// short and an empty stream are each refused with an error that says
+// to re-encode, and the refusal leaves no table behind.
 func TestV2CrossFormatLoadErrors(t *testing.T) {
-	forEachEngine(t, func(t *testing.T, eng Engine) {
-		s := newStoreEngine(t, eng)
-		junk := []byte("this is neither a gob nor a page file")
-		if err := s.Load(bytes.NewReader(junk)); err == nil {
-			t.Fatal("junk stream loaded")
-		}
-	})
+	src := newStore(t)
+	randomOps(t, src, &model{}, 3, 50)
+	var img bytes.Buffer
+	if err := src.Dump(&img); err != nil {
+		t.Fatal(err)
+	}
+	rows, err := src.Range(0, 1<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var gobDump bytes.Buffer
+	if err := gob.NewEncoder(&gobDump).Encode(map[string][]NodeRow{"nodes": rows}); err != nil {
+		t.Fatal(err)
+	}
+	// Subtest v1 feeds a gob stream, the format the retired v1 engine
+	// dumped; subtest v2 feeds junk and damaged page images.
+	for format, streams := range map[string]map[string][]byte{
+		"v1": {"gob": gobDump.Bytes()},
+		"v2": {
+			"junk":             []byte("this is neither a gob nor a page file"),
+			"truncated header": img.Bytes()[:v2HeaderLen-10],
+			"truncated magic":  img.Bytes()[:8],
+			"empty":            nil,
+		},
+	} {
+		t.Run(format, func(t *testing.T) {
+			for name, stream := range streams {
+				s := openBare(t, Options{})
+				err := s.Load(bytes.NewReader(stream))
+				if err == nil || !strings.Contains(err.Error(), "re-encode") {
+					t.Fatalf("%s: err = %v, want a re-encode refusal", name, err)
+				}
+				if s.Attach() == nil {
+					t.Fatalf("%s: a refused load left a table behind", name)
+				}
+			}
+		})
+	}
 }
 
 // TestV2DumpRefusesVersion1: a dump whose header says version 1 holds
-// shares drawn from the previous client stream; both engines refuse it
-// and the error says to re-encode, instead of loading a table that
-// would answer every query wrongly.
+// shares drawn from the previous client stream; Load refuses it and
+// the error says to re-encode, instead of loading a table that would
+// answer every query wrongly.
 func TestV2DumpRefusesVersion1(t *testing.T) {
-	src := newStoreEngine(t, EngineV2)
-	randomOps(t, src, 3, 50)
+	src := newStore(t)
+	randomOps(t, src, &model{}, 3, 50)
 	var buf bytes.Buffer
 	if err := src.Dump(&buf); err != nil {
 		t.Fatal(err)
 	}
 	old := buf.Bytes()
 	binary.LittleEndian.PutUint32(old[16:], 1)
-	forEachEngine(t, func(t *testing.T, eng Engine) {
-		s := newStoreEngine(t, eng)
-		err := s.Load(bytes.NewReader(old))
+	t.Run("v2", func(t *testing.T) {
+		err := newStore(t).Load(bytes.NewReader(old))
 		if err == nil || !strings.Contains(err.Error(), "re-encode") {
 			t.Fatalf("version-1 dump: err = %v, want a re-encode refusal", err)
 		}
 	})
 }
 
-func TestParseEngine(t *testing.T) {
-	for in, want := range map[string]Engine{"": EngineV2, "v2": EngineV2, "v1": EngineV1} {
-		got, err := ParseEngine(in)
-		if err != nil || got != want {
-			t.Fatalf("ParseEngine(%q) = %v, %v", in, got, err)
-		}
-	}
-	if _, err := ParseEngine("v3"); err == nil {
-		t.Fatal("unknown engine accepted")
-	}
-}
-
 // TestV2UpdateKeepsDumpAligned: in-place updates must not move slots —
 // two replicas, one loaded from the other's dump, stay byte-identical
 // through subsequent identical updates.
 func TestV2UpdateKeepsDumpAligned(t *testing.T) {
-	a := newStoreEngine(t, EngineV2)
+	a := newStore(t)
 	for pre := int64(1); pre <= 300; pre++ {
 		if err := a.InsertNode(NodeRow{Pre: pre, Post: pre, Parent: pre / 2, Poly: bytes.Repeat([]byte{1}, 64)}); err != nil {
 			t.Fatal(err)
@@ -593,15 +459,7 @@ func TestV2UpdateKeepsDumpAligned(t *testing.T) {
 	if err := a.Dump(&img); err != nil {
 		t.Fatal(err)
 	}
-	dsn := minisql.FreshDSN()
-	b, err := OpenWith(dsn, Options{Engine: EngineV2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() {
-		b.Close()
-		minisql.Drop(dsn)
-	})
+	b := openBare(t, Options{})
 	if err := b.Load(bytes.NewReader(img.Bytes())); err != nil {
 		t.Fatal(err)
 	}
@@ -627,26 +485,22 @@ func TestV2UpdateKeepsDumpAligned(t *testing.T) {
 }
 
 func BenchmarkV2PointLookup(b *testing.B) {
-	for _, eng := range engines {
-		b.Run(string(eng), func(b *testing.B) {
-			s := newStoreEngine(b, eng)
-			for pre := int64(1); pre <= 1000; pre++ {
-				if err := s.InsertNode(NodeRow{Pre: pre, Post: pre, Parent: pre / 2, Poly: bytes.Repeat([]byte{1}, 64)}); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := s.Node(int64(i%1000 + 1)); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	s := newStore(b)
+	for pre := int64(1); pre <= 1000; pre++ {
+		if err := s.InsertNode(NodeRow{Pre: pre, Post: pre, Parent: pre / 2, Poly: bytes.Repeat([]byte{1}, 64)}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := s.Node(int64(i%1000 + 1)); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
 func BenchmarkV2MetaScan(b *testing.B) {
-	s := newStoreEngine(b, EngineV2)
+	s := newStore(b)
 	const n = 5000
 	for pre := int64(1); pre <= n; pre++ {
 		post := pre

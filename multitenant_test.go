@@ -10,8 +10,8 @@ import (
 	"sync"
 	"testing"
 
-	"encshare/internal/minisql"
 	"encshare/internal/server"
+	"encshare/internal/store"
 	"encshare/internal/xmldoc"
 )
 
@@ -28,7 +28,7 @@ func buildTenant(t *testing.T, seed int64, nodes int) (*Keys, *Database) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	db, err := CreateDatabase(minisql.FreshDSN())
+	db, err := CreateDatabase(store.FreshDSN())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +176,7 @@ func TestEndToEndLiveReplicaJoin(t *testing.T) {
 	var addrs []string
 	var listeners []*killableListener
 	serveShard := func(si int) *killableListener {
-		shardDB, err := CreateDatabase(minisql.FreshDSN())
+		shardDB, err := CreateDatabase(store.FreshDSN())
 		if err != nil {
 			t.Fatal(err)
 		}

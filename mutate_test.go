@@ -11,8 +11,8 @@ import (
 
 	"encshare/internal/cluster"
 	"encshare/internal/filter"
-	"encshare/internal/minisql"
 	"encshare/internal/rmi"
+	"encshare/internal/store"
 )
 
 // encodeFresh encodes xml into a fresh database with the given keys.
@@ -22,7 +22,7 @@ import (
 // share table, polynomials included.
 func encodeFresh(t *testing.T, keys *Keys, xml string) *Database {
 	t.Helper()
-	db, err := CreateDatabase(minisql.FreshDSN())
+	db, err := CreateDatabase(store.FreshDSN())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,6 +166,54 @@ func TestMutateGoldOracle(t *testing.T) {
 			}
 		}
 		os.Close()
+	}
+}
+
+// TestEngineV2ReplicaDumpIdentity: two replicas hydrated from one dump
+// and driven through the same mutation sequence via the full pipeline
+// must produce byte-identical dump files — the property that lets
+// replicated shards skip a consistency protocol.
+func TestEngineV2ReplicaDumpIdentity(t *testing.T) {
+	keys, err := GenerateKeys(Params{P: 83}, testNames(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var img bytes.Buffer
+	if err := encodeFresh(t, keys, testXML).DumpTo(&img); err != nil {
+		t.Fatal(err)
+	}
+
+	mutate := func(which string) []byte {
+		db, err := CreateDatabase(store.FreshDSN())
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { db.Close() })
+		if err := db.LoadFrom(bytes.NewReader(img.Bytes())); err != nil {
+			t.Fatal(err)
+		}
+		s := OpenLocal(keys, db)
+		defer s.Close()
+		if _, err := s.Insert(3, "item"); err != nil {
+			t.Fatalf("%s: insert: %v", which, err)
+		}
+		if err := s.Update(6, "city"); err != nil {
+			t.Fatalf("%s: update: %v", which, err)
+		}
+		if err := s.Delete(9); err != nil {
+			t.Fatalf("%s: delete: %v", which, err)
+		}
+		var out bytes.Buffer
+		if err := db.DumpTo(&out); err != nil {
+			t.Fatal(err)
+		}
+		return out.Bytes()
+	}
+
+	a := mutate("replica a")
+	b := mutate("replica b")
+	if !bytes.Equal(a, b) {
+		t.Fatalf("replica dumps differ after identical mutations: %d vs %d bytes", len(a), len(b))
 	}
 }
 
@@ -374,7 +422,7 @@ func TestMutateCluster(t *testing.T) {
 		if err := db.DumpShard(&dump, r); err != nil {
 			t.Fatal(err)
 		}
-		shardDB, err := CreateDatabase(minisql.FreshDSN())
+		shardDB, err := CreateDatabase(store.FreshDSN())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -488,7 +536,7 @@ func TestPartialCommitParksAndRepairs(t *testing.T) {
 		if err := db.DumpShard(&dump, r); err != nil {
 			t.Fatal(err)
 		}
-		sdb, err := CreateDatabase(minisql.FreshDSN())
+		sdb, err := CreateDatabase(store.FreshDSN())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -15,9 +15,9 @@ import (
 	"sync"
 	"testing"
 
-	"encshare/internal/minisql"
 	"encshare/internal/obs"
 	"encshare/internal/server"
+	"encshare/internal/store"
 	"encshare/internal/xmldoc"
 )
 
@@ -32,7 +32,7 @@ func tracedCluster(t *testing.T, shards, replicas int) (*Session, *Session) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	db, err := CreateDatabase(minisql.FreshDSN())
+	db, err := CreateDatabase(store.FreshDSN())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +51,7 @@ func tracedCluster(t *testing.T, shards, replicas int) (*Session, *Session) {
 			t.Fatal(err)
 		}
 		for j := 0; j < replicas; j++ {
-			shardDB, err := CreateDatabase(minisql.FreshDSN())
+			shardDB, err := CreateDatabase(store.FreshDSN())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -175,7 +175,7 @@ func TestMetricsExposition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	db, err := CreateDatabase(minisql.FreshDSN())
+	db, err := CreateDatabase(store.FreshDSN())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +195,7 @@ func TestMetricsExposition(t *testing.T) {
 		if err := db.DumpShard(&dump, r); err != nil {
 			t.Fatal(err)
 		}
-		shardDB, err := CreateDatabase(minisql.FreshDSN())
+		shardDB, err := CreateDatabase(store.FreshDSN())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -319,7 +319,7 @@ func TestMetricsExposition(t *testing.T) {
 	if leaseLine == nil || leaseLine[1] == "0" {
 		t.Errorf("encshare_lease_acquires_total did not move after the insert (%v)", leaseLine)
 	}
-	// The queries read heap pages through the v2 buffer pool: the hit
+	// The queries read heap pages through the store's buffer pool: the hit
 	// counter must have moved, and with the table far smaller than the
 	// pool nothing should have been evicted.
 	poolHits := regexp.MustCompile(`encshare_pool_hits_total\{tenant="auction"\} ([0-9]+)`).FindStringSubmatch(body)
