@@ -278,67 +278,58 @@ func TestAggregateClusterEndToEnd(t *testing.T) {
 }
 
 // TestMultiTenantAggregateStats: aggregate frames are counted per
-// tenant, for both the segmented (default) and shared cache layouts —
-// one tenant's folds never move another tenant's counter.
+// tenant — one tenant's folds never move another tenant's counter.
 func TestMultiTenantAggregateStats(t *testing.T) {
-	for _, layout := range []struct {
-		name string
-		cfg  server.Config
-	}{
-		{"segmented", server.Config{CacheBudget: 8192, Default: "auction"}},
-		{"shared", server.Config{CacheBudget: 8192, SharedCache: true, Default: "auction"}},
-	} {
-		t.Run(layout.name, func(t *testing.T) {
-			aKeys, aDB := buildTenant(t, 303, 300)
-			bKeys, bDB := buildTenant(t, 404, 300)
-			rt := server.New(layout.cfg)
-			if err := rt.AttachStore(server.Tenant{Name: "auction", P: 83, CacheEntries: 2048}, aDB.st); err != nil {
-				t.Fatal(err)
-			}
-			if err := rt.AttachStore(server.Tenant{Name: "books", P: 83, CacheEntries: 2048}, bDB.st); err != nil {
-				t.Fatal(err)
-			}
-			l, err := net.Listen("tcp", "127.0.0.1:0")
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer l.Close()
-			go rt.Serve(l)
+	t.Run("segmented", func(t *testing.T) {
+		aKeys, aDB := buildTenant(t, 303, 300)
+		bKeys, bDB := buildTenant(t, 404, 300)
+		rt := server.New(server.Config{CacheBudget: 8192, Default: "auction"})
+		if err := rt.AttachStore(server.Tenant{Name: "auction", P: 83, CacheEntries: 2048}, aDB.st); err != nil {
+			t.Fatal(err)
+		}
+		if err := rt.AttachStore(server.Tenant{Name: "books", P: 83, CacheEntries: 2048}, bDB.st); err != nil {
+			t.Fatal(err)
+		}
+		l, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer l.Close()
+		go rt.Serve(l)
 
-			aSess, err := DialWith(aKeys, l.Addr().String(), DialOptions{Tenant: "auction"})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer aSess.Close()
-			bSess, err := DialWith(bKeys, l.Addr().String(), DialOptions{Tenant: "books"})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer bSess.Close()
+		aSess, err := DialWith(aKeys, l.Addr().String(), DialOptions{Tenant: "auction"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer aSess.Close()
+		bSess, err := DialWith(bKeys, l.Addr().String(), DialOptions{Tenant: "books"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer bSess.Close()
 
-			// Tenant A folds twice, tenant B three times: the counters
-			// must land exactly, on the right tenants.
-			for i := 0; i < 2; i++ {
-				if _, err := aSess.Aggregate("//item", AggSum); err != nil {
-					t.Fatal(err)
-				}
-			}
-			for i := 0; i < 3; i++ {
-				if _, err := bSess.Aggregate("//item", AggCount); err != nil {
-					t.Fatal(err)
-				}
-			}
-			aStats, err := aSess.ServerStats()
-			if err != nil {
+		// Tenant A folds twice, tenant B three times: the counters
+		// must land exactly, on the right tenants.
+		for i := 0; i < 2; i++ {
+			if _, err := aSess.Aggregate("//item", AggSum); err != nil {
 				t.Fatal(err)
 			}
-			bStats, err := bSess.ServerStats()
-			if err != nil {
+		}
+		for i := 0; i < 3; i++ {
+			if _, err := bSess.Aggregate("//item", AggCount); err != nil {
 				t.Fatal(err)
 			}
-			if aStats.Aggregates != 2 || bStats.Aggregates != 3 {
-				t.Fatalf("per-tenant Aggregates = %d/%d, want 2/3", aStats.Aggregates, bStats.Aggregates)
-			}
-		})
-	}
+		}
+		aStats, err := aSess.ServerStats()
+		if err != nil {
+			t.Fatal(err)
+		}
+		bStats, err := bSess.ServerStats()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if aStats.Aggregates != 2 || bStats.Aggregates != 3 {
+			t.Fatalf("per-tenant Aggregates = %d/%d, want 2/3", aStats.Aggregates, bStats.Aggregates)
+		}
+	})
 }

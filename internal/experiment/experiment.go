@@ -1,13 +1,15 @@
 // Package experiment regenerates every table and figure of the paper's
 // evaluation (§6) plus the in-text claims of §4, against the same XMark
 // workload (Appendix A DTD, p = 83, e = 1). Each experiment returns a
-// Table that prints like the paper's figures; EXPERIMENTS.md records a
-// reference run next to the paper's numbers.
+// Table that prints like the paper's figures, and every query answer
+// behind a figure is checked against the plaintext oracle by answer set.
+// EXPERIMENTS.md records a reference run next to the paper's numbers.
 package experiment
 
 import (
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 	"time"
 
@@ -25,13 +27,12 @@ import (
 	"encshare/internal/xpath"
 )
 
-// Table is a printable experiment result; it also serializes directly
-// into encshare-bench's -json report.
+// Table is a printable experiment result.
 type Table struct {
-	Title  string     `json:"title"`
-	Header []string   `json:"header"`
-	Rows   [][]string `json:"rows"`
-	Notes  []string   `json:"notes,omitempty"`
+	Title  string
+	Header []string
+	Rows   [][]string
+	Notes  []string
 }
 
 // Fprint renders the table with aligned columns.
@@ -169,6 +170,23 @@ var Table2Queries = []string{
 	"/site/*/person//city",
 	"/*/*/open_auction/bidder/date",
 	"//bidder/date",
+}
+
+// checkAnswer fails unless res, eng's answer to q under test, is
+// exactly the plaintext oracle's answer set: equality matches a node's
+// own tag, containment a tag anywhere in its subtree.
+func checkAnswer(env *Env, eng engine.Engine, q *xpath.Query, test engine.Test, res engine.Result) error {
+	mode := xpath.MatchContain
+	if test == engine.Equality {
+		mode = xpath.MatchEqual
+	}
+	got := slices.Clone(res.Pres)
+	slices.Sort(got)
+	if want := xpath.Pres(env.Oracle.Eval(q, mode)); !slices.Equal(got, want) {
+		return fmt.Errorf("experiment: %s engine, %s test, %s: answer (%d nodes) differs from the oracle's (%d nodes)",
+			eng.Name(), test, q, len(got), len(want))
+	}
+	return nil
 }
 
 func mb(b int64) string { return fmt.Sprintf("%.2f", float64(b)/1e6) }

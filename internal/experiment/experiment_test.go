@@ -259,45 +259,28 @@ func TestTableFprint(t *testing.T) {
 	}
 }
 
-func TestMutateShape(t *testing.T) {
-	tb, err := Mutate(MutateConfig{Ops: 2, Scale: 0.02, Seed: 7})
+// A wrong answer of the right size must fail the oracle check, which a
+// comparison of sizes alone would pass.
+func TestCheckAnswerRejectsSwappedPre(t *testing.T) {
+	env := testEnv(t)
+	q, err := parseQuery(Table2Queries[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	// One row per operation class plus the two concurrent-session
-	// group-commit arms (coalescing on/off).
-	if len(tb.Rows) != len(mutateClasses)+2 {
-		t.Fatalf("rows = %d, want one per class (%d) + 2 group-commit arms", len(tb.Rows), len(mutateClasses))
+	res, err := env.Simple.Run(q, engine.Equality)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i, class := range mutateClasses {
-		if cell(t, tb, i, 0) != class {
-			t.Errorf("row %d is %q, want %q", i, cell(t, tb, i, 0), class)
-		}
-		if cell(t, tb, i, 1) != "2" {
-			t.Errorf("row %d ops = %q, want 2", i, cell(t, tb, i, 1))
-		}
-		// Every arm produced a timing (any parse failure fails here).
-		for col := 2; col <= 4; col++ {
-			if cellF(t, tb, i, col) < 0 {
-				t.Errorf("row %d col %d negative", i, col)
-			}
-		}
+	if err := checkAnswer(env, env.Simple, q, engine.Equality, res); err != nil {
+		t.Fatalf("correct answer rejected: %v", err)
 	}
-	// The group-commit arms run only the tcp+wal deployment: 8 sessions
-	// × Ops appends each, placeholder cells for the other columns.
-	for off, label := range []string{"(group commit)", "(fsync per append)"} {
-		i := len(mutateClasses) + off
-		if !strings.Contains(cell(t, tb, i, 0), label) {
-			t.Errorf("row %d is %q, want %q arm", i, cell(t, tb, i, 0), label)
-		}
-		if cell(t, tb, i, 1) != "16" {
-			t.Errorf("row %d ops = %q, want 16 (8 sessions × 2)", i, cell(t, tb, i, 1))
-		}
-		if cell(t, tb, i, 2) != "-" || cell(t, tb, i, 3) != "-" {
-			t.Errorf("row %d local/tcp cells = %q/%q, want placeholders", i, cell(t, tb, i, 2), cell(t, tb, i, 3))
-		}
-		if cellF(t, tb, i, 4) < 0 {
-			t.Errorf("row %d tcp+wal negative", i)
-		}
+	if len(res.Pres) == 0 {
+		t.Fatal("query has an empty answer; nothing to swap")
+	}
+	// Swap one pre for the root's, which this query never selects.
+	bad := engine.Result{Pres: append([]int64{}, res.Pres...)}
+	bad.Pres[len(bad.Pres)-1] = env.Doc.Root.Pre
+	if err := checkAnswer(env, env.Simple, q, engine.Equality, bad); err == nil {
+		t.Fatal("same-size answer with one pre swapped passed the oracle check")
 	}
 }

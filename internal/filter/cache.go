@@ -171,11 +171,10 @@ func (c *polyCache) counters() (hits, misses int64) {
 	return c.hits.Load(), c.misses.Load()
 }
 
-// PolyCache is the exported handle to a decoded-polynomial cache. The
-// server runtime owns cache objects — one per tenant when quotas
-// partition the global budget, or a single shared one when they do not
-// — and hands them to the filters it builds; filters without an
-// injected cache still create a private one (NewServerFilter).
+// PolyCache is the exported handle to a decoded-polynomial cache, for
+// a caller that builds a filter around a cache it owns
+// (ServerOptions.Cache); filters without an injected cache create a
+// private one of ServerOptions.CacheSize entries.
 type PolyCache struct{ c *polyCache }
 
 // NewPolyCache creates a cache bounded to the given number of decoded

@@ -82,20 +82,16 @@ type ServerFilter struct {
 	aggregates atomic.Int64
 
 	cache *polyCache
-	// keyBase namespaces this filter's entries inside a cache shared
-	// with other filters (tenants): cache keys are keyBase+pre.
-	keyBase int64
 	// Per-filter cache traffic. The cache's own counters aggregate
-	// every filter sharing it; these stay tenant-local so ServerStats
-	// isolation holds under any cache layout.
+	// every filter using it; these stay filter-local, so ServerStats
+	// counts only this filter's lookups.
 	cacheHits   atomic.Int64
 	cacheMisses atomic.Int64
 }
 
 // ServerOptions tunes a server filter beyond the defaults: an injected
-// (possibly shared) decoded-polynomial cache with a key namespace, and
-// the batch worker-pool bound. The zero value matches
-// NewServerFilter(st, r, 0).
+// decoded-polynomial cache and the batch worker-pool bound. The zero
+// value matches NewServerFilter(st, r, 0).
 type ServerOptions struct {
 	// Cache is the decoded-polynomial cache to use. Nil means a private
 	// cache of CacheSize entries.
@@ -103,11 +99,6 @@ type ServerOptions struct {
 	// CacheSize bounds the private cache when Cache is nil (<= 0
 	// disables caching).
 	CacheSize int
-	// CacheKeyBase offsets this filter's cache keys, so filters of
-	// different tenants can share one cache without colliding on equal
-	// pre values. Must leave the pre range unshifted within an offset
-	// window (the runtime spaces tenants 2^44 apart).
-	CacheKeyBase int64
 	// Workers bounds the batch worker pool (0 = number of CPUs).
 	Workers int
 }
@@ -127,7 +118,7 @@ func NewServerFilterWith(st *store.Store, r *ring.Ring, opts ServerOptions) *Ser
 	if opts.Cache != nil {
 		cache = opts.Cache.c
 	}
-	sf := &ServerFilter{st: st, r: r, cache: cache, keyBase: opts.CacheKeyBase}
+	sf := &ServerFilter{st: st, r: r, cache: cache}
 	if opts.Workers > 0 {
 		sf.workers = opts.Workers
 	}
@@ -251,7 +242,7 @@ func (s *ServerFilter) Descendants(pre, post int64) ([]NodeMeta, error) {
 }
 
 func (s *ServerFilter) serverPoly(pre int64) (ring.Poly, error) {
-	if p, ok := s.cache.get(s.keyBase + pre); ok {
+	if p, ok := s.cache.get(pre); ok {
 		s.cacheHits.Add(1)
 		return p, nil
 	}
@@ -265,7 +256,7 @@ func (s *ServerFilter) serverPoly(pre int64) (ring.Poly, error) {
 		return nil, decodeErr(pre, err)
 	}
 	s.decodes.Add(1)
-	s.cache.put(s.keyBase+pre, p)
+	s.cache.put(pre, p)
 	return p, nil
 }
 

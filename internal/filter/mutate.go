@@ -673,9 +673,8 @@ func (sf *ServerFilter) applyPatch(op RowOp) error {
 	})
 }
 
-// purgeCache drops every decoded polynomial after a mutation. With a
-// shared multi-tenant cache this also evicts other tenants' entries —
-// wasteful but safe, and mutations are rare next to reads.
+// purgeCache drops every decoded polynomial after a mutation; mutations
+// are rare next to reads.
 func (sf *ServerFilter) purgeCache() {
 	if sf.cache != nil {
 		sf.cache.purge()

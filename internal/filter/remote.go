@@ -40,7 +40,7 @@ const (
 	methodPreRange             = "filter.PreRange"
 
 	// v4 addition: server-side work counters (cache hits/misses, blob
-	// decodes, evaluations) for the compute experiments.
+	// decodes, evaluations), read by Session.ServerStats and tracing.
 	methodServerStats = "filter.ServerStats"
 
 	// v5 addition: server-side aggregate folds (see aggregate.go). The

@@ -185,11 +185,11 @@ func (f *Field) Neg(a Elem) Elem {
 const maxDeg = 20
 
 // Mul returns a * b in O(1): the native widening-multiply-and-reduce
-// for prime fields (which beats two table loads on modern cores — the
-// compute experiment measures both), the log/exp tables for extension
-// fields (where it replaces a schoolbook convolution). Bulk evaluation
-// loops use the tables for every field via Tables(), where the log of a
-// loop-invariant operand is hoisted and the table genuinely wins.
+// for prime fields (which beats two table loads on modern cores), the
+// log/exp tables for extension fields (where it replaces a schoolbook
+// convolution). Bulk evaluation loops use the tables for every field
+// via Tables(), where the log of a loop-invariant operand is hoisted
+// and the table genuinely wins.
 func (f *Field) Mul(a, b Elem) Elem {
 	if f.e == 1 {
 		return Elem(uint64(a) * uint64(b) % uint64(f.p))
@@ -274,24 +274,9 @@ func (f *Field) Inv(a Elem) Elem {
 	return f.Tables().Inv(a)
 }
 
-// InvGeneric is the table-free Fermat inverse a^(q-2), retained as the
-// property-test oracle for the table path.
-func (f *Field) InvGeneric(a Elem) Elem {
-	if a == 0 {
-		panic("gf: inverse of zero")
-	}
-	return f.PowGeneric(a, uint64(f.q)-2)
-}
-
 // Div returns a / b via one table lookup. Panics if b == 0.
 func (f *Field) Div(a, b Elem) Elem {
 	return f.Tables().Div(a, b)
-}
-
-// DivGeneric is the table-free division, retained as the property-test
-// oracle for the table path.
-func (f *Field) DivGeneric(a, b Elem) Elem {
-	return f.MulGeneric(a, f.InvGeneric(b))
 }
 
 // isPrime is a deterministic primality test adequate for p <= MaxQ.

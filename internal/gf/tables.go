@@ -22,9 +22,9 @@ import (
 // only ever adds (or is merely constructed to read its dimensions) never
 // pays the O(q) build or the O(q) memory. Once built they are immutable
 // and shared by all goroutines. The pre-table schoolbook/Fermat
-// implementations survive as MulGeneric/InvGeneric/PowGeneric/DivGeneric:
-// they are the property-test oracle and the fallback used while the
-// tables are being built.
+// implementations survive as MulGeneric/PowGeneric (plus InvGeneric and
+// DivGeneric in tables_test.go): they are the property-test oracle and
+// the fallback used while the tables are being built.
 type Tables struct {
 	// Log maps a nonzero element to its discrete log in [0, N).
 	// Log[0] is a sentinel and must never be read: callers guard with

@@ -177,3 +177,18 @@ func TestTablesConcurrentBuild(t *testing.T) {
 		}
 	}
 }
+
+// InvGeneric is the table-free Fermat inverse a^(q-2), retained as the
+// property-test oracle for the table path.
+func (f *Field) InvGeneric(a Elem) Elem {
+	if a == 0 {
+		panic("gf: inverse of zero")
+	}
+	return f.PowGeneric(a, uint64(f.q)-2)
+}
+
+// DivGeneric is the table-free division, retained as the property-test
+// oracle for the table path.
+func (f *Field) DivGeneric(a, b Elem) Elem {
+	return f.MulGeneric(a, f.InvGeneric(b))
+}

@@ -1,9 +1,9 @@
 // Allocation-free radix-q polynomial codec.
 //
 // The storage format is unchanged from the big.Int implementation it
-// replaces (retained below as BytesBig/FromBytesBig, the property-test
-// oracle): a polynomial packs as the base-q integer Σ c_i·q^i written
-// big-endian into exactly PolyBytes() bytes. The rewrite changes only
+// replaces (retained in limb_test.go as BytesBig/FromBytesBig, the
+// property-test oracle): a polynomial packs as the base-q integer
+// Σ c_i·q^i written big-endian into exactly PolyBytes() bytes. The rewrite changes only
 // how that integer is computed:
 //
 //   - the multiprecision value lives in a fixed-width little-endian
@@ -20,7 +20,6 @@ package ring
 
 import (
 	"fmt"
-	"math/big"
 	"math/bits"
 
 	"encshare/internal/gf"
@@ -142,41 +141,4 @@ func (r *Ring) DecodeInto(dst Poly, b []byte) error {
 	}
 	r.putLimbs(ls)
 	return nil
-}
-
-// BytesBig is the original big.Int radix-q encoder, byte-for-byte
-// identical to Bytes. Retained as the property-test oracle and the
-// compute experiment's baseline.
-func (r *Ring) BytesBig(p Poly) []byte {
-	acc := new(big.Int)
-	tmp := new(big.Int)
-	for i := r.n - 1; i >= 0; i-- {
-		acc.Mul(acc, r.qBig)
-		tmp.SetUint64(uint64(p[i]))
-		acc.Add(acc, tmp)
-	}
-	out := make([]byte, r.polyBytes)
-	acc.FillBytes(out)
-	return out
-}
-
-// FromBytesBig is the original big.Int decoder matching BytesBig,
-// retained as the property-test oracle and the compute experiment's
-// baseline.
-func (r *Ring) FromBytesBig(b []byte) (Poly, error) {
-	if len(b) != r.polyBytes {
-		return nil, fmt.Errorf("ring: polynomial blob is %d bytes, want %d", len(b), r.polyBytes)
-	}
-	acc := new(big.Int).SetBytes(b)
-	mod := new(big.Int)
-	p := make(Poly, r.n)
-	for i := 0; i < r.n; i++ {
-		acc.DivMod(acc, r.qBig, mod)
-		v := mod.Uint64()
-		p[i] = gf.Elem(v)
-	}
-	if acc.Sign() != 0 {
-		return nil, fmt.Errorf("ring: polynomial blob out of range")
-	}
-	return p, nil
 }

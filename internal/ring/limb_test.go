@@ -2,6 +2,8 @@ package ring
 
 import (
 	"bytes"
+	"fmt"
+	"math/big"
 	"math/rand"
 	"testing"
 
@@ -213,4 +215,41 @@ func FuzzPolyCodec(f *testing.F) {
 			t.Fatal("re-encode does not reproduce the blob")
 		}
 	})
+}
+
+// BytesBig is the original big.Int radix-q encoder, byte-for-byte
+// identical to Bytes, retained as the property-test oracle.
+func (r *Ring) BytesBig(p Poly) []byte {
+	q := big.NewInt(int64(r.q32))
+	acc := new(big.Int)
+	tmp := new(big.Int)
+	for i := r.n - 1; i >= 0; i-- {
+		acc.Mul(acc, q)
+		tmp.SetUint64(uint64(p[i]))
+		acc.Add(acc, tmp)
+	}
+	out := make([]byte, r.polyBytes)
+	acc.FillBytes(out)
+	return out
+}
+
+// FromBytesBig is the original big.Int decoder matching BytesBig,
+// retained as the property-test oracle.
+func (r *Ring) FromBytesBig(b []byte) (Poly, error) {
+	if len(b) != r.polyBytes {
+		return nil, fmt.Errorf("ring: polynomial blob is %d bytes, want %d", len(b), r.polyBytes)
+	}
+	q := big.NewInt(int64(r.q32))
+	acc := new(big.Int).SetBytes(b)
+	mod := new(big.Int)
+	p := make(Poly, r.n)
+	for i := 0; i < r.n; i++ {
+		acc.DivMod(acc, q, mod)
+		v := mod.Uint64()
+		p[i] = gf.Elem(v)
+	}
+	if acc.Sign() != 0 {
+		return nil, fmt.Errorf("ring: polynomial blob out of range")
+	}
+	return p, nil
 }

@@ -55,7 +55,6 @@ type Ring struct {
 	// serialization support: polynomials are packed as a base-q integer
 	// occupying polyBytes bytes, the paper's (q−1)·log2(q) bits (§4).
 	polyBytes int
-	qBig      *big.Int
 
 	// limb codec geometry (see limb.go): values occupy `limbs` uint64
 	// words; `chunk` is the largest k with q^k ≤ 2^63 and qpow[g] = q^g.
@@ -80,9 +79,9 @@ func New(f *gf.Field) (*Ring, error) {
 		return nil, fmt.Errorf("ring: field order %d too small (need q >= 3)", f.Q())
 	}
 	n := int(f.Q() - 1)
-	r := &Ring{f: f, n: n, q32: f.Q(), prime: f.E() == 1, qBig: big.NewInt(int64(f.Q())), sampler: prg.NewSampler(f.Q())}
+	r := &Ring{f: f, n: n, q32: f.Q(), prime: f.E() == 1, sampler: prg.NewSampler(f.Q())}
 	// polyBytes = bytes needed for the largest packed value q^n - 1.
-	max := new(big.Int).Exp(r.qBig, big.NewInt(int64(n)), nil)
+	max := new(big.Int).Exp(big.NewInt(int64(f.Q())), big.NewInt(int64(n)), nil)
 	max.Sub(max, big.NewInt(1))
 	r.polyBytes = (max.BitLen() + 7) / 8
 	r.limbs = (r.polyBytes + 7) / 8

@@ -9,13 +9,12 @@
 // The filter package stays pure: a ServerFilter evaluates queries
 // against one store and knows nothing about listeners, tenants, or
 // cache budgets. The runtime builds one filter per tenant, hands each
-// a cache carved from the shared global budget (per-tenant segments by
-// default, so one tenant's scan cannot evict another's hot set; one
-// shared cache when quotas are disabled), and registers the filter's
-// RMI methods under the tenant's name. Calls carrying no tenant — from
-// pre-tenant client binaries, whose frames decode identically — route
-// to the designated default tenant, so a single-tenant deployment
-// upgrades in place.
+// its own cache sized by the tenant's quota under the global budget (so
+// one tenant's scan cannot evict another's hot set), and registers the
+// filter's RMI methods under the tenant's name. Calls carrying no
+// tenant — from pre-tenant client binaries, whose frames decode
+// identically — route to the designated default tenant, so a
+// single-tenant deployment upgrades in place.
 package server
 
 import (
@@ -58,10 +57,6 @@ const (
 // gets when neither it nor the runtime budget says otherwise — the same
 // default a standalone single-tenant server always had.
 const DefaultCacheEntries = 4096
-
-// tenantKeySpacing separates tenants' key ranges inside a shared cache:
-// pre values are dense encoder-assigned positions, far below 2^44.
-const tenantKeySpacing = int64(1) << 44
 
 // unnamedKey is the rmi registry key of the unnamed (legacy
 // single-tenant) tenant. It must NOT be the empty string: the empty
@@ -123,10 +118,6 @@ type Tenant struct {
 	// Nil means the real filesystem (wal.OS); tests install
 	// internal/iofault to inject disk faults deterministically.
 	FS wal.FS
-	// WALPerAppendSync disables group-commit coalescing: every journaled
-	// batch pays its own fdatasync. The pre-group-commit baseline, kept
-	// for the mutation experiment's comparison arm.
-	WALPerAppendSync bool
 	// PoolPages bounds the tenant's buffer pool. Zero derives a quota
 	// from CacheEntries (see poolPages). Ignored by AttachStore, where
 	// the caller already opened the store.
@@ -170,12 +161,6 @@ type Config struct {
 	// fails — the enforcement that keeps one tenant from starving the
 	// others of cache memory.
 	CacheBudget int
-	// SharedCache disables per-tenant cache segmentation: every tenant
-	// draws on one cache of CacheBudget entries (quotas "off"). Key
-	// namespacing keeps correctness; isolation is gone — a noisy
-	// tenant can evict its neighbors' hot sets. Kept for the
-	// tenant-isolation experiment and as an explicit opt-out.
-	SharedCache bool
 	// Default names the tenant that calls without a tenant header route
 	// to. Empty means the first attached tenant becomes the default.
 	Default string
@@ -187,9 +172,8 @@ type tenantState struct {
 	dsn   string // fresh DSN to drop, when the runtime opened the store
 	owned bool
 	sf    *filter.ServerFilter
-	mut   *filter.Mutable   // always set: the registered (writable) API
-	log   *wal.Log          // nil when cfg.WALDir is empty
-	cache *filter.PolyCache // nil when drawing on the shared cache
+	mut   *filter.Mutable // always set: the registered (writable) API
+	log   *wal.Log        // nil when cfg.WALDir is empty
 
 	// lastWrite is the UnixNano stamp of the last applied batch, read by
 	// the idle-compaction loop (0 = nothing written this process life).
@@ -205,8 +189,6 @@ type Runtime struct {
 
 	mu      sync.Mutex
 	tenants map[string]*tenantState
-	slots   int64 // next shared-cache key-namespace slot
-	shared  *filter.PolyCache
 	dflt    string
 	l       net.Listener
 	reg     *obs.Registry // created lazily by Metrics
@@ -221,13 +203,6 @@ type Runtime struct {
 // methods (tenant resolution and listing).
 func New(cfg Config) *Runtime {
 	rt := &Runtime{cfg: cfg, srv: rmi.NewServer(), tenants: map[string]*tenantState{}}
-	if cfg.SharedCache {
-		size := cfg.CacheBudget
-		if size == 0 {
-			size = DefaultCacheEntries
-		}
-		rt.shared = filter.NewPolyCache(size)
-	}
 	rmi.HandleFunc(rt.srv, methodResolveTenant, func(name []byte) ([]byte, error) {
 		resolved, err := rt.resolve(string(name))
 		return []byte(resolved), err
@@ -401,23 +376,14 @@ func (rt *Runtime) attach(t Tenant, st *store.Store, dsn string, owned bool, las
 		rt.mu.Unlock()
 		return fmt.Errorf("server: tenant %q already attached", t.Name)
 	}
-	if rt.cfg.CacheBudget > 0 && !rt.cfg.SharedCache && t.quota() > rt.budgetLeft(t.Name) {
+	if rt.cfg.CacheBudget > 0 && t.quota() > rt.budgetLeft(t.Name) {
 		left := rt.budgetLeft(t.Name)
 		rt.mu.Unlock()
 		return fmt.Errorf("server: tenant %q cache quota %d exceeds remaining budget %d (global budget %d)",
 			t.Name, t.quota(), left, rt.cfg.CacheBudget)
 	}
-	opts := filter.ServerOptions{Workers: t.Workers}
 	ts := &tenantState{cfg: t, st: st, dsn: dsn, owned: owned}
-	if rt.shared != nil {
-		opts.Cache = rt.shared
-		opts.CacheKeyBase = rt.slots * tenantKeySpacing
-		rt.slots++
-	} else {
-		ts.cache = filter.NewPolyCache(t.quota())
-		opts.Cache = ts.cache
-	}
-	ts.sf = filter.NewServerFilterWith(st, r, opts)
+	ts.sf = filter.NewServerFilterWith(st, r, filter.ServerOptions{Workers: t.Workers, CacheSize: t.quota()})
 	// The journal and compact hooks close over lg, which is assigned
 	// only after wal.OpenAt returns: recovery replays through the
 	// Mutable (below) but never journals or compacts, so the hooks fire
@@ -485,7 +451,6 @@ func (rt *Runtime) attach(t Tenant, st *store.Store, dsn string, owned bool, las
 		}
 		lg = l
 		ts.log = lg
-		lg.SetCoalesce(!t.WALPerAppendSync)
 		lg.SetSyncObserver(func(d time.Duration) {
 			if h := rt.fsyncH.Load(); h != nil {
 				h.Observe(d)
@@ -782,7 +747,7 @@ func (rt *Runtime) PoolStats() map[string]store.PoolStats {
 }
 
 // Stats returns every tenant's server-side work counters, keyed by
-// tenant name — isolated per tenant even when the cache is shared.
+// tenant name.
 func (rt *Runtime) Stats() map[string]filter.ServerStats {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()

@@ -158,56 +158,53 @@ func TestRuntimeServesTwoTenants(t *testing.T) {
 func TestRuntimeStatsIsolated(t *testing.T) {
 	alpha := newTenantFixture(t, alphaXML, "seed-alpha")
 	beta := newTenantFixture(t, betaXML, "seed-beta")
-	for _, shared := range []bool{false, true} {
-		name := map[bool]string{false: "segmented", true: "shared-cache"}[shared]
-		t.Run(name, func(t *testing.T) {
-			rt := server.New(server.Config{CacheBudget: 1024, SharedCache: shared})
-			if err := rt.AttachStore(server.Tenant{Name: "alpha", P: 83, CacheEntries: 512}, alpha.st); err != nil {
-				t.Fatal(err)
-			}
-			if err := rt.AttachStore(server.Tenant{Name: "beta", P: 83, CacheEntries: 512}, beta.st); err != nil {
-				t.Fatal(err)
-			}
-			ac, _ := runtimeClient(t, rt, "alpha", alpha)
-			bc, _ := runtimeClient(t, rt, "beta", beta)
-			// Interleaved load: alpha evaluates twice per node (miss
-			// then hit), beta once (all misses).
-			mustContain(t, ac, "europe", alpha.m, true)
-			mustContain(t, bc, "book", beta.m, true)
-			mustContain(t, ac, "europe", alpha.m, true)
+	t.Run("segmented", func(t *testing.T) {
+		rt := server.New(server.Config{CacheBudget: 1024})
+		if err := rt.AttachStore(server.Tenant{Name: "alpha", P: 83, CacheEntries: 512}, alpha.st); err != nil {
+			t.Fatal(err)
+		}
+		if err := rt.AttachStore(server.Tenant{Name: "beta", P: 83, CacheEntries: 512}, beta.st); err != nil {
+			t.Fatal(err)
+		}
+		ac, _ := runtimeClient(t, rt, "alpha", alpha)
+		bc, _ := runtimeClient(t, rt, "beta", beta)
+		// Interleaved load: alpha evaluates twice per node (miss
+		// then hit), beta once (all misses).
+		mustContain(t, ac, "europe", alpha.m, true)
+		mustContain(t, bc, "book", beta.m, true)
+		mustContain(t, ac, "europe", alpha.m, true)
 
-			stats := rt.Stats()
-			as, bs := stats["alpha"], stats["beta"]
-			if as.Evals != 2 || bs.Evals != 1 {
-				t.Errorf("evals alpha=%d beta=%d, want 2/1", as.Evals, bs.Evals)
-			}
-			if as.CacheHits != 1 || as.CacheMisses != 1 {
-				t.Errorf("alpha cache hits/misses = %d/%d, want 1/1", as.CacheHits, as.CacheMisses)
-			}
-			if bs.CacheHits != 0 || bs.CacheMisses != 1 {
-				t.Errorf("beta cache hits/misses = %d/%d, want 0/1 (alpha's traffic leaked)", bs.CacheHits, bs.CacheMisses)
-			}
-			// The wire-level StatsAPI sees the same isolation.
-			aws, err := ac.ServerStats()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if aws != as {
-				t.Errorf("wire stats %+v != runtime stats %+v", aws, as)
-			}
-			// A tenantless (pre-tenant) client reads the default
-			// tenant's counters — its view is unchanged by the other
-			// tenants' existence.
-			lc, _ := runtimeClient(t, rt, "", alpha)
-			lws, err := lc.ServerStats()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if lws != as {
-				t.Errorf("legacy client stats %+v, want default tenant's %+v", lws, as)
-			}
-		})
-	}
+		stats := rt.Stats()
+		as, bs := stats["alpha"], stats["beta"]
+		if as.Evals != 2 || bs.Evals != 1 {
+			t.Errorf("evals alpha=%d beta=%d, want 2/1", as.Evals, bs.Evals)
+		}
+		if as.CacheHits != 1 || as.CacheMisses != 1 {
+			t.Errorf("alpha cache hits/misses = %d/%d, want 1/1", as.CacheHits, as.CacheMisses)
+		}
+		if bs.CacheHits != 0 || bs.CacheMisses != 1 {
+			t.Errorf("beta cache hits/misses = %d/%d, want 0/1 (alpha's traffic leaked)", bs.CacheHits, bs.CacheMisses)
+		}
+		// The wire-level StatsAPI sees the same isolation.
+		aws, err := ac.ServerStats()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if aws != as {
+			t.Errorf("wire stats %+v != runtime stats %+v", aws, as)
+		}
+		// A tenantless (pre-tenant) client reads the default
+		// tenant's counters — its view is unchanged by the other
+		// tenants' existence.
+		lc, _ := runtimeClient(t, rt, "", alpha)
+		lws, err := lc.ServerStats()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if lws != as {
+			t.Errorf("legacy client stats %+v, want default tenant's %+v", lws, as)
+		}
+	})
 }
 
 func TestRuntimeCacheBudget(t *testing.T) {

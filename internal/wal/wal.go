@@ -157,7 +157,7 @@ type Log struct {
 	stats struct {
 		appends, syncs, syncFailures atomic.Uint64
 	}
-	coalesceOff atomic.Bool // true = fsync every SyncTo (per-append baseline)
+	coalesceOff atomic.Bool // true = fsync every SyncTo (per-append baseline, tests only)
 	syncObs     atomic.Pointer[func(time.Duration)]
 }
 
@@ -253,12 +253,6 @@ func OpenAt(fsys FS, path string, replay func(payload []byte) error) (*Log, erro
 	l.synced = l.size
 	return l, nil
 }
-
-// SetCoalesce turns sync coalescing off (false) or back on (true, the
-// default). With coalescing off every SyncTo issues its own fdatasync —
-// the per-append-fsync baseline the group-commit experiment compares
-// against.
-func (l *Log) SetCoalesce(on bool) { l.coalesceOff.Store(!on) }
 
 // SetSyncObserver installs a callback invoked with the duration of
 // every fdatasync SyncTo issues (successful or not) — the runtime wires
