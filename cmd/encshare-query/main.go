@@ -34,8 +34,7 @@
 // listing them: each shard returns one folded share blob per chunk
 // (O(shards) bytes instead of O(rows)), the client completes the
 // aggregate with its regenerated shares, and a verification share
-// detects a shard returning wrong folds. Old servers downgrade to
-// client-side reconstruction automatically.
+// detects a shard returning wrong folds.
 package main
 
 import (
@@ -151,9 +150,7 @@ func main() {
 			fmt.Printf(": %s coefficients %v", label, vec)
 		}
 		fmt.Println()
-		if ar.Downgraded {
-			fmt.Println("note: server predates aggregate frames — rows were reconstructed client-side")
-		} else if ar.Verified {
+		if ar.Verified {
 			fmt.Println("verification share: OK")
 		}
 		res = encshare.Result{Pres: ar.Pres, Stats: ar.Stats}

@@ -19,10 +19,10 @@
 // -shard of every tenant concurrently, each tenant an independent
 // table with its own worker quota and decoded-polynomial cache quota
 // (carved from the manifest's cache_budget), dispatched by the tenant
-// name in each request frame. Clients that predate the tenant protocol
-// are routed to the manifest's default tenant. SIGHUP reloads the
-// manifest and attaches/detaches tenants live, without dropping the
-// other tenants' connections; SIGTERM (and SIGINT) drains gracefully —
+// name in each request frame. Clients that name no tenant are routed to
+// the manifest's default tenant. SIGHUP reloads the manifest and
+// attaches/detaches tenants live, without dropping the other tenants'
+// connections; SIGTERM (and SIGINT) drains gracefully —
 // in-flight frames complete and reply, then the process exits 0.
 //
 // Usage:

@@ -334,7 +334,8 @@ const (
 	// query costs O(steps) round-trips instead of O(candidates).
 	Batched BatchMode = iota
 	// PerCall issues one server exchange per check, as the paper's
-	// prototype did. Kept for measurement and for old servers.
+	// prototype did. Kept for measurement: it is the protocol Fig. 5/6
+	// count.
 	PerCall
 )
 
@@ -389,7 +390,7 @@ type Session struct {
 	// Writer-lease state (multi-writer coordination; see mutateWithRetry).
 	// All guarded by mutMu.
 	writerID  string        // random owner ID presented with lease requests
-	noLease   bool          // servers predate the lease frames; stay optimistic
+	noLease   bool          // a cluster shard lacks the lease frames; stay optimistic
 	leaseTTL  time.Duration // 0 = filter.DefaultLeaseTTL
 	leaseWait time.Duration // longest wait on a held lease; 0 = 2×TTL
 
@@ -410,9 +411,8 @@ func OpenLocal(keys *Keys, db *Database) *Session {
 	return s
 }
 
-// Dial starts a session against a remote encshare server. The session
-// speaks the batched protocol when the server supports it and falls back
-// to per-call exchanges otherwise.
+// Dial starts a session against a remote encshare server built from the
+// same module: the rmi frame version is the only compatibility check.
 func Dial(keys *Keys, addr string) (*Session, error) {
 	return DialWith(keys, addr, DialOptions{})
 }
@@ -420,11 +420,9 @@ func Dial(keys *Keys, addr string) (*Session, error) {
 // DialOptions tunes a single-server session.
 type DialOptions struct {
 	// Tenant names the tenant to query on a multi-tenant server. Empty
-	// routes to the server's default tenant (and stays wire-compatible
-	// with pre-tenant servers). A named tenant is verified at dial
-	// time: a server that does not host it — or predates the tenant
-	// protocol — fails the dial instead of silently answering from the
-	// wrong table.
+	// routes to the server's default tenant. A named tenant is verified
+	// at dial time: a server that does not host it fails the dial
+	// instead of silently answering from the wrong table.
 	Tenant string
 	// ClientWorkers bounds the client-side worker pool that evaluates
 	// share streams and reconstructions per engine wave (0 = number of
@@ -454,8 +452,8 @@ func DialWith(keys *Keys, addr string, opts DialOptions) (*Session, error) {
 	s.addr = addr
 	s.SetClientWorkers(opts.ClientWorkers)
 	// Best-effort epoch pin: a mutation-capable server fences this
-	// session's reads from the first frame; a pre-mutation server just
-	// leaves the session unpinned (the read-only behavior it had).
+	// session's reads from the first frame; a read-only server just
+	// leaves the session unpinned.
 	if info, err := rem.Epoch(); err == nil {
 		cli.SetEpoch(info.Epoch)
 	}
@@ -634,10 +632,9 @@ func (s *Session) Hedges() int64 {
 // ServerStats returns the server-side work counters behind this
 // session: evaluations, decoded-polynomial cache hits/misses, and blob
 // decodes. Local sessions read the in-process filter directly; remote
-// sessions fetch the counters in one exchange (zeros from servers that
-// predate the method); cluster sessions aggregate every reachable
-// replica. Comparing CacheHits against Decodes shows directly what the
-// decoded-polynomial cache saves.
+// sessions fetch the counters in one exchange; cluster sessions
+// aggregate every reachable replica. Comparing CacheHits against
+// Decodes shows directly what the decoded-polynomial cache saves.
 func (s *Session) ServerStats() (ServerStats, error) {
 	return s.cli.ServerStats()
 }
@@ -867,17 +864,17 @@ type AggregateResult struct {
 	// Verified reports that the verification share traveled and every
 	// chunk passed its checks.
 	Verified bool
-	// Downgraded reports that the server predates aggregate frames and
-	// the client reconstructed every matching row instead — correct but
-	// O(rows) bytes, with the extra exchanges visible in RoundTrips.
+	// Downgraded is always false: every server folds aggregates
+	// server-side. It stays only because the benchmark module reads it,
+	// and goes with the next change to that module.
 	Downgraded bool
 }
 
 // Aggregate runs query q and folds the matching rows into the requested
-// aggregate with default options. Against servers speaking the
-// aggregate frames the fold costs O(chunks) bytes per shard instead of
-// shipping every matching row; a verification share guards the folded
-// values (see AggregateWith and DESIGN.md "Aggregation & verification").
+// aggregate with default options. The server-side fold costs O(chunks)
+// bytes per shard instead of shipping every matching row; a
+// verification share guards the folded values (see AggregateWith and
+// DESIGN.md "Aggregation & verification").
 func (s *Session) Aggregate(q string, kind AggKind) (AggregateResult, error) {
 	return s.AggregateWith(q, kind, AggregateOptions{})
 }
@@ -920,14 +917,13 @@ func (s *Session) AggregateWith(q string, kind AggKind, opts AggregateOptions) (
 	stats.NodesFetched += d.NodesFetched
 	stats.Elapsed += time.Since(start)
 	return AggregateResult{
-		Kind:       kind,
-		Pres:       res.Pres,
-		Count:      agg.Count,
-		Sum:        agg.Sum,
-		Avg:        agg.Avg,
-		Stats:      stats,
-		Verified:   agg.Verified,
-		Downgraded: !agg.Folded,
+		Kind:     kind,
+		Pres:     res.Pres,
+		Count:    agg.Count,
+		Sum:      agg.Sum,
+		Avg:      agg.Avg,
+		Stats:    stats,
+		Verified: agg.Verified,
 	}, nil
 }
 

@@ -163,41 +163,6 @@ func TestClusterAggregateOriginNamesShard(t *testing.T) {
 	}
 }
 
-// TestClusterAggregateMixedVersionDowngrade: if ANY shard predates the
-// aggregate frames the whole fold downgrades to client-side
-// reconstruction — partial folds would double-count — and still
-// matches the oracle.
-func TestClusterAggregateMixedVersionDowngrade(t *testing.T) {
-	fx := xmarkFixture(t, 0.05, 23)
-	cf := fx.twoShardCluster(t, func(si int, c cluster.Conn) cluster.Conn {
-		if si == 0 {
-			return oldShard{c}
-		}
-		return c
-	})
-	cli := filter.NewClient(cf, fx.scheme)
-	pres := fx.itemPres("item")
-	want := aggregateOracle(t, fx, pres)
-	agg, err := cli.AggregateFold(pres, filter.AggSum, filter.AggregateOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if agg.Folded {
-		t.Fatal("mixed-version cluster reported a fold")
-	}
-	if !fx.r.Equal(agg.Sum, want) {
-		t.Fatal("downgraded cluster fold != oracle")
-	}
-}
-
-// oldShard answers aggregate frames the way a pre-aggregate server
-// does: with the unsupported sentinel.
-type oldShard struct{ cluster.Conn }
-
-func (c oldShard) AggregateBatch(filter.AggregateRequest) (filter.AggregateReply, error) {
-	return filter.AggregateReply{}, filter.ErrAggregateUnsupported
-}
-
 // TestChaosReplicaLossMidAggregate is the aggregate chaos test: on a
 // 3-shard × 2-replica cluster one replica of every shard dies on its
 // first aggregate frame, the frames fail over to the siblings, and the

@@ -1,5 +1,5 @@
 // Package cluster shards the encrypted node table over N servers and
-// presents them to the engines as one filter.ServerAPI + filter.BatchAPI.
+// presents them to the engines as one filter.ServerAPI.
 //
 // The paper's protocol assumes a single untrusted server holding the
 // whole (pre, post, parent, poly) share table. Because every share row
@@ -45,7 +45,6 @@
 package cluster
 
 import (
-	"errors"
 	"fmt"
 	"io"
 	"sort"
@@ -67,16 +66,13 @@ type Range struct {
 
 func (r Range) contains(pre int64) bool { return pre >= r.Lo && pre <= r.Hi }
 
-// Conn is what the cluster needs from each shard replica: the base and
-// batched filter protocols, the shard-partial equality bundles, and the
-// aggregate fold frames. Both *filter.Remote (TCP shards, which answers
-// filter.ErrAggregateUnsupported for pre-aggregate servers) and
+// Conn is what the cluster needs from each shard replica: the filter
+// protocol (per-call, batch, stats and aggregate fold frames) and the
+// shard-partial equality bundles. Both *filter.Remote (TCP shards) and
 // *filter.ServerFilter (in-process shards) satisfy it.
 type Conn interface {
 	filter.ServerAPI
-	filter.BatchAPI
 	filter.PartialAPI
-	filter.AggregateAPI
 }
 
 // Replica couples one replica connection with its address label.
@@ -257,10 +253,10 @@ func (sh *shardState) replicaOrder(reps []*replica) []int {
 	return append(order, open...)
 }
 
-// Filter is the client-side sharded backend: a filter.ServerAPI +
-// filter.BatchAPI that scatters work over shards and gathers replies in
-// request order, failing over between replicas per shard. A
-// filter.Client (and therefore every engine) runs against it unchanged.
+// Filter is the client-side sharded backend: a filter.ServerAPI that
+// scatters work over shards and gathers replies in request order,
+// failing over between replicas per shard. A filter.Client (and
+// therefore every engine) runs against it unchanged.
 type Filter struct {
 	shards []*shardState // sorted by rng.Lo; ranges tile [lo, hi] with no gaps
 	opts   Options
@@ -283,12 +279,7 @@ type connTracer interface {
 	SetTracer(tr *obs.Tracer, shard int, addr string)
 }
 
-var (
-	_ filter.ServerAPI    = (*Filter)(nil)
-	_ filter.BatchAPI     = (*Filter)(nil)
-	_ filter.StatsAPI     = (*Filter)(nil)
-	_ filter.AggregateAPI = (*Filter)(nil)
-)
+var _ filter.ServerAPI = (*Filter)(nil)
 
 // New assembles a cluster filter from shards with default options. The
 // shard ranges must tile a contiguous pre interval: copies may arrive in
@@ -449,8 +440,8 @@ func (f *Filter) ShardRoundTrips() []int64 {
 // ServerStats implements filter.StatsAPI: the member-wise sum of every
 // reachable replica's server-side counters (each replica serves a share
 // of the shard's frames, so the shard's work is spread across them).
-// Replicas that are down or predate the stats method contribute zeros —
-// stats are diagnostics and must not fail a healthy query session.
+// Replicas that are down contribute zeros — stats are diagnostics and
+// must not fail a healthy query session.
 func (f *Filter) ServerStats() (filter.ServerStats, error) {
 	var (
 		mu    sync.Mutex
@@ -462,11 +453,7 @@ func (f *Filter) ServerStats() (filter.ServerStats, error) {
 	}
 	_ = f.scatter(all, func(si int) error {
 		for _, rep := range f.shards[si].replicaList() {
-			sa, ok := rep.conn.(filter.StatsAPI)
-			if !ok {
-				continue
-			}
-			st, err := sa.ServerStats()
+			st, err := rep.conn.ServerStats()
 			if err != nil {
 				continue // unreachable replica: diagnostics stay best-effort
 			}
@@ -928,10 +915,7 @@ func (f *Filter) DescendantsBatch(spans []filter.Span) ([][]filter.NodeMeta, err
 // a failed verification names the misbehaving shard. Folds are pure
 // functions of immutable rows, so a replica dying mid-frame fails over
 // like any read: the sibling reproduces the identical chunks, and a
-// duplicated (hedged) frame is harmless. A single shard replying with a
-// pre-aggregate "unknown method" downgrades the whole call
-// (filter.ErrAggregateUnsupported), so mixed-version clusters fall back
-// to client-side reconstruction rather than half-fold.
+// duplicated (hedged) frame is harmless.
 func (f *Filter) AggregateBatch(req filter.AggregateRequest) (filter.AggregateReply, error) {
 	pres, err := filter.UnpackPres(req.Pres)
 	if err != nil {
@@ -992,9 +976,6 @@ func (f *Filter) AggregateBatch(req filter.AggregateRequest) (filter.AggregateRe
 		return nil
 	})
 	if err != nil {
-		if errors.Is(err, filter.ErrAggregateUnsupported) {
-			return filter.AggregateReply{}, filter.ErrAggregateUnsupported
-		}
 		return filter.AggregateReply{}, err
 	}
 	out := filter.AggregateReply{Ver: filter.AggregateFrameVersion}

@@ -1,6 +1,7 @@
 package cluster_test
 
 import (
+	"errors"
 	"net"
 	"strings"
 	"testing"
@@ -111,20 +112,19 @@ func TestAddReplicaLiveSession(t *testing.T) {
 }
 
 // TestDialTenantAgainstPreTenantServer: naming a tenant at dial time
-// against servers that predate the tenant protocol fails loudly (even
-// with TolerateUnreachable — the server is up, the config is wrong),
-// instead of silently querying the default table.
+// against bare filter servers, which have no tenant table, fails loudly
+// (even with TolerateUnreachable — the server is up, the config is
+// wrong), instead of silently querying the default table.
 func TestDialTenantAgainstPreTenantServer(t *testing.T) {
 	fx := xmarkFixture(t, 0.02, 11)
 	addrs, _ := shardedTCP(t, fx, []*store.Store{fx.st})
 	for _, tolerate := range []bool{false, true} {
 		_, err := cluster.DialWith(addrs, cluster.Options{Tenant: "alpha", TolerateUnreachable: tolerate})
-		// A true pre-PR binary answers unknown-method ("predates the
-		// multi-tenant protocol"); a current binary with the legacy
-		// single-tenant layout answers unknown-tenant. Either way the
-		// dial must fail loudly.
-		if err == nil || !strings.Contains(err.Error(), "tenant") {
-			t.Fatalf("tolerate=%v: got %v", tolerate, err)
+		// The single-tenant layout answers unknown-tenant, which the
+		// dial reports as a TenantError.
+		var te *server.TenantError
+		if !errors.As(err, &te) {
+			t.Fatalf("tolerate=%v: got %v, want TenantError", tolerate, err)
 		}
 	}
 	// Without a tenant the same servers dial fine.

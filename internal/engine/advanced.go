@@ -29,7 +29,7 @@ func NewAdvanced(cli *filter.Client, m *mapping.Map) *Advanced {
 
 // NewAdvancedSequential builds an advanced engine that issues one server
 // exchange per check (the paper's depth-first protocol) — kept for
-// measurement and for servers that predate the batch protocol.
+// measurement.
 func NewAdvancedSequential(cli *filter.Client, m *mapping.Map) *Advanced {
 	return &Advanced{base{cli: cli, m: m, seq: true}}
 }

@@ -28,8 +28,7 @@ func NewSimple(cli *filter.Client, m *mapping.Map) *Simple {
 
 // NewSimpleSequential builds a simple engine that issues one server
 // exchange per check, as the paper's prototype did — kept for
-// measurement (batched-vs-unbatched comparisons) and for servers that
-// predate the batch protocol.
+// measurement (batched-vs-unbatched comparisons).
 func NewSimpleSequential(cli *filter.Client, m *mapping.Map) *Simple {
 	return &Simple{base{cli: cli, m: m, seq: true}}
 }

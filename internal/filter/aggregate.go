@@ -79,9 +79,7 @@ func (k AggKind) String() string {
 }
 
 // AggregateFrameVersion versions the aggregate request/reply frames; a
-// server rejects versions it does not speak with a deterministic error,
-// and a server that predates the frames entirely answers "unknown
-// method", which the client turns into the reconstruct fallback.
+// server rejects versions it does not speak with a deterministic error.
 const AggregateFrameVersion = 1
 
 // Wire aggregate kinds. AVG has no wire form: it asks for SUM frames
@@ -137,19 +135,12 @@ type AggregateReply struct {
 	Chunks []AggregateChunk
 }
 
-// AggregateAPI is the optional aggregation extension of ServerAPI. The
-// in-process ServerFilter implements it directly; Remote speaks it over
-// the wire (reporting ErrAggregateUnsupported against old servers); the
-// cluster filter scatters one frame per shard and concatenates.
+// AggregateAPI is the aggregation part of ServerAPI. The in-process
+// ServerFilter implements it directly; Remote speaks it over the wire;
+// the cluster filter scatters one frame per shard and concatenates.
 type AggregateAPI interface {
 	AggregateBatch(req AggregateRequest) (AggregateReply, error)
 }
-
-// ErrAggregateUnsupported reports a backend that predates the aggregate
-// frames. The client filter reacts by reconstructing every matching row
-// itself — the pre-aggregate protocol — so sessions against old servers
-// keep answering, just at O(rows) cost.
-var ErrAggregateUnsupported = errors.New("filter: server does not support aggregate frames")
 
 // IntegrityError reports an aggregate reply that failed verification:
 // chunks that do not tile the requested rows, a field count that
@@ -385,8 +376,9 @@ type Aggregate struct {
 	Sum ring.Poly
 	// Avg is Sum · (Count mod q)⁻¹ (AggAvg only).
 	Avg ring.Poly
-	// Folded reports that server-side fold frames were used; false means
-	// the backend predates them and the client reconstructed every row.
+	// Folded is always true: every backend folds server-side. It stays
+	// only because the benchmark module reads it, and goes with the next
+	// change to that module.
 	Folded bool
 	// Verified reports that the verification share traveled and every
 	// chunk passed the mask and known-root checks.
@@ -403,10 +395,7 @@ var aggRand io.Reader = cryptorand.Reader
 
 // AggregateFold computes the requested aggregate over the given rows —
 // the aggregation phase run after a query has produced its matching pre
-// set. Backends speaking AggregateAPI serve it in O(chunks) bytes; any
-// other backend (or a pre-aggregate server answering "unknown method")
-// degrades to per-row reconstruction, the exact client-side oracle the
-// fold is verified against in the tests.
+// set — through server-side fold frames, in O(chunks) bytes.
 func (c *Client) AggregateFold(pres []int64, kind AggKind, opts AggregateOptions) (*Aggregate, error) {
 	if kind != AggCount && kind != AggSum && kind != AggAvg {
 		return nil, fmt.Errorf("filter: unknown aggregate kind %v", kind)
@@ -416,18 +405,8 @@ func (c *Client) AggregateFold(pres []int64, kind AggKind, opts AggregateOptions
 	if kind != AggCount {
 		agg.Sum = c.r.NewPoly()
 	}
-	if len(sorted) > 0 {
-		api, ok := c.api.(AggregateAPI)
-		err := ErrAggregateUnsupported
-		if ok {
-			err = c.foldFrames(agg, api, sorted, kind, opts)
-		}
-		if errors.Is(err, ErrAggregateUnsupported) {
-			err = c.foldFromRows(agg, sorted, kind)
-		}
-		if err != nil {
-			return nil, err
-		}
+	if err := c.foldFrames(agg.Sum, sorted, kind, opts); err != nil {
+		return nil, err
 	}
 	if kind == AggAvg {
 		if err := c.finishAvg(agg); err != nil {
@@ -455,20 +434,16 @@ func sortedDedup(pres []int64) []int64 {
 }
 
 // foldFrames runs the aggregate through fold frames, verifying each
-// chunk as it lands. The accumulated sum replaces agg.Sum only on full
-// success, so a downgrade mid-way restarts cleanly.
-func (c *Client) foldFrames(agg *Aggregate, api AggregateAPI, sorted []int64, kind AggKind, opts AggregateOptions) error {
+// chunk as it lands and adding the completed chunk sums into total (nil
+// for COUNT).
+func (c *Client) foldFrames(total ring.Poly, sorted []int64, kind AggKind, opts AggregateOptions) error {
 	q := c.r.Field().Q()
 	bound := normChunkRows(opts.ChunkRows, q)
 	wireKind := wireAggSum
 	if kind == AggCount {
 		wireKind = wireAggCount
 	}
-	var total ring.Poly
-	if kind != AggCount {
-		total = c.r.NewPoly()
-	}
-	err := chunked(len(sorted), aggReqChunkSize, func(lo, hi int) error {
+	return chunked(len(sorted), aggReqChunkSize, func(lo, hi int) error {
 		seg := sorted[lo:hi]
 		var mask []gf.Elem
 		if !opts.NoVerify {
@@ -484,7 +459,7 @@ func (c *Client) foldFrames(agg *Aggregate, api AggregateAPI, sorted []int64, ki
 			Mask:      mask,
 			ChunkRows: opts.ChunkRows,
 		}
-		reply, err := api.AggregateBatch(req)
+		reply, err := c.api.AggregateBatch(req)
 		if err != nil {
 			return err
 		}
@@ -520,13 +495,6 @@ func (c *Client) foldFrames(agg *Aggregate, api AggregateAPI, sorted []int64, ki
 		}
 		return firstErr
 	})
-	if err != nil {
-		return err
-	}
-	if kind != AggCount {
-		agg.Sum = total
-	}
-	return nil
 }
 
 // chunkOffsets validates that the reply chunks tile the requested rows
@@ -618,37 +586,6 @@ func (c *Client) checkChunk(ck *AggregateChunk, seg []int64, mask []gf.Elem, kin
 		}
 	}
 	return T, nil
-}
-
-// foldFromRows is the pre-aggregate fallback and the oracle the fold is
-// tested against: fetch every row's share, reconstruct, and sum
-// client-side — O(rows) exchanges and bytes, exactly what old servers
-// cost (each Poly call lands in Session.RoundTrips). COUNT needs no
-// server work at all here: the client already named the rows.
-func (c *Client) foldFromRows(agg *Aggregate, sorted []int64, kind AggKind) error {
-	agg.Folded, agg.Verified = false, false
-	if kind == AggCount {
-		return nil
-	}
-	total := c.r.NewPoly()
-	buf := c.r.GetPoly()
-	defer c.r.PutPoly(buf)
-	for _, pre := range sorted {
-		row, err := c.api.Poly(pre)
-		if err != nil {
-			return err
-		}
-		if err := c.r.DecodeInto(buf, row.Poly); err != nil {
-			return decodeErr(pre, err)
-		}
-		c.Counters.Decodes.Add(1)
-		c.scheme.ReconstructInto(buf, buf, uint64(pre))
-		c.Counters.Reconstructions.Add(1)
-		c.r.AddInPlace(total, buf)
-		c.Counters.Folds.Add(1)
-	}
-	agg.Sum = total
-	return nil
 }
 
 // finishAvg derives AVG = SUM · (COUNT mod q)⁻¹.

@@ -8,7 +8,6 @@ import (
 
 	"encshare/internal/gf"
 	"encshare/internal/ring"
-	"encshare/internal/rmi"
 	"encshare/internal/xmldoc"
 )
 
@@ -440,71 +439,6 @@ func TestAggregateTamperNeedsCheckPoint(t *testing.T) {
 	}
 	if _, err := cli.AggregateFold(pres, AggSum, AggregateOptions{CheckPoint: fx.val(t, "item")}); err == nil {
 		t.Fatal("tamper with CheckPoint set went undetected")
-	}
-}
-
-// --- downgrade ---------------------------------------------------------
-
-// legacyAPI hides the aggregate extension: the shape of a pre-aggregate
-// in-process backend.
-type legacyAPI struct{ ServerAPI }
-
-func TestAggregateDowngradeInProcess(t *testing.T) {
-	fx := newFixture(t, testXML)
-	pres := fx.presNamed("item")
-	cli := NewClient(legacyAPI{fx.server}, fx.scheme)
-	want := oracleSum(t, cli, pres)
-	agg, err := cli.AggregateFold(pres, AggSum, AggregateOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if agg.Folded || agg.Verified {
-		t.Fatalf("legacy backend: Folded=%v Verified=%v, want false/false", agg.Folded, agg.Verified)
-	}
-	if !fx.r.Equal(agg.Sum, want) {
-		t.Fatal("reconstruct fallback != oracle")
-	}
-}
-
-// TestAggregateDowngradeRemote runs the fold against an rmi server that
-// registered a pre-aggregate API: the first frame answers "unknown
-// method", the client reconstructs rows instead, and later folds skip
-// straight to the fallback without re-probing.
-func TestAggregateDowngradeRemote(t *testing.T) {
-	fx := newFixture(t, wideXML(40))
-	srv := rmi.NewServer()
-	RegisterServer(srv, legacyAPI{fx.server}) // no AggregateAPI ⇒ no aggregate method
-	rc := rmi.Pipe(srv)
-	t.Cleanup(func() { rc.Close() })
-	remote := NewRemote(rc)
-	cli := NewClient(remote, fx.scheme)
-
-	pres := fx.presNamed("item")
-	want := oracleSum(t, fx.local, pres)
-	agg, err := cli.AggregateFold(pres, AggSum, AggregateOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if agg.Folded {
-		t.Fatal("old server reported a fold")
-	}
-	if !fx.r.Equal(agg.Sum, want) {
-		t.Fatal("downgraded fold != oracle")
-	}
-	// The fallback is O(rows): one Poly exchange per row plus the single
-	// rejected probe.
-	calls := rc.Stats().Calls
-	if calls < int64(len(pres)) {
-		t.Fatalf("fallback made %d calls for %d rows", calls, len(pres))
-	}
-
-	// Second fold: the unsupported flag short-circuits the probe.
-	before := rc.Stats().Calls
-	if _, err := cli.AggregateFold(pres, AggCount, AggregateOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	if got := rc.Stats().Calls - before; got != 0 {
-		t.Fatalf("COUNT fallback cost %d exchanges, want 0 (client already has the rows)", got)
 	}
 }
 

@@ -12,10 +12,10 @@
 //
 // The ClientFilter works against any ServerAPI: the in-process
 // ServerFilter or an rmi proxy, which is how the prototype splits work
-// over the network. Implementations that additionally provide BatchAPI
-// (see batch.go) let the client collapse a whole engine step's checks
-// into one round-trip; the client feature-detects batching and falls
-// back to the original per-call protocol otherwise.
+// over the network. Every ServerAPI also speaks the batch protocol (see
+// batch.go), which collapses a whole engine step's checks into one
+// round-trip; the engines' PerCall mode keeps the original per-call
+// protocol.
 package filter
 
 import (
@@ -44,8 +44,14 @@ type PolyRow struct {
 }
 
 // ServerAPI is the operation set the server exposes — the paper's Filter
-// interface as seen from the client.
+// interface as seen from the client, plus the batch, stats and aggregate
+// methods every backend implements. PartialAPI, RangeAPI, MutableAPI and
+// LeaseAPI stay separate: only some backends serve them.
 type ServerAPI interface {
+	BatchAPI
+	StatsAPI
+	AggregateAPI
+
 	// Root returns the document root (parent = 0).
 	Root() (NodeMeta, error)
 	// Node returns the metadata of the node at pre (for parent steps).
@@ -166,10 +172,9 @@ func (s ServerStats) Sub(o ServerStats) ServerStats {
 	}
 }
 
-// StatsAPI is the optional introspection extension of ServerAPI. The
-// in-process ServerFilter implements it directly; Remote fetches the
-// stats over the wire (returning zeros from servers that predate the
-// method); a cluster filter sums its shards.
+// StatsAPI is the introspection part of ServerAPI. The in-process
+// ServerFilter implements it directly; Remote fetches the stats over the
+// wire; a cluster filter sums its shards.
 type StatsAPI interface {
 	ServerStats() (ServerStats, error)
 }
@@ -430,15 +435,9 @@ func (c *Client) Contains(pre int64, val gf.Elem) (bool, error) {
 	return c.r.Field().Add(sv, cv) == 0, nil
 }
 
-// ServerStats fetches the server-side work counters when the backend
-// exposes them (StatsAPI); zeros otherwise. For remote backends this is
-// one exchange; for clusters it aggregates the shards.
-func (c *Client) ServerStats() (ServerStats, error) {
-	if sa, ok := c.api.(StatsAPI); ok {
-		return sa.ServerStats()
-	}
-	return ServerStats{}, nil
-}
+// ServerStats fetches the server-side work counters. For remote backends
+// this is one exchange; for clusters it aggregates the shards.
+func (c *Client) ServerStats() (ServerStats, error) { return c.api.ServerStats() }
 
 // Reconstruct fetches the server share of pre and adds the regenerated
 // client share, yielding the true node polynomial. The decode lands in

@@ -77,8 +77,9 @@ type LeaseAPI interface {
 	MutateLeased(lb LeasedBatch) (MutateReply, error)
 }
 
-// ErrLeaseUnsupported reports a server that predates the lease frames.
-// Sessions fall back to optimistic client-side sequencing.
+// ErrLeaseUnsupported reports a cluster whose shard connections lack the
+// lease methods (a Remote always has them). Sessions fall back to
+// optimistic client-side sequencing.
 var ErrLeaseUnsupported = errors.New("filter: server does not support writer leases")
 
 // leaseHeldPrefix is the wire-stable start of a LeaseHeldError message.

@@ -218,9 +218,9 @@ func IsBatchMismatch(err error) bool {
 	return errors.As(err, &re) && strings.Contains(re.Msg, batchMismatchPrefix)
 }
 
-// ErrMutationUnsupported reports a server that predates the mutation
-// frames: writes cannot downgrade the way reads do, so the caller sees
-// a typed refusal instead of silent data loss.
+// ErrMutationUnsupported reports a read-only backend, one that
+// registers no mutation methods: the caller sees a typed refusal
+// instead of silent data loss.
 var ErrMutationUnsupported = errors.New("filter: server does not support mutation frames")
 
 // MutableAPI is the optional interface a writable backend adds on top

@@ -1,10 +1,6 @@
 package filter
 
-import (
-	"testing"
-
-	"encshare/internal/rmi"
-)
+import "testing"
 
 // TestServerStatsLocal checks the counter plumbing against the
 // in-process filter: misses+decodes on first touch, hits on repeats.
@@ -71,56 +67,5 @@ func TestServerStatsRemote(t *testing.T) {
 	}
 	if got.Evals == 0 {
 		t.Fatal("remote stats all zero after an evaluation")
-	}
-}
-
-// oldServerAPI hides every optional extension, modeling a server that
-// predates StatsAPI (and batching).
-type oldServerAPI struct{ inner ServerAPI }
-
-func (o oldServerAPI) Root() (NodeMeta, error)                    { return o.inner.Root() }
-func (o oldServerAPI) Node(pre int64) (NodeMeta, error)           { return o.inner.Node(pre) }
-func (o oldServerAPI) Children(pre int64) ([]NodeMeta, error)     { return o.inner.Children(pre) }
-func (o oldServerAPI) Descendants(p, q int64) ([]NodeMeta, error) { return o.inner.Descendants(p, q) }
-func (o oldServerAPI) EvalAt(pre int64, pt uint32) (uint32, error) {
-	return o.inner.EvalAt(pre, pt)
-}
-func (o oldServerAPI) Poly(pre int64) (PolyRow, error)            { return o.inner.Poly(pre) }
-func (o oldServerAPI) ChildrenPolys(pre int64) ([]PolyRow, error) { return o.inner.ChildrenPolys(pre) }
-func (o oldServerAPI) Count() (int64, error)                      { return o.inner.Count() }
-
-// TestServerStatsDowngrade: a pre-stats server yields zeros, not an
-// error — once discovered, without further exchanges.
-func TestServerStatsDowngrade(t *testing.T) {
-	fx := newFixture(t, testXML)
-
-	// Plain ServerAPI without StatsAPI: the client reports zeros.
-	cli := NewClient(oldServerAPI{fx.server}, fx.scheme)
-	st, err := cli.ServerStats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st != (ServerStats{}) {
-		t.Fatalf("non-stats backend produced %+v, want zeros", st)
-	}
-
-	// A remote whose server did not register the method: the proxy
-	// learns from the unknown-method reply and stops asking.
-	srv := rmi.NewServer()
-	RegisterServer(srv, oldServerAPI{fx.server})
-	cli2 := rmi.Pipe(srv)
-	defer cli2.Close()
-	rem := NewRemote(cli2)
-	for i := 0; i < 2; i++ {
-		st, err := rem.ServerStats()
-		if err != nil {
-			t.Fatalf("round %d: %v", i, err)
-		}
-		if st != (ServerStats{}) {
-			t.Fatalf("round %d: old server produced %+v, want zeros", i, st)
-		}
-	}
-	if got := rem.CallCounts()[methodServerStats]; got != 1 {
-		t.Fatalf("stats method tried %d times, want 1 (then downgraded)", got)
 	}
 }

@@ -372,8 +372,7 @@ func (l *metaList) DecodeWire(b []byte) error {
 	return decodeWire(b, false, func(r *wireReader) { *l = readList(r, "node count", metaMinBytes, (*NodeMeta).read) })
 }
 
-// metaLists carries one node list per member: ChildrenBatch and the
-// unpaged DescendantsBatch.
+// metaLists carries one node list per member: ChildrenBatch.
 type metaLists [][]NodeMeta
 
 func (l metaLists) AppendWire(dst []byte) []byte {
@@ -449,14 +448,6 @@ func readBundles[T any](r *wireReader) []T {
 		*partsOf(&out[i]).kids = kids[i]
 	}
 	return out
-}
-
-// nodePolysList carries the unpaged NodePolysBatch reply.
-type nodePolysList []NodePolys
-
-func (l nodePolysList) AppendWire(dst []byte) []byte { return appendBundles(dst, l) }
-func (l *nodePolysList) DecodeWire(b []byte) error {
-	return decodeWire(b, true, func(r *wireReader) { *l = readBundles[NodePolys](r) })
 }
 
 // --- paged replies ------------------------------------------------------

@@ -3,9 +3,14 @@ package filter
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"math"
+	"os"
+	"path/filepath"
 	"reflect"
 	"runtime"
+	"strconv"
+	"strings"
 	"testing"
 
 	"encshare/internal/gf"
@@ -43,7 +48,6 @@ func wireSamples() []rmi.Message {
 		ptr(metaList(metas)),
 		ptr(metaLists{metas[:2], nil, metas[2:]}),
 		ptr(polyRowList(rows)),
-		ptr(nodePolysList{{Node: rows[0], Children: rows}, {Err: "gone"}}),
 		&descPageArgs{Spans: []Span{{Pre: 1, Post: 9}}, Member: 1, Resume: 4},
 		&descPageReply{Parts: []descPagePart{{Member: 0, Metas: metas[:1]}, {Member: 2, Metas: metas[1:]}}, NextMember: 2, NextResume: 3},
 		&bundlePageArgs{Pres: []int64{4, 5}, Member: 1},
@@ -59,6 +63,7 @@ func wireSamples() []rmi.Message {
 		&LeaseRequest{Owner: "writer-1", TTLMillis: 2000},
 		&LeaseGrant{ID: 3, TTLMillis: 2000, LastSeq: 7, Epoch: 8, Range: rng},
 		&LeasedBatch{LeaseID: 3, Release: true, B: batch},
+		&LeasedBatch{LeaseID: math.MaxUint64, B: MutationBatch{Ver: MutationBatchVersion}},
 	}
 }
 
@@ -162,6 +167,68 @@ func FuzzWireMessages(f *testing.F) {
 			t.Fatalf("%T: encoding not a fixed point:\n% x\n% x", m, e1, e2)
 		}
 	})
+}
+
+// TestWireCorpusTargets: FuzzWireMessages picks its message type by
+// index into wireSamples, so its committed corpus is only as good as
+// those indices. Each hostile-* file must hit the type it was written
+// for, and each seed-NN file must select sample NN and decode as it —
+// a reordered or shortened sample list fails here instead of silently
+// fuzzing the wrong decoder.
+func TestWireCorpusTargets(t *testing.T) {
+	hostile := map[string]string{
+		"hostile-count-bundles":   "*filter.bundlePage[encshare/internal/filter.NodePolys]",
+		"hostile-count-metalists": "*filter.metaLists",
+		"hostile-length-blob":     "*filter.PolyRow",
+		"hostile-ops-batch":       "*filter.MutationBatch",
+	}
+	samples := wireSamples()
+	files, err := filepath.Glob(filepath.Join("testdata", "fuzz", "FuzzWireMessages", "*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := 0
+	for _, f := range files {
+		name := filepath.Base(f)
+		raw, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines := strings.Split(strings.TrimSpace(string(raw)), "\n")
+		var sel int
+		if len(lines) != 3 || lines[0] != "go test fuzz v1" {
+			t.Fatalf("%s: not a two-value corpus file", name)
+		}
+		if _, err := fmt.Sscanf(lines[1], "byte(%d)", &sel); err != nil {
+			t.Fatalf("%s: selector %q: %v", name, lines[1], err)
+		}
+		body, err := strconv.Unquote(strings.TrimSuffix(strings.TrimPrefix(lines[2], "[]byte("), ")"))
+		if err != nil {
+			t.Fatalf("%s: body %q: %v", name, lines[2], err)
+		}
+		m := samples[sel%len(samples)]
+		if want, ok := hostile[name]; ok {
+			seen++
+			if got := fmt.Sprintf("%T", m); got != want {
+				t.Errorf("%s: selector %d hits %s, want %s", name, sel, got, want)
+			}
+			continue
+		}
+		var n int
+		if _, err := fmt.Sscanf(name, "seed-%d", &n); err != nil {
+			t.Errorf("%s: neither a hostile-* nor a seed-NN file", name)
+			continue
+		}
+		if sel != n {
+			t.Errorf("%s: selector %d", name, sel)
+		}
+		if err := fresh(m).DecodeWire([]byte(body)); err != nil {
+			t.Errorf("%s: does not decode as %T: %v", name, m, err)
+		}
+	}
+	if seen != len(hostile) {
+		t.Fatalf("found %d of the %d hostile-* corpus files", seen, len(hostile))
+	}
 }
 
 // TestWireSizeBounds: the paged-reply size estimates bound the real

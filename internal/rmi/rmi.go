@@ -96,10 +96,10 @@ const (
 )
 
 // IsUnknownMethod reports whether err says the server does not expose
-// the named method — how clients feature-detect protocol extensions.
-// The match is exact against the server's dispatch reply, so a handler
-// whose own error text merely resembles it cannot trigger a false
-// downgrade.
+// the named method — how a client tells a read-only backend (no
+// mutation methods) from a failed write. The match is exact against the
+// server's dispatch reply, so a handler whose own error text merely
+// resembles it cannot be mistaken for it.
 func IsUnknownMethod(err error, method string) bool {
 	var re *RemoteError
 	return errors.As(err, &re) && re.Msg == unknownMethodPrefix+method
@@ -385,8 +385,8 @@ func (s *Server) lookup(tenant, method []byte) (h handler, sent, errMsg string) 
 			return h, sent, ""
 		}
 	}
-	// Tenant-independent methods (protocol negotiation, admin) live in
-	// the global set and answer under any tenant, known or not.
+	// Tenant-independent methods (tenant resolution) live in the global
+	// set and answer under any tenant, known or not.
 	if h, ok := s.tenants[""].methods[string(method)]; ok {
 		return h, sent, ""
 	}

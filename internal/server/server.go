@@ -18,7 +18,6 @@
 package server
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
@@ -45,13 +44,10 @@ const (
 	walSnapName = "base.snap"
 )
 
-// Runtime-level RMI methods, registered in the global handler set so
-// they answer under any tenant name (they run before a tenant is
-// trusted to exist).
-const (
-	methodResolveTenant = "runtime.ResolveTenant"
-	methodTenants       = "runtime.Tenants"
-)
+// methodResolveTenant is the runtime-level RMI method, registered in the
+// global handler set so it answers under any tenant name (it runs before
+// a tenant is trusted to exist).
+const methodResolveTenant = "runtime.ResolveTenant"
 
 // DefaultCacheEntries is the decoded-polynomial cache quota a tenant
 // gets when neither it nor the runtime budget says otherwise — the same
@@ -200,15 +196,12 @@ type Runtime struct {
 }
 
 // New creates an empty runtime and registers the runtime-level RMI
-// methods (tenant resolution and listing).
+// method (tenant resolution).
 func New(cfg Config) *Runtime {
 	rt := &Runtime{cfg: cfg, srv: rmi.NewServer(), tenants: map[string]*tenantState{}}
 	rmi.HandleFunc(rt.srv, methodResolveTenant, func(name []byte) ([]byte, error) {
 		resolved, err := rt.resolve(string(name))
 		return []byte(resolved), err
-	})
-	rmi.HandleFunc(rt.srv, methodTenants, func([]byte) (tenantList, error) {
-		return rt.Tenants(), nil
 	})
 	// The epoch gate brackets every read frame: it holds the tenant's
 	// read lock across the handler (mutations cannot interleave with a
@@ -809,9 +802,9 @@ func normParams(p, e uint32) (uint32, uint32) {
 }
 
 // TenantError reports that a reachable, answering server cannot serve
-// the requested tenant — it does not host it, or predates the tenant
-// protocol entirely. Distinct from a transport failure: retrying or
-// tolerating the server is wrong, the deployment is misconfigured.
+// the requested tenant because it does not host it. Distinct from a
+// transport failure: retrying or tolerating the server is wrong, the
+// deployment is misconfigured.
 type TenantError struct {
 	Tenant string
 	Err    error
@@ -825,11 +818,10 @@ func (e *TenantError) Unwrap() error { return e.Err }
 
 // ResolveTenant verifies, over an established client connection, that
 // the server will dispatch this client's tenant, returning the resolved
-// name (the default tenant's name for clients that set none). Old
-// servers that predate the multi-tenant protocol pass the check for
-// tenantless clients — their dispatch behavior is identical — and fail
-// it with a *TenantError when a tenant was named, instead of silently
-// answering from the wrong table.
+// name (the default tenant's name for clients that set none). A server
+// that does not host a named tenant — including a bare filter server
+// with no tenant table — fails the check with a *TenantError instead of
+// silently answering from the wrong table.
 func ResolveTenant(c *rmi.Client) (string, error) {
 	tenant := c.Tenant()
 	var name []byte
@@ -837,60 +829,9 @@ func ResolveTenant(c *rmi.Client) (string, error) {
 	switch {
 	case err == nil:
 		return string(name), nil
-	case rmi.IsUnknownMethod(err, methodResolveTenant):
-		if tenant == "" {
-			return "", nil // pre-tenant server, pre-tenant client: compatible
-		}
-		return "", &TenantError{Tenant: tenant, Err: errors.New("server predates the multi-tenant protocol")}
 	case rmi.IsUnknownTenant(err, tenant):
 		return "", &TenantError{Tenant: tenant, Err: err}
 	default:
 		return "", err
 	}
-}
-
-// ListTenants asks a server for its attached tenant names (empty on
-// pre-tenant servers).
-func ListTenants(c *rmi.Client) ([]string, error) {
-	var names tenantList
-	err := c.Call(methodTenants, []byte(nil), &names)
-	if rmi.IsUnknownMethod(err, methodTenants) {
-		return nil, nil
-	}
-	return names, err
-}
-
-// tenantList is the runtime.Tenants reply body: a uvarint count, then
-// each name as a uvarint length and its bytes.
-type tenantList []string
-
-func (l tenantList) AppendWire(dst []byte) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(l)))
-	for _, name := range l {
-		dst = append(binary.AppendUvarint(dst, uint64(len(name))), name...)
-	}
-	return dst
-}
-
-func (l *tenantList) DecodeWire(b []byte) error {
-	bad := errors.New("server: malformed tenant list")
-	n, k := binary.Uvarint(b)
-	if k <= 0 || n > uint64(len(b)-k) {
-		return bad
-	}
-	b = b[k:]
-	names := make(tenantList, 0, n)
-	for i := uint64(0); i < n; i++ {
-		size, k := binary.Uvarint(b)
-		if k <= 0 || size > uint64(len(b)-k) {
-			return bad
-		}
-		names = append(names, string(b[k:k+int(size)]))
-		b = b[k+int(size):]
-	}
-	if len(b) != 0 {
-		return bad
-	}
-	*l = names
-	return nil
 }

@@ -358,11 +358,13 @@ func TestUnnamedTenantDetachReattach(t *testing.T) {
 	if _, err := lc.Count(); err == nil {
 		t.Fatal("detached unnamed tenant still answers")
 	}
-	// Global runtime methods survive the detach.
+	// Global runtime methods survive the detach: resolution answers that
+	// no default tenant is attached.
 	cli := rmi.Pipe(rt.RMI())
 	defer cli.Close()
-	if _, err := server.ListTenants(cli); err != nil {
-		t.Fatalf("runtime methods gone after unnamed detach: %v", err)
+	var te *server.TenantError
+	if _, err := server.ResolveTenant(cli); !errors.As(err, &te) {
+		t.Fatalf("resolve after unnamed detach: %v, want TenantError", err)
 	}
 	// Re-attach (the SIGHUP config-change path) — must not panic, and
 	// must serve the new table.
@@ -373,42 +375,26 @@ func TestUnnamedTenantDetachReattach(t *testing.T) {
 	if n, err := lc2.Count(); err != nil || n != beta.nodes {
 		t.Fatalf("re-attached unnamed tenant: %d, %v", n, err)
 	}
+	if name, err := server.ResolveTenant(cli); err != nil || name != "" {
+		t.Fatalf("resolve after re-attach: %q, %v", name, err)
+	}
 }
 
 func TestResolveTenantDowngrade(t *testing.T) {
-	// A pre-tenant server: plain rmi server with only filter methods.
+	// A bare filter server (no runtime, so no tenant table) fails a
+	// tenant-naming client with a TenantError instead of answering from
+	// its only table.
 	fx := newTenantFixture(t, alphaXML, "seed-alpha")
 	old := rmi.NewServer()
 	filter.RegisterServer(old, filter.NewServerFilter(fx.st, ring.MustNew(gf.MustNew(83, 1)), 0))
 
 	cli := rmi.Pipe(old)
 	defer cli.Close()
-	if name, err := server.ResolveTenant(cli); err != nil || name != "" {
-		t.Fatalf("tenantless client vs old server: %q, %v", name, err)
-	}
 	cli.SetTenant("alpha")
 	_, err := server.ResolveTenant(cli)
 	var te *server.TenantError
 	if !errors.As(err, &te) {
-		t.Fatalf("tenant client vs old server: %v, want TenantError", err)
-	}
-
-	// The unknown-METHOD downgrade branch (a true pre-PR binary
-	// answers that way): a server that knows the tenant name but not
-	// the resolve method must also yield a TenantError naming the
-	// protocol gap.
-	noResolve := rmi.NewServer()
-	rmi.HandleFuncAt(noResolve, "alpha", "x", func([]byte) ([]byte, error) { return nil, nil })
-	nrCli := rmi.Pipe(noResolve)
-	defer nrCli.Close()
-	nrCli.SetTenant("alpha")
-	_, err = server.ResolveTenant(nrCli)
-	if !errors.As(err, &te) || !strings.Contains(err.Error(), "predates") {
-		t.Fatalf("unknown-method downgrade: %v", err)
-	}
-	nrCli.SetTenant("")
-	if _, err := server.ResolveTenant(nrCli); err != nil {
-		t.Fatalf("tenantless vs no-resolve server: %v", err)
+		t.Fatalf("tenant client vs bare filter server: %v, want TenantError", err)
 	}
 
 	// A runtime server resolves "" to the default tenant's name and
@@ -425,9 +411,6 @@ func TestResolveTenantDowngrade(t *testing.T) {
 	ncli.SetTenant("nobody")
 	if _, err := server.ResolveTenant(ncli); !errors.As(err, &te) {
 		t.Fatalf("unknown tenant on runtime: %v", err)
-	}
-	if names, err := server.ListTenants(ncli); err != nil || !reflect.DeepEqual(names, []string{"alpha"}) {
-		t.Fatalf("ListTenants = %v, %v", names, err)
 	}
 }
 

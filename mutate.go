@@ -433,9 +433,9 @@ func (s *Session) mutateWithRetry(plan func() ([]filter.RowOp, error)) error {
 // apply is a no-op for leased single-server batches (they release
 // server-side at apply, overlapping the next writer with this batch's
 // fsync) but hands the cluster lease back promptly. Degrades to
-// (nil, no-op) — never an error — when the servers predate the lease
-// frames, the lease stays held past the wait deadline, or the session
-// is local. Caller holds s.mutMu.
+// (nil, no-op) — never an error — when a cluster shard lacks the lease
+// frames, the lease stays held past the wait deadline, the acquisition
+// fails, or the session is local. Caller holds s.mutMu.
 func (s *Session) acquireWriteLease() (*filter.LeaseGrant, func()) {
 	noop := func() {}
 	if s.noLease || (s.remote == nil && s.shardF == nil) {
@@ -546,12 +546,6 @@ func (s *Session) remoteMutateLeased(ops []filter.RowOp, lease *filter.LeaseGran
 	reply, err := s.remote.MutateLeased(lb)
 	if err != nil {
 		s.mutSeqOK = false // same delivery-unknown reasoning as remoteMutate
-		if errors.Is(err, filter.ErrLeaseUnsupported) {
-			// Raced a server downgrade; the plan is still fresh — send it
-			// through the optimistic path instead of wasting the attempt.
-			s.noLease = true
-			return s.remoteMutate(ops)
-		}
 		return err
 	}
 	s.mutSeq = reply.LastSeq
