@@ -128,17 +128,6 @@ func (m *Manifest) DefaultTenant() string {
 	return ""
 }
 
-// Ranges returns the manifest's shard ranges in order (the first
-// tenant's, for v2 manifests).
-func (m *Manifest) Ranges() []Range {
-	shards := m.TenantTable()[0].Shards
-	out := make([]Range, len(shards))
-	for i, s := range shards {
-		out[i] = Range{Lo: s.Lo, Hi: s.Hi}
-	}
-	return out
-}
-
 // Validate checks the manifest: per tenant, ranges in order tiling a
 // contiguous pre interval; across tenants, unique non-empty names,
 // equal shard-slot counts, and no db file claimed twice (tenants

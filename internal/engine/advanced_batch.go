@@ -8,14 +8,14 @@ import (
 	"encshare/internal/xpath"
 )
 
-// advBatch is the level-synchronous (wave-based) form of the advanced
-// traversal. It performs exactly the same checks as the depth-first
-// advRun — the same look-ahead short-circuit per node, the same
-// containment/equality tests per candidate — but reorders them into
-// waves so that all checks of a wave travel in one filter exchange:
+// advBatch is the advanced traversal, run level-synchronously (in
+// waves). It performs exactly the checks of the paper's depth-first
+// order — the same look-ahead short-circuit per node, the same
+// containment/equality tests per candidate — regrouped into waves so
+// that all checks of a wave travel as one transport batch:
 //
 //   - every pending node checks ONE look-ahead name per wave (preserving
-//     the sequential short-circuit: name i is only evaluated if names
+//     the depth-first short-circuit: name i is only evaluated if names
 //     0..i-1 passed), all in a single ContainsBatch;
 //   - all child-axis expansions of a wave share one ChildrenBatch and one
 //     accept batch;
@@ -23,20 +23,21 @@ import (
 //     ContainsBatch prune, and (strict mode) one EqualsBatch.
 //
 // For full queries the work counters (evaluations, reconstructions,
-// fetches, visits) are identical to the depth-first traversal; only the
-// number of round-trips changes, from O(checks) to O(depth × names).
+// fetches, visits) are identical to the depth-first walk (oracle_test.go
+// keeps it as a reference); only the grouping changes, so the batched
+// transport needs O(depth × names) round-trips instead of O(checks).
 //
 // In existence mode (predicate evaluation) the traversal runs many
 // predicate contexts at once: every alive branch carries the index of
 // the frontier candidate it serves, all contexts' branches share the
-// wave exchanges, and a context is satisfied the moment one of its
+// wave batches, and a context is satisfied the moment one of its
 // branches consumes every step. Satisfied contexts stop spending work
 // (their branches are dropped at each stage, the per-context analogue of
-// the sequential short-circuit), so a whole frontier's predicate check
-// costs O(depth × names) exchanges instead of O(frontier) traversals.
+// the depth-first short-circuit), so a whole frontier's predicate check
+// costs O(depth × names) batches instead of O(frontier) traversals.
 // The wave structure checks witness flags between batches rather than
-// between nodes, so it may spend slightly different work than the
-// sequential short-circuit — the boolean answers are always the same.
+// between nodes, so it may spend different work than a depth-first
+// short-circuit would — the boolean answers are always the same.
 type advBatch struct {
 	e          *Advanced
 	test       Test
@@ -85,13 +86,14 @@ func (r *advBatch) witness(ctx int) {
 }
 
 // push enqueues a node with the look-ahead of its remaining steps — the
-// wave analogue of calling advRun.rec.
+// wave analogue of the depth-first walk's recursive call.
 func (r *advBatch) push(node filter.NodeMeta, steps []xpath.Step, ctx int) {
 	r.items = append(r.items, advItem{node: node, steps: steps, la: lookaheadNames(steps, r.preds), ctx: ctx})
 }
 
-// start handles the virtual document root exactly as advRun.start, then
-// drains the wave queue.
+// start handles the virtual document root — the first step addresses
+// the document root itself (child axis) or every node (descendant axis)
+// — then drains the wave queue.
 func (r *advBatch) start(steps []xpath.Step) error {
 	if len(steps) == 0 {
 		return nil
@@ -197,7 +199,7 @@ func (r *advBatch) lookaheadRound() ([]advItem, error) {
 		checks = append(checks, filter.Check{Pre: it.node.Pre, Point: v})
 		checked = append(checked, it)
 	}
-	oks, err := r.e.cli.ContainsBatch(checks)
+	oks, err := r.e.wire.ContainsBatch(checks)
 	if err != nil {
 		return nil, err
 	}
@@ -251,7 +253,7 @@ func (r *advBatch) consume(ready []advItem) ([]advItem, error) {
 			r.scans = append(r.scans, advScan{node: it.node, s: s, rest: rest, ctx: it.ctx})
 		}
 	}
-	parents, err := r.e.cli.NodeBatch(parentPres)
+	parents, err := r.e.wire.NodeBatch(parentPres)
 	if err != nil {
 		return nil, err
 	}
@@ -279,7 +281,7 @@ func (r *advBatch) expandChildren(parents []advItem) error {
 	for i, it := range parents {
 		pres[i] = it.node.Pre
 	}
-	lists, err := r.e.cli.ChildrenBatch(pres)
+	lists, err := r.e.wire.ChildrenBatch(pres)
 	if err != nil {
 		return err
 	}
@@ -319,20 +321,20 @@ func (r *advBatch) expandChildren(parents []advItem) error {
 }
 
 // acceptChecks applies the engine's test to a check batch (Contains for
-// non-strict, Equals for strict) in one exchange.
+// non-strict, Equals for strict) as one transport batch.
 func (r *advBatch) acceptChecks(checks []filter.Check) ([]bool, error) {
 	if r.test == Equality {
-		return r.e.cli.EqualsBatch(checks)
+		return r.e.wire.EqualsBatch(checks)
 	}
-	return r.e.cli.ContainsBatch(checks)
+	return r.e.wire.ContainsBatch(checks)
 }
 
 // scanLevel advances every descendant walk by one tree level: fetch all
 // children in one exchange, prune subtrees that cannot contain the name
 // with one ContainsBatch, and (strict mode) accept matches with one
 // EqualsBatch. Children that pass the prune both continue the walk and
-// (if accepted) enter the remaining steps — exactly advRun.walkDescendant
-// with the per-child exchanges aggregated.
+// (if accepted) enter the remaining steps — the paper's "walk downwards
+// ... until this results in a non-zero sum", one level per wave.
 func (r *advBatch) scanLevel() error {
 	scans := r.scans
 	r.scans = nil
@@ -350,7 +352,7 @@ func (r *advBatch) scanLevel() error {
 	for i, sc := range scans {
 		pres[i] = sc.node.Pre
 	}
-	lists, err := r.e.cli.ChildrenBatch(pres)
+	lists, err := r.e.wire.ChildrenBatch(pres)
 	if err != nil {
 		return err
 	}
@@ -376,7 +378,7 @@ func (r *advBatch) scanLevel() error {
 			}
 		}
 	}
-	oks, err := r.e.cli.ContainsBatch(checks)
+	oks, err := r.e.wire.ContainsBatch(checks)
 	if err != nil {
 		return err
 	}
@@ -392,7 +394,7 @@ func (r *advBatch) scanLevel() error {
 			eqChecks = append(eqChecks, checks[i])
 			eqCands = append(eqCands, kid)
 		}
-		eqOks, err := r.e.cli.EqualsBatch(eqChecks)
+		eqOks, err := r.e.wire.EqualsBatch(eqChecks)
 		if err != nil {
 			return err
 		}

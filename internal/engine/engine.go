@@ -13,20 +13,22 @@
 // the two engines return identical result sets; they differ only in the
 // work spent (the subject of Figs. 5 and 6).
 //
-// Both engines come in two execution modes. The default batched pipeline
-// collects every check of a frontier (simple) or traversal wave
-// (advanced) and issues it as a single filter exchange, so a remote
-// query costs O(steps) round-trips instead of O(candidates) — including
-// predicates, whose existence checks run as ONE multi-context traversal
-// over the whole result frontier (evalRelativeBatch) instead of one
-// traversal per candidate; the sequential mode (NewSimpleSequential /
-// NewAdvancedSequential) keeps the paper's one-exchange-per-check
-// protocol for measurement and compatibility. The two modes always
-// return identical result sets; for queries without predicates they
-// also perform the same checks in the same per-node order, so the work
-// counters match exactly. Predicate evaluation short-circuits on the
-// first witness, and a shared wave may do a little work past that
-// point, so counters can legitimately differ there.
+// Both engines run one traversal: the simple engine a frontier per step,
+// the advanced engine a wave per tree level (advanced_batch.go). Every
+// check of a frontier or wave travels through the engine's transport.
+// The default transport is the filter client itself, which sends a batch
+// as one exchange, so a remote query costs O(steps) round-trips instead
+// of O(candidates) — including predicates, whose existence checks run as
+// ONE multi-context traversal over the whole result frontier
+// (evalRelativeBatch). NewSimpleSequential / NewAdvancedSequential keep
+// the paper's one-exchange-per-check protocol (§5.2) for measurement: the
+// perCall transport sends each member of every batch as its own
+// exchange. Both transports run the same checks, so result sets and
+// work counters are identical; only the exchange count differs. For
+// queries without predicates the checks are exactly those of the paper's
+// depth-first walk (oracle_test.go keeps that walk as a reference);
+// predicate evaluation short-circuits per wave rather than per node, so
+// its counters can differ from the depth-first walk's.
 package engine
 
 import (
@@ -96,12 +98,74 @@ type Engine interface {
 	Name() string
 }
 
-// base holds what both engines need: the client filter (seed side) and
-// the secret map to translate names to evaluation points.
+// base holds what both engines need: the client filter (seed side), the
+// secret map to translate names to evaluation points, and the transport
+// the traversal's batches travel through.
 type base struct {
-	cli *filter.Client
-	m   *mapping.Map
-	seq bool // sequential per-check protocol instead of the batched pipeline
+	cli  *filter.Client
+	m    *mapping.Map
+	wire transport
+}
+
+// newBase builds the shared engine state; perCallProtocol selects the
+// paper's one-exchange-per-check transport over the batched client.
+func newBase(cli *filter.Client, m *mapping.Map, perCallProtocol bool) base {
+	if perCallProtocol {
+		return base{cli: cli, m: m, wire: perCall{cli}}
+	}
+	return base{cli: cli, m: m, wire: cli}
+}
+
+// transport carries a traversal's batched checks and navigation to the
+// filter. *filter.Client sends each batch as a single exchange.
+type transport interface {
+	ContainsBatch(checks []filter.Check) ([]bool, error)
+	EqualsBatch(checks []filter.Check) ([]bool, error)
+	NodeBatch(pres []int64) ([]filter.NodeMeta, error)
+	ChildrenBatch(pres []int64) ([][]filter.NodeMeta, error)
+	DescendantsBatch(spans []filter.Span) ([][]filter.NodeMeta, error)
+}
+
+// perCall is the paper's protocol (§5.2) as a transport: every member of
+// a batch is sent as its own exchange through the client's per-call
+// methods, so the same traversal issues one exchange per check.
+type perCall struct{ cli *filter.Client }
+
+func (p perCall) ContainsBatch(checks []filter.Check) ([]bool, error) {
+	return eachCall(checks, func(c filter.Check) (bool, error) { return p.cli.Contains(c.Pre, c.Point) })
+}
+
+func (p perCall) EqualsBatch(checks []filter.Check) ([]bool, error) {
+	return eachCall(checks, func(c filter.Check) (bool, error) { return p.cli.Equals(c.Pre, c.Point) })
+}
+
+func (p perCall) NodeBatch(pres []int64) ([]filter.NodeMeta, error) {
+	return eachCall(pres, p.cli.Node)
+}
+
+func (p perCall) ChildrenBatch(pres []int64) ([][]filter.NodeMeta, error) {
+	return eachCall(pres, p.cli.Children)
+}
+
+func (p perCall) DescendantsBatch(spans []filter.Span) ([][]filter.NodeMeta, error) {
+	return eachCall(spans, func(s filter.Span) ([]filter.NodeMeta, error) { return p.cli.Descendants(s.Pre, s.Post) })
+}
+
+// eachCall answers a batch one member at a time, in order, stopping at
+// the first error.
+func eachCall[T, R any](in []T, call func(T) (R, error)) ([]R, error) {
+	if len(in) == 0 {
+		return nil, nil
+	}
+	out := make([]R, len(in))
+	for i, x := range in {
+		r, err := call(x)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = r
+	}
+	return out, nil
 }
 
 // val resolves a query name to its evaluation point. A name absent from
@@ -134,7 +198,7 @@ func (b *base) accept(pre int64, name string, test Test) (bool, error) {
 }
 
 // acceptBatch applies the selected test to a whole candidate slice with
-// a single filter exchange, returning the accepted subset in order.
+// one transport batch, returning the accepted subset in order.
 func (b *base) acceptBatch(cands []filter.NodeMeta, name string, test Test) ([]filter.NodeMeta, error) {
 	if len(cands) == 0 {
 		return nil, nil
@@ -150,9 +214,9 @@ func (b *base) acceptBatch(cands []filter.NodeMeta, name string, test Test) ([]f
 	var oks []bool
 	var err error
 	if test == Equality {
-		oks, err = b.cli.EqualsBatch(checks)
+		oks, err = b.wire.EqualsBatch(checks)
 	} else {
-		oks, err = b.cli.ContainsBatch(checks)
+		oks, err = b.wire.ContainsBatch(checks)
 	}
 	if err != nil {
 		return nil, err
@@ -191,61 +255,20 @@ func (b *base) run(body func() ([]int64, int64, error)) (Result, error) {
 	}, nil
 }
 
-// predEvaluator reports whether any node satisfies the relative query q
-// from context node ctx — used for predicate filtering by both engines
-// (the nested run reuses the engine's own step machinery).
+// predEvaluator answers a predicate's existence question for a whole
+// slice of context nodes with one traversal, so a predicate costs
+// O(steps) transport batches instead of O(frontier) separate traversals.
 type predEvaluator interface {
-	evalRelative(ctx filter.NodeMeta, q *xpath.Query, test Test) (bool, error)
-}
-
-// batchPredEvaluator is the batched extension: one traversal answers the
-// existence question for a whole slice of context nodes at once, so a
-// predicate costs O(steps) filter exchanges instead of O(frontier)
-// separate traversals. Both engines implement it; batchedPreds gates it
-// off for the sequential twins (whose per-candidate cost is the point).
-type batchPredEvaluator interface {
-	predEvaluator
-	batchedPreds() bool
 	evalRelativeBatch(ctxs []filter.NodeMeta, q *xpath.Query, test Test) ([]bool, error)
 }
 
-// batchedPreds reports whether the engine runs predicates through the
-// multi-context batch path.
-func (b *base) batchedPreds() bool { return !b.seq }
-
-func applyPreds(b predEvaluator, q *xpath.Query, test Test, frontier []filter.NodeMeta) ([]int64, error) {
-	if len(q.Preds) > 0 && len(frontier) > 0 {
-		if mb, ok := b.(batchPredEvaluator); ok && mb.batchedPreds() {
-			return applyPredsBatch(mb, q, test, frontier)
-		}
-	}
-	var out []int64
-	for _, n := range frontier {
-		keep := true
-		for _, p := range q.Preds {
-			ok, err := b.evalRelative(n, p, test)
-			if err != nil {
-				return nil, err
-			}
-			if !ok {
-				keep = false
-				break
-			}
-		}
-		if keep {
-			out = append(out, n.Pre)
-		}
-	}
-	return out, nil
-}
-
-// applyPredsBatch filters the frontier through each predicate with one
+// applyPreds filters the frontier through each predicate with one
 // multi-context traversal per predicate: all surviving candidates are
 // carried as contexts of the same wave, so every traversal level costs
-// a constant number of filter exchanges regardless of frontier width.
-// Predicates stay conjunctive and short-circuit like the per-candidate
-// loop: a candidate killed by predicate i is not carried into i+1.
-func applyPredsBatch(b batchPredEvaluator, q *xpath.Query, test Test, frontier []filter.NodeMeta) ([]int64, error) {
+// a constant number of transport batches regardless of frontier width.
+// Predicates are conjunctive and short-circuit: a candidate killed by
+// predicate i is not carried into i+1.
+func applyPreds(b predEvaluator, q *xpath.Query, test Test, frontier []filter.NodeMeta) ([]int64, error) {
 	alive := frontier
 	for _, p := range q.Preds {
 		if len(alive) == 0 {

@@ -92,6 +92,14 @@ func equalPres(a []int64, b []int64) bool {
 	return true
 }
 
+// matchMode is the plaintext oracle's match mode for a test.
+func matchMode(test Test) xpath.MatchMode {
+	if test == Equality {
+		return xpath.MatchEqual
+	}
+	return xpath.MatchContain
+}
+
 const smallXML = `<site>
   <regions>
     <europe><item><name/><description><text><keyword/></text></description></item><item><name/></item></europe>
@@ -137,11 +145,7 @@ func TestEnginesMatchOracle(t *testing.T) {
 	for _, qs := range testQueries {
 		q := xpath.MustParse(qs)
 		for _, test := range []Test{Containment, Equality} {
-			mode := xpath.MatchContain
-			if test == Equality {
-				mode = xpath.MatchEqual
-			}
-			want := xpath.Pres(fx.oracle.Eval(q, mode))
+			want := xpath.Pres(fx.oracle.Eval(q, matchMode(test)))
 			for _, eng := range []Engine{fx.simple, fx.advanced} {
 				got, err := eng.Run(q, test)
 				if err != nil {
@@ -168,11 +172,7 @@ func TestEnginesAgreeOnXMark(t *testing.T) {
 	for _, qs := range queries {
 		q := xpath.MustParse(qs)
 		for _, test := range []Test{Containment, Equality} {
-			mode := xpath.MatchContain
-			if test == Equality {
-				mode = xpath.MatchEqual
-			}
-			want := xpath.Pres(fx.oracle.Eval(q, mode))
+			want := xpath.Pres(fx.oracle.Eval(q, matchMode(test)))
 			s, err := fx.simple.Run(q, test)
 			if err != nil {
 				t.Fatal(err)

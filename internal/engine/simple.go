@@ -12,10 +12,10 @@ import (
 // The preliminary result set lives server-side in the paper (a Queue);
 // here it is the frontier slice, with the same cardinalities.
 //
-// In the default batched mode each step costs a constant number of
-// server exchanges: one to expand the whole frontier along the axis and
-// one to test every candidate. Sequential mode issues the paper's
-// per-candidate exchanges instead.
+// Each step costs a constant number of transport batches: one to expand
+// the whole frontier along the axis and one to test every candidate. The
+// batched transport sends each as one exchange; the per-call transport
+// sends the paper's per-candidate exchanges.
 type Simple struct {
 	base
 }
@@ -23,14 +23,15 @@ type Simple struct {
 // NewSimple builds a simple engine over a client filter and the secret
 // map, using the batched pipeline.
 func NewSimple(cli *filter.Client, m *mapping.Map) *Simple {
-	return &Simple{base{cli: cli, m: m}}
+	return &Simple{newBase(cli, m, false)}
 }
 
 // NewSimpleSequential builds a simple engine that issues one server
 // exchange per check, as the paper's prototype did — kept for
-// measurement (batched-vs-unbatched comparisons).
+// measurement (batched-vs-unbatched comparisons). It runs the same
+// traversal over the per-call transport.
 func NewSimpleSequential(cli *filter.Client, m *mapping.Map) *Simple {
-	return &Simple{base{cli: cli, m: m, seq: true}}
+	return &Simple{newBase(cli, m, true)}
 }
 
 // Name implements Engine.
@@ -49,20 +50,9 @@ func (e *Simple) Run(q *xpath.Query, test Test) (Result, error) {
 	})
 }
 
-// evalRelative implements predEvaluator: true iff the relative query has
-// at least one match below ctx.
-func (e *Simple) evalRelative(ctx filter.NodeMeta, q *xpath.Query, test Test) (bool, error) {
-	var visited int64
-	frontier, err := e.steps([]filter.NodeMeta{ctx}, q.Steps, test, false, &visited)
-	if err != nil {
-		return false, err
-	}
-	return len(frontier) > 0, nil
-}
-
-// evalRelativeBatch implements batchPredEvaluator: the stepwise
-// traversal over a frontier of (node, context) pairs. Each step expands
-// and tests the candidates of ALL contexts in the same shared exchanges,
+// evalRelativeBatch implements predEvaluator: the stepwise traversal
+// over a frontier of (node, context) pairs. Each step expands and tests
+// the candidates of ALL contexts in the same shared batches,
 // so answering the existence question for the whole frontier costs the
 // same number of round-trips as answering it for one node. A context is
 // satisfied iff any of its candidates survives every step.
@@ -92,7 +82,7 @@ func (e *Simple) evalRelativeBatch(ctxs []filter.NodeMeta, q *xpath.Query, test 
 					keep = append(keep, tm)
 				}
 			}
-			parents, err := e.cli.NodeBatch(pres)
+			parents, err := e.wire.NodeBatch(pres)
 			if err != nil {
 				return nil, err
 			}
@@ -111,7 +101,7 @@ func (e *Simple) evalRelativeBatch(ctxs []filter.NodeMeta, q *xpath.Query, test 
 			for i, tm := range cur {
 				pres[i] = tm.m.Pre
 			}
-			lists, err := e.cli.ChildrenBatch(pres)
+			lists, err := e.wire.ChildrenBatch(pres)
 			if err != nil {
 				return nil, err
 			}
@@ -125,7 +115,7 @@ func (e *Simple) evalRelativeBatch(ctxs []filter.NodeMeta, q *xpath.Query, test 
 			for i, tm := range cur {
 				spans[i] = filter.Span{Pre: tm.m.Pre, Post: tm.m.Post}
 			}
-			lists, err := e.cli.DescendantsBatch(spans)
+			lists, err := e.wire.DescendantsBatch(spans)
 			if err != nil {
 				return nil, err
 			}
@@ -152,9 +142,9 @@ func (e *Simple) evalRelativeBatch(ctxs []filter.NodeMeta, q *xpath.Query, test 
 		var oks []bool
 		var err error
 		if test == Equality {
-			oks, err = e.cli.EqualsBatch(checks)
+			oks, err = e.wire.EqualsBatch(checks)
 		} else {
-			oks, err = e.cli.ContainsBatch(checks)
+			oks, err = e.wire.ContainsBatch(checks)
 		}
 		if err != nil {
 			return nil, err
@@ -187,30 +177,15 @@ func (e *Simple) steps(frontier []filter.NodeMeta, steps []xpath.Step, test Test
 		}
 		// Parent step: navigate up, no test.
 		if s.Name == xpath.ParentStep {
-			var parents []filter.NodeMeta
-			if e.seq {
-				for _, n := range frontier {
-					if n.Parent == 0 {
-						continue // root has no parent
-					}
-					p, err := e.cli.Node(n.Parent)
-					if err != nil {
-						return nil, err
-					}
-					parents = append(parents, p)
+			var pres []int64
+			for _, n := range frontier {
+				if n.Parent != 0 { // root has no parent
+					pres = append(pres, n.Parent)
 				}
-			} else {
-				var pres []int64
-				for _, n := range frontier {
-					if n.Parent != 0 { // root has no parent
-						pres = append(pres, n.Parent)
-					}
-				}
-				var err error
-				parents, err = e.cli.NodeBatch(pres)
-				if err != nil {
-					return nil, err
-				}
+			}
+			parents, err := e.wire.NodeBatch(pres)
+			if err != nil {
+				return nil, err
 			}
 			frontier = dedupMetas(parents)
 			continue
@@ -229,21 +204,6 @@ func (e *Simple) steps(frontier []filter.NodeMeta, steps []xpath.Step, test Test
 			frontier = cands
 			continue
 		}
-		if e.seq {
-			var kept []filter.NodeMeta
-			for _, c := range cands {
-				*visited++
-				ok, err := e.accept(c.Pre, s.Name, test)
-				if err != nil {
-					return nil, err
-				}
-				if ok {
-					kept = append(kept, c)
-				}
-			}
-			frontier = kept
-			continue
-		}
 		*visited += int64(len(cands))
 		frontier, err = e.acceptBatch(cands, s.Name, test)
 		if err != nil {
@@ -254,7 +214,7 @@ func (e *Simple) steps(frontier []filter.NodeMeta, steps []xpath.Step, test Test
 }
 
 // expand collects the step's candidates: the whole frontier is expanded
-// along the axis in one server exchange in batched mode.
+// along the axis in one transport batch.
 func (e *Simple) expand(frontier []filter.NodeMeta, s xpath.Step, fromRoot bool) ([]filter.NodeMeta, error) {
 	switch {
 	case s.Axis == xpath.Child && fromRoot:
@@ -266,22 +226,11 @@ func (e *Simple) expand(frontier []filter.NodeMeta, s xpath.Step, fromRoot bool)
 		}
 		return []filter.NodeMeta{root}, nil
 	case s.Axis == xpath.Child:
-		if e.seq {
-			var cands []filter.NodeMeta
-			for _, n := range frontier {
-				kids, err := e.cli.Children(n.Pre)
-				if err != nil {
-					return nil, err
-				}
-				cands = append(cands, kids...)
-			}
-			return cands, nil
-		}
 		pres := make([]int64, len(frontier))
 		for i, n := range frontier {
 			pres[i] = n.Pre
 		}
-		lists, err := e.cli.ChildrenBatch(pres)
+		lists, err := e.wire.ChildrenBatch(pres)
 		if err != nil {
 			return nil, err
 		}
@@ -301,27 +250,17 @@ func (e *Simple) expand(frontier []filter.NodeMeta, s xpath.Step, fromRoot bool)
 		}
 		return append([]filter.NodeMeta{root}, desc...), nil
 	case s.Axis == xpath.Descendant:
+		spans := make([]filter.Span, len(frontier))
+		for i, n := range frontier {
+			spans[i] = filter.Span{Pre: n.Pre, Post: n.Post}
+		}
+		lists, err := e.wire.DescendantsBatch(spans)
+		if err != nil {
+			return nil, err
+		}
 		var cands []filter.NodeMeta
-		if e.seq {
-			for _, n := range frontier {
-				desc, err := e.cli.Descendants(n.Pre, n.Post)
-				if err != nil {
-					return nil, err
-				}
-				cands = append(cands, desc...)
-			}
-		} else {
-			spans := make([]filter.Span, len(frontier))
-			for i, n := range frontier {
-				spans[i] = filter.Span{Pre: n.Pre, Post: n.Post}
-			}
-			lists, err := e.cli.DescendantsBatch(spans)
-			if err != nil {
-				return nil, err
-			}
-			for _, desc := range lists {
-				cands = append(cands, desc...)
-			}
+		for _, desc := range lists {
+			cands = append(cands, desc...)
 		}
 		return dedupMetas(cands), nil
 	}

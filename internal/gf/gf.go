@@ -101,9 +101,6 @@ func (f *Field) Q() uint32 { return f.q }
 // Generator returns a fixed generator of the multiplicative group F_q^*.
 func (f *Field) Generator() Elem { return f.gen }
 
-// Valid reports whether a is a canonical element of the field.
-func (f *Field) Valid(a Elem) bool { return a < f.q }
-
 // BitsPerElem returns ceil(log2 q), the storage cost of one element.
 func (f *Field) BitsPerElem() int { return bits.Len32(f.q - 1) }
 

@@ -172,13 +172,6 @@ func (r *Ring) One() Poly {
 	return p
 }
 
-// Constant returns the constant polynomial c.
-func (r *Ring) Constant(c gf.Elem) Poly {
-	p := r.NewPoly()
-	p[0] = c
-	return p
-}
-
 // Linear returns the monic linear polynomial x − t, the leaf encoding of a
 // node mapped to t (§3, step 2).
 func (r *Ring) Linear(t gf.Elem) Poly {

@@ -37,9 +37,6 @@ type Node struct {
 	Text string
 }
 
-// IsLeaf reports whether the node has no element children.
-func (n *Node) IsLeaf() bool { return len(n.Children) == 0 }
-
 // Size returns the number of proper descendants.
 func (n *Node) Size() int64 {
 	var size int64
