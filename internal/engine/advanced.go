@@ -24,7 +24,7 @@ type Advanced struct {
 // NewAdvanced builds an advanced engine over a client filter and the
 // secret map, sending every wave batch as one exchange.
 func NewAdvanced(cli *filter.Client, m *mapping.Map) *Advanced {
-	return &Advanced{newBase(cli, m, false)}
+	return &Advanced{base{cli: cli, m: m, wire: cli}}
 }
 
 // NewAdvancedSequential builds an advanced engine that issues one server
@@ -32,7 +32,7 @@ func NewAdvanced(cli *filter.Client, m *mapping.Map) *Advanced {
 // measurement. It runs the same wave traversal over the per-call
 // transport.
 func NewAdvancedSequential(cli *filter.Client, m *mapping.Map) *Advanced {
-	return &Advanced{newBase(cli, m, true)}
+	return &Advanced{base{cli: cli, m: m, wire: perCall{cli}}}
 }
 
 // Name implements Engine.

@@ -308,7 +308,7 @@ func (r *advBatch) expandChildren(parents []advItem) error {
 			cands = append(cands, advItem{node: kid, steps: rest, ctx: it.ctx})
 		}
 	}
-	oks, err := r.acceptChecks(checks)
+	oks, err := r.e.check(checks, r.test)
 	if err != nil {
 		return err
 	}
@@ -318,15 +318,6 @@ func (r *advBatch) expandChildren(parents []advItem) error {
 		}
 	}
 	return nil
-}
-
-// acceptChecks applies the engine's test to a check batch (Contains for
-// non-strict, Equals for strict) as one transport batch.
-func (r *advBatch) acceptChecks(checks []filter.Check) ([]bool, error) {
-	if r.test == Equality {
-		return r.e.wire.EqualsBatch(checks)
-	}
-	return r.e.wire.ContainsBatch(checks)
 }
 
 // scanLevel advances every descendant walk by one tree level: fetch all

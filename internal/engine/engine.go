@@ -107,15 +107,6 @@ type base struct {
 	wire transport
 }
 
-// newBase builds the shared engine state; perCallProtocol selects the
-// paper's one-exchange-per-check transport over the batched client.
-func newBase(cli *filter.Client, m *mapping.Map, perCallProtocol bool) base {
-	if perCallProtocol {
-		return base{cli: cli, m: m, wire: perCall{cli}}
-	}
-	return base{cli: cli, m: m, wire: cli}
-}
-
 // transport carries a traversal's batched checks and navigation to the
 // filter. *filter.Client sends each batch as a single exchange.
 type transport interface {
@@ -211,13 +202,7 @@ func (b *base) acceptBatch(cands []filter.NodeMeta, name string, test Test) ([]f
 	for i, c := range cands {
 		checks[i] = filter.Check{Pre: c.Pre, Point: v}
 	}
-	var oks []bool
-	var err error
-	if test == Equality {
-		oks, err = b.wire.EqualsBatch(checks)
-	} else {
-		oks, err = b.wire.ContainsBatch(checks)
-	}
+	oks, err := b.check(checks, test)
 	if err != nil {
 		return nil, err
 	}
@@ -228,6 +213,15 @@ func (b *base) acceptBatch(cands []filter.NodeMeta, name string, test Test) ([]f
 		}
 	}
 	return kept, nil
+}
+
+// check applies the selected test to a check batch (Contains for
+// non-strict, Equals for strict) as one transport batch.
+func (b *base) check(checks []filter.Check, test Test) ([]bool, error) {
+	if test == Equality {
+		return b.wire.EqualsBatch(checks)
+	}
+	return b.wire.ContainsBatch(checks)
 }
 
 // run wraps an engine body with counter snapshots and timing.

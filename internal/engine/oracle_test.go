@@ -19,7 +19,7 @@ type depthFirst struct {
 }
 
 func newDepthFirst(cli *filter.Client, m *mapping.Map) *depthFirst {
-	return &depthFirst{newBase(cli, m, true)}
+	return &depthFirst{base{cli: cli, m: m}}
 }
 
 // Name implements Engine.

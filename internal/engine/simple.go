@@ -23,7 +23,7 @@ type Simple struct {
 // NewSimple builds a simple engine over a client filter and the secret
 // map, using the batched pipeline.
 func NewSimple(cli *filter.Client, m *mapping.Map) *Simple {
-	return &Simple{newBase(cli, m, false)}
+	return &Simple{base{cli: cli, m: m, wire: cli}}
 }
 
 // NewSimpleSequential builds a simple engine that issues one server
@@ -31,7 +31,7 @@ func NewSimple(cli *filter.Client, m *mapping.Map) *Simple {
 // measurement (batched-vs-unbatched comparisons). It runs the same
 // traversal over the per-call transport.
 func NewSimpleSequential(cli *filter.Client, m *mapping.Map) *Simple {
-	return &Simple{newBase(cli, m, true)}
+	return &Simple{base{cli: cli, m: m, wire: perCall{cli}}}
 }
 
 // Name implements Engine.
@@ -40,8 +40,7 @@ func (e *Simple) Name() string { return "simple" }
 // Run implements Engine.
 func (e *Simple) Run(q *xpath.Query, test Test) (Result, error) {
 	return e.run(func() ([]int64, int64, error) {
-		var visited int64
-		frontier, err := e.steps(nil, q.Steps, test, true, &visited)
+		frontier, visited, err := e.steps(q.Steps, test)
 		if err != nil {
 			return nil, 0, err
 		}
@@ -139,13 +138,7 @@ func (e *Simple) evalRelativeBatch(ctxs []filter.NodeMeta, q *xpath.Query, test 
 		for i, tm := range cands {
 			checks[i] = filter.Check{Pre: tm.m.Pre, Point: v}
 		}
-		var oks []bool
-		var err error
-		if test == Equality {
-			oks, err = e.wire.EqualsBatch(checks)
-		} else {
-			oks, err = e.wire.ContainsBatch(checks)
-		}
+		oks, err := e.check(checks, test)
 		if err != nil {
 			return nil, err
 		}
@@ -164,9 +157,9 @@ func (e *Simple) evalRelativeBatch(ctxs []filter.NodeMeta, q *xpath.Query, test 
 	return out, nil
 }
 
-// steps applies the step list to a frontier. fromRoot selects the virtual
-// document root as initial context.
-func (e *Simple) steps(frontier []filter.NodeMeta, steps []xpath.Step, test Test, fromRoot bool, visited *int64) ([]filter.NodeMeta, error) {
+// steps applies the step list from the virtual document root, returning
+// the final frontier and the number of candidates tested.
+func (e *Simple) steps(steps []xpath.Step, test Test) (frontier []filter.NodeMeta, visited int64, err error) {
 	tr := e.cli.Tracer()
 	if tr != nil {
 		defer tr.EndStep()
@@ -185,16 +178,16 @@ func (e *Simple) steps(frontier []filter.NodeMeta, steps []xpath.Step, test Test
 			}
 			parents, err := e.wire.NodeBatch(pres)
 			if err != nil {
-				return nil, err
+				return nil, 0, err
 			}
 			frontier = dedupMetas(parents)
 			continue
 		}
 
 		// Expand candidates along the axis.
-		cands, err := e.expand(frontier, s, i == 0 && fromRoot)
+		cands, err := e.expand(frontier, s, i == 0)
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 
 		// Filter by the step's test.
@@ -204,13 +197,13 @@ func (e *Simple) steps(frontier []filter.NodeMeta, steps []xpath.Step, test Test
 			frontier = cands
 			continue
 		}
-		*visited += int64(len(cands))
+		visited += int64(len(cands))
 		frontier, err = e.acceptBatch(cands, s.Name, test)
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 	}
-	return frontier, nil
+	return frontier, visited, nil
 }
 
 // expand collects the step's candidates: the whole frontier is expanded
