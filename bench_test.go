@@ -199,9 +199,9 @@ func BenchmarkRemoteRoundTrips(b *testing.B) {
 		eng  engine.Engine
 	}{
 		{"batched/simple", engine.NewSimple(fcli, env.Map)},
-		{"percall/simple", engine.NewSimpleSequential(fcli, env.Map)},
+		{"percall/simple", engine.NewSimplePerCall(fcli, env.Map)},
 		{"batched/advanced", engine.NewAdvanced(fcli, env.Map)},
-		{"percall/advanced", engine.NewAdvancedSequential(fcli, env.Map)},
+		{"percall/advanced", engine.NewAdvancedPerCall(fcli, env.Map)},
 	}
 	q := xpath.MustParse("/site//europe/item")
 	for _, c := range combos {

@@ -368,31 +368,25 @@ type Result struct {
 // Session is the client side: key material bound to a server connection
 // (local, remote, or a sharded cluster).
 type Session struct {
-	keys        *Keys
-	cli         *filter.Client
-	simple      *engine.Simple
-	advanced    *engine.Advanced
-	simpleSeq   *engine.Simple
-	advancedSeq *engine.Advanced
-	rmiCli      *rmi.Client
-	remote      *filter.Remote  // non-nil for single-server sessions
-	shardF      *cluster.Filter // non-nil for cluster sessions
-	mut         *filter.Mutable // non-nil for local sessions (in-process write path)
-	scheme      *secshare.Scheme
-	tenant      string
-	addr        string
-	closer      io.Closer
+	keys            *Keys
+	cli             *filter.Client
+	simple          *engine.Simple
+	advanced        *engine.Advanced
+	simplePerCall   *engine.Simple
+	advancedPerCall *engine.Advanced
+	rmiCli          *rmi.Client
+	remote          *filter.Remote  // non-nil for single-server sessions
+	shardF          *cluster.Filter // non-nil for cluster sessions
+	writer          filter.LeaseAPI // single-server and local sessions: the leased write path
+	scheme          *secshare.Scheme
+	tenant          string
+	addr            string
+	closer          io.Closer
 
-	mutMu    sync.Mutex // serializes this session's mutations
-	mutSeq   uint64     // single-server write path: last acknowledged sequence
-	mutSeqOK bool
-
-	// Writer-lease state (multi-writer coordination; see mutateWithRetry).
-	// All guarded by mutMu.
-	writerID  string        // random owner ID presented with lease requests
-	noLease   bool          // a cluster shard lacks the lease frames; stay optimistic
-	leaseTTL  time.Duration // 0 = filter.DefaultLeaseTTL
-	leaseWait time.Duration // longest wait on a held lease; 0 = 2×TTL
+	// Write state (see mutateWithRetry), guarded by mutMu.
+	mutMu    sync.Mutex    // serializes this session's mutations
+	writerID string        // random owner ID presented with lease requests
+	leaseTTL time.Duration // 0 = filter.DefaultLeaseTTL
 
 	testHookAfterPlan func() // chaos tests: runs between plan and apply
 
@@ -407,7 +401,7 @@ type Session struct {
 func OpenLocal(keys *Keys, db *Database) *Session {
 	mut := filter.NewMutable(filter.NewServerFilter(db.st, keys.ring, 4096), 0, nil, nil)
 	s := newSession(keys, mut, nil)
-	s.mut = mut
+	s.writer = mut
 	return s
 }
 
@@ -448,6 +442,7 @@ func DialWith(keys *Keys, addr string, opts DialOptions) (*Session, error) {
 	s := newSession(keys, rem, cli)
 	s.rmiCli = cli
 	s.remote = rem
+	s.writer = rem
 	s.tenant = opts.Tenant
 	s.addr = addr
 	s.SetClientWorkers(opts.ClientWorkers)
@@ -526,15 +521,15 @@ func newSession(keys *Keys, api filter.ServerAPI, closer io.Closer) *Session {
 	var wid [6]byte
 	_, _ = rand.Read(wid[:])
 	return &Session{
-		keys:        keys,
-		cli:         cli,
-		scheme:      sch,
-		writerID:    hex.EncodeToString(wid[:]),
-		simple:      engine.NewSimple(cli, keys.m),
-		advanced:    engine.NewAdvanced(cli, keys.m),
-		simpleSeq:   engine.NewSimpleSequential(cli, keys.m),
-		advancedSeq: engine.NewAdvancedSequential(cli, keys.m),
-		closer:      closer,
+		keys:            keys,
+		cli:             cli,
+		scheme:          sch,
+		writerID:        hex.EncodeToString(wid[:]),
+		simple:          engine.NewSimple(cli, keys.m),
+		advanced:        engine.NewAdvanced(cli, keys.m),
+		simplePerCall:   engine.NewSimplePerCall(cli, keys.m),
+		advancedPerCall: engine.NewAdvancedPerCall(cli, keys.m),
+		closer:          closer,
 	}
 }
 
@@ -802,11 +797,11 @@ func (s *Session) runQuery(parsed *xpath.Query, opts QueryOptions) (engine.Resul
 	var eng engine.Engine = s.advanced
 	switch {
 	case opts.Engine == Simple && opts.Batch == PerCall:
-		eng = s.simpleSeq
+		eng = s.simplePerCall
 	case opts.Engine == Simple:
 		eng = s.simple
 	case opts.Batch == PerCall:
-		eng = s.advancedSeq
+		eng = s.advancedPerCall
 	}
 	test := engine.Equality
 	if opts.Test == TestContainment {

@@ -108,8 +108,8 @@ func TestChaosReplicaLossMidQuery(t *testing.T) {
 	}{
 		{"simple", func(c *filter.Client) engine.Engine { return engine.NewSimple(c, fx.m) }},
 		{"advanced", func(c *filter.Client) engine.Engine { return engine.NewAdvanced(c, fx.m) }},
-		{"simple-seq", func(c *filter.Client) engine.Engine { return engine.NewSimpleSequential(c, fx.m) }},
-		{"advanced-seq", func(c *filter.Client) engine.Engine { return engine.NewAdvancedSequential(c, fx.m) }},
+		{"simple-seq", func(c *filter.Client) engine.Engine { return engine.NewSimplePerCall(c, fx.m) }},
+		{"advanced-seq", func(c *filter.Client) engine.Engine { return engine.NewAdvancedPerCall(c, fx.m) }},
 	}
 	// One replica per shard dies, each at a different frame count, so
 	// the first queries of each combination lose connections in

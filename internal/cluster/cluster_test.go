@@ -157,8 +157,8 @@ func TestClusterParityXMark(t *testing.T) {
 	}{
 		{"simple", engine.NewSimple(singleCli, fx.m), engine.NewSimple(clusterCli, fx.m)},
 		{"advanced", engine.NewAdvanced(singleCli, fx.m), engine.NewAdvanced(clusterCli, fx.m)},
-		{"simple-seq", engine.NewSimpleSequential(singleCli, fx.m), engine.NewSimpleSequential(clusterCli, fx.m)},
-		{"advanced-seq", engine.NewAdvancedSequential(singleCli, fx.m), engine.NewAdvancedSequential(clusterCli, fx.m)},
+		{"simple-seq", engine.NewSimplePerCall(singleCli, fx.m), engine.NewSimplePerCall(clusterCli, fx.m)},
+		{"advanced-seq", engine.NewAdvancedPerCall(singleCli, fx.m), engine.NewAdvancedPerCall(clusterCli, fx.m)},
 	}
 	for _, qs := range parityQueries {
 		q := xpath.MustParse(qs)

@@ -26,11 +26,12 @@
 // the parked batches, and the flush is safe to repeat because servers
 // digest-verify redelivered sequences.
 //
-// One writer session per document is assumed — concurrent writer
-// sessions would interleave sequence numbers and fail each other's
-// gap checks (SeqGapError, or BatchMismatchError when a batch collides
-// with a sequence the other writer already consumed; either way the
-// losing writer must re-learn and re-plan).
+// Concurrent writer sessions take turns under the cluster writer lease
+// (AcquireWriterLease) when they can get it. Without it they would
+// interleave sequence numbers and fail each other's gap checks
+// (SeqGapError, or BatchMismatchError when a batch collides with a
+// sequence the other writer already consumed; either way the losing
+// writer must re-learn and re-plan).
 package cluster
 
 import (
@@ -63,6 +64,10 @@ type mutState struct {
 	lastLeaseID uint64
 }
 
+// errNoLeaseEndpoint reports a cluster none of whose shard-0 replica
+// connections speaks the writer-lease frames.
+var errNoLeaseEndpoint = errors.New("cluster: no shard-0 replica speaks the writer lease")
+
 // AcquireWriterLease acquires the cluster-wide writer lease from the
 // designated sequencer — the lexically lowest address among shard 0's
 // replicas whose connection speaks the lease frames, so every session
@@ -76,12 +81,13 @@ type mutState struct {
 // shard's cached sequence is dropped and epochs re-learned before the
 // grant is returned.
 //
-// Returns filter.ErrLeaseUnsupported when no replica speaks the lease
-// frames — callers fall back to optimistic sequencing.
+// Fails with errNoLeaseEndpoint when no replica speaks the lease
+// frames. The lease is best-effort here: callers that cannot get it
+// write unleased.
 func (f *Filter) AcquireWriterLease(owner string, ttlMillis int64) (filter.LeaseGrant, error) {
 	la := f.leaseEndpoint()
 	if la == nil {
-		return filter.LeaseGrant{}, filter.ErrLeaseUnsupported
+		return filter.LeaseGrant{}, errNoLeaseEndpoint
 	}
 	grant, err := la.AcquireLease(filter.LeaseRequest{Owner: owner, TTLMillis: ttlMillis})
 	if err != nil {

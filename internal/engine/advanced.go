@@ -27,11 +27,11 @@ func NewAdvanced(cli *filter.Client, m *mapping.Map) *Advanced {
 	return &Advanced{base{cli: cli, m: m, wire: cli}}
 }
 
-// NewAdvancedSequential builds an advanced engine that issues one server
+// NewAdvancedPerCall builds an advanced engine that issues one server
 // exchange per check (the paper's per-call protocol) — kept for
 // measurement. It runs the same wave traversal over the per-call
 // transport.
-func NewAdvancedSequential(cli *filter.Client, m *mapping.Map) *Advanced {
+func NewAdvancedPerCall(cli *filter.Client, m *mapping.Map) *Advanced {
 	return &Advanced{base{cli: cli, m: m, wire: perCall{cli}}}
 }
 

@@ -15,7 +15,7 @@ import (
 // paper's depth-first walk (oracle_test.go), which the wave traversal
 // must match check for check.
 func seqEngines(fx *fixture) (*Simple, *depthFirst) {
-	return NewSimpleSequential(fx.cli, fx.m), newDepthFirst(fx.cli, fx.m)
+	return NewSimplePerCall(fx.cli, fx.m), newDepthFirst(fx.cli, fx.m)
 }
 
 // predQueries exercise the predicate machinery. The depth-first
@@ -75,7 +75,7 @@ func TestBatchedMatchesSequential(t *testing.T) {
 			}
 		}
 	}
-	perCall := []Engine{simpleSeq, NewAdvancedSequential(fx.cli, fx.m)}
+	perCall := []Engine{simpleSeq, NewAdvancedPerCall(fx.cli, fx.m)}
 	for _, qs := range predQueries {
 		q := xpath.MustParse(qs)
 		for _, test := range []Test{Containment, Equality} {
@@ -216,8 +216,8 @@ func TestBatchedReducesRoundTrips(t *testing.T) {
 		batched Engine
 		seq     Engine
 	}{
-		{"simple", NewSimple(cli, fx.m), NewSimpleSequential(cli, fx.m)},
-		{"advanced", NewAdvanced(cli, fx.m), NewAdvancedSequential(cli, fx.m)},
+		{"simple", NewSimple(cli, fx.m), NewSimplePerCall(cli, fx.m)},
+		{"advanced", NewAdvanced(cli, fx.m), NewAdvancedPerCall(cli, fx.m)},
 	}
 	q := xpath.MustParse("/site//europe/item")
 	for _, e := range engines {

@@ -20,7 +20,7 @@
 // as one exchange, so a remote query costs O(steps) round-trips instead
 // of O(candidates) — including predicates, whose existence checks run as
 // ONE multi-context traversal over the whole result frontier
-// (evalRelativeBatch). NewSimpleSequential / NewAdvancedSequential keep
+// (evalRelativeBatch). NewSimplePerCall / NewAdvancedPerCall keep
 // the paper's one-exchange-per-check protocol (§5.2) for measurement: the
 // perCall transport sends each member of every batch as its own
 // exchange. Both transports run the same checks, so result sets and

@@ -118,8 +118,8 @@ func TestPredicateBatchMatchesSequentialStrict(t *testing.T) {
 				batched    Engine
 				sequential Engine
 			}{
-				{"simple", fx.simple, NewSimpleSequential(fx.cli, fx.m)},
-				{"advanced", fx.advanced, NewAdvancedSequential(fx.cli, fx.m)},
+				{"simple", fx.simple, NewSimplePerCall(fx.cli, fx.m)},
+				{"advanced", fx.advanced, NewAdvancedPerCall(fx.cli, fx.m)},
 			} {
 				br, err := pair.batched.Run(q, test)
 				if err != nil {

@@ -26,11 +26,11 @@ func NewSimple(cli *filter.Client, m *mapping.Map) *Simple {
 	return &Simple{base{cli: cli, m: m, wire: cli}}
 }
 
-// NewSimpleSequential builds a simple engine that issues one server
+// NewSimplePerCall builds a simple engine that issues one server
 // exchange per check, as the paper's prototype did — kept for
 // measurement (batched-vs-unbatched comparisons). It runs the same
 // traversal over the per-call transport.
-func NewSimpleSequential(cli *filter.Client, m *mapping.Map) *Simple {
+func NewSimplePerCall(cli *filter.Client, m *mapping.Map) *Simple {
 	return &Simple{base{cli: cli, m: m, wire: perCall{cli}}}
 }
 

@@ -39,8 +39,8 @@ func TestPerCallGolden(t *testing.T) {
 	rem := filter.NewRemote(rc)
 	cli := filter.NewClient(rem, env.Scheme)
 	engines := []engine.Engine{
-		engine.NewSimpleSequential(cli, env.Map),
-		engine.NewAdvancedSequential(cli, env.Map),
+		engine.NewSimplePerCall(cli, env.Map),
+		engine.NewAdvancedPerCall(cli, env.Map),
 	}
 
 	var got bytes.Buffer

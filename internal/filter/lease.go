@@ -1,10 +1,10 @@
 // Writer leases: server-side sequencing for concurrent mutation
 // sessions.
 //
-// PR 8's optimistic concurrency makes each writer guess the next batch
-// sequence; two concurrent sessions collide with SeqGapError /
-// BatchMismatchError and one replans per batch — correct, but pure
-// contention. The lease protocol moves sequencing to the server: a
+// A writer that guesses the next batch sequence itself collides with
+// concurrent writers (SeqGapError / BatchMismatchError) and replans —
+// correct, but pure contention. The lease protocol moves sequencing to
+// the server: a
 // writer acquires a short-TTL lease before planning, submits batches
 // with Seq 0 (the server assigns lastSeq+1 under its own lock), and the
 // lease fences stale planners — the lease ID bumps on every transfer to
@@ -16,9 +16,11 @@
 // lease (when the batch asks) as soon as the batch is applied, before
 // its covering fsync completes, so the next writer plans and stages
 // while the previous batch's fdatasync is in flight and group commit
-// still coalesces. It is also not required: servers keep accepting
-// plain Mutate with explicit sequences (the cluster redelivery path
-// depends on it), with the digest window as the correctness backstop.
+// still coalesces. Single-server and local sessions write only under
+// the lease. Servers also accept plain Mutate with explicit sequences:
+// cluster sessions assign each shard's sequence themselves (their
+// redelivery path depends on it), with the digest window as the
+// correctness backstop.
 package filter
 
 import (
@@ -76,11 +78,6 @@ type LeaseAPI interface {
 	ReleaseLease(id uint64) error
 	MutateLeased(lb LeasedBatch) (MutateReply, error)
 }
-
-// ErrLeaseUnsupported reports a cluster whose shard connections lack the
-// lease methods (a Remote always has them). Sessions fall back to
-// optimistic client-side sequencing.
-var ErrLeaseUnsupported = errors.New("filter: server does not support writer leases")
 
 // leaseHeldPrefix is the wire-stable start of a LeaseHeldError message.
 const leaseHeldPrefix = "filter: lease held"

@@ -407,10 +407,15 @@ func (r *Remote) Epoch() (EpochInfo, error) {
 	return out, err
 }
 
-// AcquireLease implements LeaseAPI over the wire.
+// AcquireLease implements LeaseAPI over the wire, reporting a
+// read-only backend as ErrMutationUnsupported like Mutate: it is the
+// first frame of every single-server write.
 func (r *Remote) AcquireLease(req LeaseRequest) (LeaseGrant, error) {
 	var out LeaseGrant
 	err := r.call(methodAcquireLease, req, &out)
+	if err != nil && rmi.IsUnknownMethod(err, methodAcquireLease) {
+		return LeaseGrant{}, ErrMutationUnsupported
+	}
 	return out, err
 }
 

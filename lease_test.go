@@ -1,6 +1,7 @@
 package encshare
 
 import (
+	"errors"
 	"fmt"
 	"net"
 	"strings"
@@ -73,8 +74,8 @@ func TestConcurrentWritersLease(t *testing.T) {
 		}
 	}
 
-	// Both writers really ran under the lease (no silent downgrade to
-	// the optimistic path), and the server sequenced every batch.
+	// Both writers took the lease, and the server sequenced every batch
+	// exactly once.
 	dw := rt.WALStats()[""]
 	if dw.LeaseAcquires == 0 {
 		t.Fatal("no lease acquisitions: writers fell back to optimistic sequencing")
@@ -84,6 +85,72 @@ func TestConcurrentWritersLease(t *testing.T) {
 	}
 
 	assertSameTable(t, "two leased writers", db, encodeFresh(t, keys, appendItemsXML(2*perWriter)))
+}
+
+// pipeSession opens a single-server session over an in-memory pipe to
+// srv. Unlike Dial it takes no epoch pin at open.
+func pipeSession(t *testing.T, keys *Keys, srv *rmi.Server) *Session {
+	cConn, sConn := net.Pipe()
+	go srv.ServeConn(sConn)
+	cli := rmi.NewClient(cConn)
+	rem := filter.NewRemote(cli)
+	s := newSession(keys, rem, cli)
+	s.rmiCli, s.remote, s.writer = cli, rem, rem
+	t.Cleanup(func() { s.Close() })
+	return s
+}
+
+// TestHeldLeaseFailsWrite: a single-server or local session never
+// writes without the writer lease. While another owner holds it past
+// the session's wait deadline (the lease clock is frozen, so it never
+// expires), Insert fails with the server's lease-held error, and no
+// batch reaches the server.
+func TestHeldLeaseFailsWrite(t *testing.T) {
+	keys, err := GenerateKeys(Params{P: 83}, testNames(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	hold := func(t *testing.T, mut *filter.Mutable) {
+		mut.SetLeaseClock(func() int64 { return 0 })
+		if _, err := mut.AcquireLease(filter.LeaseRequest{Owner: "other", TTLMillis: 1000}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	insertRefused := func(t *testing.T, s *Session, mut *filter.Mutable) error {
+		s.leaseTTL = 20 * time.Millisecond
+		_, err := s.Insert(1, "item")
+		if !filter.IsLeaseHeld(err) {
+			t.Fatalf("insert under another writer's lease = %v, want a lease-held error", err)
+		}
+		if got := mut.LastSeq(); got != 0 {
+			t.Fatalf("server sequence moved to %d under another writer's lease", got)
+		}
+		return err
+	}
+
+	t.Run("remote", func(t *testing.T) {
+		db := encodeFresh(t, keys, testXML)
+		mut := filter.NewMutable(filter.NewServerFilter(db.st, keys.ring, 1024), 0, nil, nil)
+		hold(t, mut)
+		srv := rmi.NewServer()
+		filter.RegisterServer(srv, mut)
+		s := pipeSession(t, keys, srv)
+		insertRefused(t, s, mut)
+		calls := s.remote.CallCounts()
+		if calls["filter.Mutate"] != 0 || calls["filter.MutateLeased"] != 0 {
+			t.Fatalf("mutation frames sent under another writer's lease: %v", calls)
+		}
+	})
+	t.Run("local", func(t *testing.T) {
+		s := OpenLocal(keys, encodeFresh(t, keys, testXML))
+		defer s.Close()
+		mut := s.writer.(*filter.Mutable)
+		hold(t, mut)
+		var held *filter.LeaseHeldError
+		if err := insertRefused(t, s, mut); !errors.As(err, &held) || held.Holder != "other" {
+			t.Fatalf("local insert error = %v, want *filter.LeaseHeldError naming the holder", err)
+		}
+	})
 }
 
 // TestLeaseExpiryMidBatch is the lease chaos drill: writer A's lease
@@ -104,18 +171,7 @@ func TestLeaseExpiryMidBatch(t *testing.T) {
 	srv := rmi.NewServer()
 	filter.RegisterServer(srv, mut)
 
-	dial := func() *Session {
-		cConn, sConn := net.Pipe()
-		go srv.ServeConn(sConn)
-		cli := rmi.NewClient(cConn)
-		rem := filter.NewRemote(cli)
-		s := newSession(keys, rem, cli)
-		s.rmiCli = cli
-		s.remote = rem
-		t.Cleanup(func() { s.Close() })
-		return s
-	}
-	a, b := dial(), dial()
+	a, b := pipeSession(t, keys, srv), pipeSession(t, keys, srv)
 	a.leaseTTL = 500 * time.Millisecond
 
 	// Between A's plan and its apply: A's lease TTL lapses and B takes

@@ -28,13 +28,13 @@
 // tail row, so an edit near the document start costs O(n) ops — the
 // price of the paper's dense pre numbering, not of the sharing.
 //
-// One writer session per document is assumed (see internal/cluster's
-// mutate.go); concurrent writers trip each other's sequence-gap checks
-// — or, when one lands exactly one sequence behind, the server's
-// batch-digest check (BatchMismatchError) — rather than corrupting
-// anything or falsely acknowledging an unapplied batch; either error
-// makes the losing writer re-plan. Local (in-process) sessions must
-// also not query concurrently with a mutation — there is no RMI frame
+// Writers take turns under the server's writer lease (see
+// mutateWithRetry): each write acquires it before planning, and a
+// single-server or local batch carries Seq 0 so the server assigns its
+// sequence. Concurrent writer sessions therefore never collide on a
+// sequence, and a writer that lost its lease between plan and apply is
+// fenced instead of applying a stale plan. Local (in-process) sessions
+// must not query concurrently with a mutation — there is no RMI frame
 // boundary to fence readers at; networked sessions are fenced by the
 // epoch gate server-side.
 package encshare
@@ -57,8 +57,8 @@ var (
 	// ErrHasChildren rejects deleting an interior node; delete leaves
 	// bottom-up instead (a subtree delete is a sequence of leaf deletes).
 	ErrHasChildren = errors.New("encshare: node has children; delete leaves only")
-	// ErrReadOnly reports a session with no write path at all (e.g. a
-	// cluster of pre-mutation servers).
+	// ErrReadOnly reports a session whose servers register no mutation
+	// frames (a read-only backend).
 	ErrReadOnly = filter.ErrMutationUnsupported
 )
 
@@ -365,24 +365,25 @@ func recoverTag(r *ring.Ring, f, c ring.Poly) (gf.Elem, error) {
 }
 
 // mutateWithRetry plans and applies one mutation, re-planning when the
-// epoch pin or the cached sequence fell behind another writer's work.
-// A stale plan is never resent — its reads predate the state it would
-// apply to — so both failure modes re-run plan() against the current
-// state. Caller holds s.mutMu.
+// state the plan was read from moved under it. A stale plan is never
+// resent — its reads predate the state it would apply to — so every
+// retryable failure re-runs plan() against the current state. Caller
+// holds s.mutMu.
 //
-// Networked sessions first try to take the server's writer lease for
-// the attempt (acquired BEFORE planning, so the plan's reads are
-// fenced): under a lease the server assigns the batch sequence, so two
-// concurrent writer sessions interleave without burning retries on
-// sequence-gap collisions. Everything degrades — a server without the
-// lease frames, or a lease held past the wait deadline, falls back to
-// the optimistic path, whose gap/digest checks remain the correctness
-// backstop either way.
+// Every attempt takes the writer lease BEFORE planning, so the plan's
+// reads are fenced: a writer that loses the lease between plan and
+// apply gets a LeaseExpiredError instead of applying a stale plan. A
+// single-server or local batch carries Seq 0 and the server assigns
+// the next sequence under the lock that fences the lease, so
+// concurrent writer sessions take turns and never collide on one.
 func (s *Session) mutateWithRetry(plan func() ([]filter.RowOp, error)) error {
 	const attempts = 3
 	var err error
 	for i := 0; i < attempts; i++ {
-		lease, release := s.acquireWriteLease()
+		var lease *filter.LeaseGrant
+		if lease, err = s.acquireWriteLease(); err != nil {
+			return err
+		}
 		var ops []filter.RowOp
 		if ops, err = plan(); err == nil {
 			if s.testHookAfterPlan != nil {
@@ -390,7 +391,18 @@ func (s *Session) mutateWithRetry(plan func() ([]filter.RowOp, error)) error {
 			}
 			err = s.applyOps(ops, lease)
 		}
-		release()
+		// A leased single-server batch hands the lease back server-side
+		// the moment it applies, so the next writer plans while this
+		// batch's fsync is in flight. Failed attempts and cluster
+		// batches hand it back here, best-effort: a release that fails
+		// leaves the lease to expire at its TTL.
+		switch {
+		case lease == nil:
+		case s.shardF != nil:
+			_ = s.shardF.ReleaseWriterLease(lease.ID)
+		case err != nil:
+			_ = s.writer.ReleaseLease(lease.ID)
+		}
 		switch {
 		case err == nil:
 			return nil
@@ -408,18 +420,15 @@ func (s *Session) mutateWithRetry(plan func() ([]filter.RowOp, error)) error {
 			if !s.refreshEpoch() {
 				return err
 			}
-			s.mutSeqOK = false // the pin moved, so the cached sequence did too
 		case filter.IsSeqGap(err) || filter.IsBatchMismatch(err):
-			// Another writer moved the state this plan was read from (a
-			// gap: the cached sequence fell behind; a mismatch: this batch
-			// collided with a sequence the other writer consumed). applyOps
-			// already invalidated the stale sequence; replan.
+			// Cluster sessions only: another writer advanced a shard's log
+			// past the sequence this batch was planned for. The cluster
+			// layer already dropped the stale sequence; replan.
 		case filter.IsLeaseExpired(err):
 			// The lease lapsed (or transferred) between planning and
 			// apply: another writer may have rewritten the table this plan
-			// was read from. The batch was fenced before applying; drop
-			// the cached sequence and replan under a fresh grant.
-			s.mutSeqOK = false
+			// was read from. The batch was fenced before applying; replan
+			// under a fresh grant.
 		default:
 			return err
 		}
@@ -427,163 +436,84 @@ func (s *Session) mutateWithRetry(plan func() ([]filter.RowOp, error)) error {
 	return err
 }
 
-// acquireWriteLease tries to take the server's writer lease for one
-// mutation attempt. It returns the grant (nil when running optimistic)
-// and a release func the attempt calls when done — releasing after the
-// apply is a no-op for leased single-server batches (they release
-// server-side at apply, overlapping the next writer with this batch's
-// fsync) but hands the cluster lease back promptly. Degrades to
-// (nil, no-op) — never an error — when a cluster shard lacks the lease
-// frames, the lease stays held past the wait deadline, the acquisition
-// fails, or the session is local. Caller holds s.mutMu.
-func (s *Session) acquireWriteLease() (*filter.LeaseGrant, func()) {
-	noop := func() {}
-	if s.noLease || (s.remote == nil && s.shardF == nil) {
-		return nil, noop
-	}
+// acquireWriteLease takes the writer lease for one mutation attempt,
+// polling while another writer holds it, for at most twice the lease
+// TTL. Caller holds s.mutMu.
+//
+// Single-server and local sessions cannot write without the lease: a
+// lease still held at the deadline surfaces as the server's
+// LeaseHeldError and any other acquisition error surfaces as-is.
+// Cluster sessions sequence their batches client-side, so for them the
+// lease only makes writers take turns planning: when it cannot be had
+// (a dead lease endpoint must not block writes) the grant is nil and
+// the per-shard sequence and digest checks guard the batch alone.
+func (s *Session) acquireWriteLease() (*filter.LeaseGrant, error) {
 	ttl := s.leaseTTL
 	if ttl <= 0 {
 		ttl = filter.DefaultLeaseTTL
-	}
-	wait := s.leaseWait
-	if wait <= 0 {
-		wait = 2 * ttl
 	}
 	// Held-lease polls are cheap — the server answers from a small
 	// mutex-guarded struct without touching the apply lock — so poll
 	// fast: a writer parked in a long backoff is a writer NOT staging
 	// its batch into the group commit currently in flight.
-	backoff := 2 * time.Millisecond
-	if q := ttl / 4; q < backoff {
-		backoff = q
-	}
-	if backoff <= 0 {
-		backoff = time.Millisecond
-	}
-	deadline := time.Now().Add(wait)
+	backoff := min(2*time.Millisecond, max(ttl/4, time.Millisecond))
+	deadline := time.Now().Add(2 * ttl)
+	ms := int64(ttl / time.Millisecond)
 	for {
 		var grant filter.LeaseGrant
 		var err error
 		if s.shardF != nil {
-			grant, err = s.shardF.AcquireWriterLease(s.writerID, int64(ttl/time.Millisecond))
+			grant, err = s.shardF.AcquireWriterLease(s.writerID, ms)
 		} else {
-			grant, err = s.remote.AcquireLease(filter.LeaseRequest{Owner: s.writerID, TTLMillis: int64(ttl / time.Millisecond)})
+			grant, err = s.writer.AcquireLease(filter.LeaseRequest{Owner: s.writerID, TTLMillis: ms})
 		}
 		switch {
 		case err == nil:
-			if s.remote != nil {
-				// The grant carries the server's write position: re-pin
-				// without an extra Epoch round-trip.
-				s.mutSeq = grant.LastSeq
-				s.mutSeqOK = true
-				s.rmiCli.SetEpoch(grant.Epoch)
-			}
-			g := grant
-			return &g, func() {
-				if s.shardF != nil {
-					_ = s.shardF.ReleaseWriterLease(g.ID)
-				} else {
-					_ = s.remote.ReleaseLease(g.ID)
-				}
-			}
-		case errors.Is(err, filter.ErrLeaseUnsupported):
-			s.noLease = true
-			return nil, noop
-		case filter.IsLeaseHeld(err):
-			if time.Now().After(deadline) {
-				// Another writer is hogging the lease; proceed optimistic
-				// — the sequence/digest checks still protect the batch.
-				return nil, noop
-			}
+			// The grant carries the server's epoch: re-pin without an
+			// extra Epoch round-trip.
+			s.pinEpoch(grant.Epoch)
+			return &grant, nil
+		case filter.IsLeaseHeld(err) && time.Now().Before(deadline):
 			time.Sleep(backoff)
+		case s.shardF != nil:
+			return nil, nil
 		default:
-			// Transport or server trouble; the optimistic path surfaces
-			// it with better context.
-			return nil, noop
+			return nil, err
 		}
 	}
 }
 
-// applyOps commits one planned mutation through whichever write path
-// the session has. Caller holds s.mutMu.
+// applyOps commits one planned mutation. Caller holds s.mutMu.
 //
-// Cluster batches always carry explicit client-assigned sequences even
-// under a lease — the redelivery/backlog machinery needs a sequence
-// known before delivery is attempted, and a server-assigned one is only
-// safe when there is exactly one authoritative server. The cluster
-// lease is contention avoidance (writers take turns planning); the
-// per-shard sequence and digest checks stay the backstop.
+// A single-server or local batch goes out under the lease with Seq 0
+// and Release set. Cluster batches carry client-assigned sequences
+// even under a lease — the redelivery machinery needs a sequence known
+// before delivery is attempted, and a server-assigned one is only safe
+// when there is exactly one authoritative server; lease is nil when
+// the cluster lease could not be had.
 func (s *Session) applyOps(ops []filter.RowOp, lease *filter.LeaseGrant) error {
-	switch {
-	case s.shardF != nil:
+	if s.shardF != nil {
 		return s.shardF.Mutate(ops)
-	case s.remote != nil:
-		if lease != nil {
-			return s.remoteMutateLeased(ops, lease)
-		}
-		return s.remoteMutate(ops)
-	case s.mut != nil:
-		b := filter.MutationBatch{Ver: filter.MutationBatchVersion, Seq: s.mut.LastSeq() + 1, Ops: ops}
-		_, err := s.mut.Mutate(b)
-		return err
 	}
-	return ErrReadOnly
-}
-
-// remoteMutateLeased sends one batch under the writer lease with Seq 0:
-// the server assigns lastSeq+1 under the same lock that fences the
-// lease, so concurrent leased writers can never collide on a sequence.
-// Release is set — the server hands the lease back the moment the batch
-// is applied (before its fsync completes), so the next writer plans and
-// stages while this batch's fdatasync is in flight and group commit
-// coalesces both.
-func (s *Session) remoteMutateLeased(ops []filter.RowOp, lease *filter.LeaseGrant) error {
-	lb := filter.LeasedBatch{
+	reply, err := s.writer.MutateLeased(filter.LeasedBatch{
 		LeaseID: lease.ID,
 		Release: true,
 		B:       filter.MutationBatch{Ver: filter.MutationBatchVersion, Ops: ops},
-	}
-	reply, err := s.remote.MutateLeased(lb)
+	})
 	if err != nil {
-		s.mutSeqOK = false // same delivery-unknown reasoning as remoteMutate
 		return err
 	}
-	s.mutSeq = reply.LastSeq
-	s.mutSeqOK = true
-	s.rmiCli.SetEpoch(reply.Epoch)
+	s.pinEpoch(reply.Epoch)
 	return nil
 }
 
-// remoteMutate sequences and sends one batch to a single-server
-// session. The sequence is learned lazily from the server's epoch
-// info; ANY error invalidates it, forcing a fresh Epoch() fetch before
-// the next batch. The invalidation must not be narrowed to sequence
-// gaps: the server consumes a sequence even when applying its batch
-// fails (so replicas converge), and a transport error leaves delivery
-// unknown — in both cases the cached sequence may already be taken,
-// and reusing it would make the next batch's Seq collide with the
-// consumed one, turning it into a false idempotent ack (a silently
-// lost update). Surfaced errors reach mutateWithRetry, which re-plans
-// — the batch was planned against a state the server no longer holds,
-// so resending it would apply a stale plan.
-func (s *Session) remoteMutate(ops []filter.RowOp) error {
-	if !s.mutSeqOK {
-		info, err := s.remote.Epoch()
-		if err != nil {
-			return err
-		}
-		s.mutSeq = info.LastSeq
-		s.mutSeqOK = true
+// pinEpoch stamps a single-server session's frames with the epoch its
+// last write or grant reported. Cluster sessions pin per shard inside
+// the cluster layer; local sessions have no frames to stamp.
+func (s *Session) pinEpoch(epoch uint64) {
+	if s.rmiCli != nil {
+		s.rmiCli.SetEpoch(epoch)
 	}
-	b := filter.MutationBatch{Ver: filter.MutationBatchVersion, Seq: s.mutSeq + 1, Ops: ops}
-	reply, err := s.remote.Mutate(b)
-	if err != nil {
-		s.mutSeqOK = false
-		return err
-	}
-	s.mutSeq = reply.LastSeq
-	s.rmiCli.SetEpoch(reply.Epoch)
-	return nil
 }
 
 // refreshEpoch re-pins the session to the servers' current epoch after
@@ -597,7 +527,7 @@ func (s *Session) refreshEpoch() bool {
 		if err != nil {
 			return false
 		}
-		s.rmiCli.SetEpoch(info.Epoch)
+		s.pinEpoch(info.Epoch)
 		return true
 	}
 	return false

@@ -247,12 +247,19 @@ func TestMutateErrors(t *testing.T) {
 		t.Error("Delete of a missing node succeeded")
 	}
 	assertSameTable(t, "after refused mutations", db, encodeFresh(t, keys, testXML))
+
+	// A server that registers no mutation frames refuses at the lease.
+	ro := rmi.NewServer()
+	filter.RegisterServer(ro, filter.NewServerFilter(db.st, keys.ring, 0))
+	if _, err := pipeSession(t, keys, ro).Insert(1, "item"); !errors.Is(err, ErrReadOnly) {
+		t.Errorf("Insert against a read-only server = %v, want ErrReadOnly", err)
+	}
 }
 
 // TestMutateRemote covers the single-server write path over TCP: the
 // writer sees its own write, a session dialed afterwards sees it, a
-// second writer interleaves (each re-learning the sequence after the
-// other's write trips its gap check), and a session pinned to the
+// second writer interleaves (the server sequences both writers'
+// batches under the lease), and a session pinned to the
 // pre-mutation epoch gets fenced into a transparent re-pin — never a
 // stale answer.
 func TestMutateRemote(t *testing.T) {
@@ -292,9 +299,8 @@ func TestMutateRemote(t *testing.T) {
 		t.Fatalf("writer sees //item = %v, want 2 nodes", res.Pres)
 	}
 
-	// A second writer session: its first mutation learns the sequence
-	// fresh; after A writes again, B's cached sequence gaps and the
-	// session re-learns transparently.
+	// A second writer session, interleaved with the first: each write
+	// plans against the other's last one.
 	b, err := Dial(keys, addr)
 	if err != nil {
 		t.Fatal(err)
@@ -304,7 +310,7 @@ func TestMutateRemote(t *testing.T) {
 		t.Fatalf("second writer: %v", err)
 	}
 	if _, err := a.Insert(1, "regions"); err != nil {
-		t.Fatalf("first writer after interleave (sequence re-learn): %v", err)
+		t.Fatalf("first writer after interleave: %v", err)
 	}
 	if err := b.Delete(9); err != nil {
 		t.Fatalf("second writer after interleave: %v", err)
@@ -329,14 +335,22 @@ func TestMutateRemote(t *testing.T) {
 // consumeSeqMutable applies batches normally but fails the reply for
 // the first `failures` successful applies — modeling a server whose
 // apply or compact hook errors (or whose reply is lost) AFTER the
-// sequence is consumed.
+// sequence is consumed. Mutate is the cluster's client-sequenced path,
+// MutateLeased the single-server one.
 type consumeSeqMutable struct {
 	*filter.Mutable
 	failures int
 }
 
 func (m *consumeSeqMutable) Mutate(b filter.MutationBatch) (filter.MutateReply, error) {
-	reply, err := m.Mutable.Mutate(b)
+	return m.failReply(m.Mutable.Mutate(b))
+}
+
+func (m *consumeSeqMutable) MutateLeased(lb filter.LeasedBatch) (filter.MutateReply, error) {
+	return m.failReply(m.Mutable.MutateLeased(lb))
+}
+
+func (m *consumeSeqMutable) failReply(reply filter.MutateReply, err error) (filter.MutateReply, error) {
 	if err == nil && m.failures > 0 {
 		m.failures--
 		return reply, errors.New("chaos: compact hook failed after apply")
@@ -346,60 +360,60 @@ func (m *consumeSeqMutable) Mutate(b filter.MutationBatch) (filter.MutateReply, 
 
 // TestWriterRecoversAfterConsumedSeq pins the false-idempotent-ack fix:
 // when a batch's sequence is consumed server-side but the writer gets
-// an error back, the session must drop its cached sequence. Reusing it
-// would make the NEXT batch collide with the consumed sequence and be
-// acknowledged without being applied — a silently lost update.
+// an error back, the next batch must not reuse that sequence — the
+// server would acknowledge it without applying it, a silently lost
+// update. A single server assigns leased batches their sequence, so it
+// holds by construction there. A cluster session assigns sequences
+// itself and must count the consumed one; its second shard turns the
+// failure into a PartialMutationError, so the session cannot paper
+// over a reused sequence by re-planning.
 func TestWriterRecoversAfterConsumedSeq(t *testing.T) {
 	keys, err := GenerateKeys(Params{P: 83}, testNames(t))
 	if err != nil {
 		t.Fatal(err)
 	}
-	db := encodeFresh(t, keys, testXML)
-	mut := filter.NewMutable(filter.NewServerFilter(db.st, keys.ring, 1024), 0, nil, nil)
-	srv := rmi.NewServer()
-	filter.RegisterServer(srv, &consumeSeqMutable{Mutable: mut, failures: 1})
-	cConn, sConn := net.Pipe()
-	go srv.ServeConn(sConn)
-	cli := rmi.NewClient(cConn)
-	rem := filter.NewRemote(cli)
-	// An unpinned session (no dial-time epoch pin): it cannot rely on
-	// stale-epoch fencing to notice the server moved on without it.
-	// Lease off: this test pins the optimistic client-sequenced path —
-	// the fallback every session keeps — where a cached sequence CAN go
-	// stale. (Leased batches carry Seq 0 and are sequenced server-side,
-	// so a consumed sequence cannot be reused there by construction.)
-	s := newSession(keys, rem, cli)
-	s.rmiCli = cli
-	s.remote = rem
-	s.noLease = true
-	defer s.Close()
-
-	// First insert: the server applies it, consumes sequence 1, and
-	// fails the reply. The writer must surface the error.
-	if _, err := s.Insert(1, "regions"); err == nil {
-		t.Fatal("insert against the failing server reported success")
-	}
-	res, err := s.Query("//regions")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Pres) != 2 {
-		t.Fatalf("//regions = %v after failed-reply insert, want 2 nodes (batch was applied)", res.Pres)
+	// recovers inserts a //regions twice: the first insert is applied
+	// but reports an error, the second must apply exactly once.
+	recovers := func(t *testing.T, s *Session) {
+		if _, err := s.Insert(1, "regions"); err == nil {
+			t.Fatal("insert against the failing server reported success")
+		}
+		res, err := s.Query("//regions")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Pres) != 2 {
+			t.Fatalf("//regions = %v after failed-reply insert, want 2 nodes (batch was applied)", res.Pres)
+		}
+		if _, err := s.Insert(1, "regions"); err != nil {
+			t.Fatalf("insert after consumed sequence: %v", err)
+		}
+		if res, err = s.Query("//regions"); err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Pres) != 3 {
+			t.Fatalf("//regions = %v after recovery insert, want 3 nodes", res.Pres)
+		}
 	}
 
-	// Second insert: pre-fix the session reused cached sequence 0, sent
-	// Seq=1 again, and the server acked it idempotently without applying
-	// anything. It must instead re-learn the sequence and really apply.
-	if _, err := s.Insert(1, "regions"); err != nil {
-		t.Fatalf("insert after consumed sequence: %v", err)
-	}
-	res, err = s.Query("//regions")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Pres) != 3 {
-		t.Fatalf("//regions = %v after recovery insert, want 3 nodes", res.Pres)
-	}
+	t.Run("single-server", func(t *testing.T) {
+		db := encodeFresh(t, keys, testXML)
+		mut := filter.NewMutable(filter.NewServerFilter(db.st, keys.ring, 1024), 0, nil, nil)
+		srv := rmi.NewServer()
+		filter.RegisterServer(srv, &consumeSeqMutable{Mutable: mut, failures: 1})
+		recovers(t, pipeSession(t, keys, srv))
+	})
+	t.Run("cluster", func(t *testing.T) {
+		// Inserting a last child of the root patches the root on shard 0
+		// and puts the new row on shard 1; shard 0 fails the reply.
+		s := localClusterSession(t, keys, encodeFresh(t, keys, testXML), func(i int, m *filter.Mutable) cluster.Conn {
+			if i == 0 {
+				return &consumeSeqMutable{Mutable: m, failures: 1}
+			}
+			return m
+		})
+		recovers(t, s)
+	})
 }
 
 // TestMutateCluster runs the write path against a live 2-shard TCP
@@ -526,42 +540,13 @@ func TestPartialCommitParksAndRepairs(t *testing.T) {
 		t.Fatal(err)
 	}
 	db := encodeFresh(t, keys, testXML)
-	plan, err := db.ShardPlan(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var shards []cluster.Shard
-	for i, r := range plan {
-		var dump bytes.Buffer
-		if err := db.DumpShard(&dump, r); err != nil {
-			t.Fatal(err)
-		}
-		sdb, err := CreateDatabase(store.FreshDSN())
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer sdb.Close()
-		if err := sdb.LoadFrom(&dump); err != nil {
-			t.Fatal(err)
-		}
-		mut := filter.NewMutable(filter.NewServerFilter(sdb.st, keys.ring, 1024), 0, nil, nil)
-		var conn cluster.Conn = mut
+	s := localClusterSession(t, keys, db, func(i int, m *filter.Mutable) cluster.Conn {
 		if i == 1 {
-			conn = &failOnceConn{Mutable: mut, fails: 1}
+			return &failOnceConn{Mutable: m, fails: 1}
 		}
-		shards = append(shards, cluster.Shard{
-			Addr:  fmt.Sprintf("shard%d", i),
-			Range: r,
-			Conn:  conn,
-		})
-	}
-	f, err := cluster.NewWith(shards, cluster.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := newSession(keys, f, f)
-	s.shardF = f
-	defer s.Close()
+		return m
+	})
+	f := s.shardF
 
 	// Insert under pre 3: renumbering patches land on shard 0, the new
 	// row and the tail shifts on shard 1 — whose delivery fails. Shard 0
@@ -618,4 +603,44 @@ func TestPartialCommitParksAndRepairs(t *testing.T) {
 			}
 		}
 	}
+}
+
+// localClusterSession splits db into two in-process shards and opens a
+// cluster session over them; conn builds shard i's connection around
+// its Mutable.
+func localClusterSession(t *testing.T, keys *Keys, db *Database, conn func(i int, m *filter.Mutable) cluster.Conn) *Session {
+	t.Helper()
+	plan, err := db.ShardPlan(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var shards []cluster.Shard
+	for i, r := range plan {
+		var dump bytes.Buffer
+		if err := db.DumpShard(&dump, r); err != nil {
+			t.Fatal(err)
+		}
+		sdb, err := CreateDatabase(store.FreshDSN())
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { sdb.Close() })
+		if err := sdb.LoadFrom(&dump); err != nil {
+			t.Fatal(err)
+		}
+		mut := filter.NewMutable(filter.NewServerFilter(sdb.st, keys.ring, 1024), 0, nil, nil)
+		shards = append(shards, cluster.Shard{
+			Addr:  fmt.Sprintf("shard%d", i),
+			Range: r,
+			Conn:  conn(i, mut),
+		})
+	}
+	f, err := cluster.NewWith(shards, cluster.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := newSession(keys, f, f)
+	s.shardF = f
+	t.Cleanup(func() { s.Close() })
+	return s
 }
