@@ -22,6 +22,7 @@ import (
 	"sync/atomic"
 
 	"encshare/internal/gf"
+	"encshare/internal/ring"
 )
 
 // EvalRequest is one member of a batched evaluation: evaluate the server
@@ -466,11 +467,9 @@ func (c *Client) equalsFromBundle(pre int64, val gf.Elem, b NodePolys) (ok bool,
 	r := c.r
 	full := r.GetPoly()
 	defer r.PutPoly(full)
-	if err := r.DecodeInto(full, b.Node.Poly); err != nil {
-		return false, 0, decodeErr(pre, err)
+	if err := c.reconstructInto(full, pre, b.Node.Poly); err != nil {
+		return false, 0, err
 	}
-	c.Counters.Decodes.Add(1)
-	c.scheme.ReconstructInto(full, full, uint64(pre))
 	n = 1
 	prod, tmp, child := r.GetPoly(), r.GetPoly(), r.GetPoly()
 	defer r.PutPoly(prod)
@@ -478,15 +477,64 @@ func (c *Client) equalsFromBundle(pre int64, val gf.Elem, b NodePolys) (ok bool,
 	defer r.PutPoly(child)
 	prod[0] = 1 // the constant polynomial 1
 	for _, ch := range b.Children {
-		if err := r.DecodeInto(child, ch.Poly); err != nil {
-			return false, n, decodeErr(ch.Pre, err)
+		if err := c.reconstructInto(child, ch.Pre, ch.Poly); err != nil {
+			return false, n, err
 		}
-		c.Counters.Decodes.Add(1)
 		n++
-		c.scheme.ReconstructInto(child, child, uint64(ch.Pre))
 		prod, tmp = r.MulInto(tmp, prod, child), prod
 	}
 	return r.Equal(full, r.MulLinearInto(tmp, prod, val)), n, nil
+}
+
+// reconstructInto decodes the server share blob of the node at pre into
+// dst and adds the regenerated client share in place.
+func (c *Client) reconstructInto(dst ring.Poly, pre int64, blob []byte) error {
+	if err := c.r.DecodeInto(dst, blob); err != nil {
+		return decodeErr(pre, err)
+	}
+	c.Counters.Decodes.Add(1)
+	c.scheme.ReconstructInto(dst, dst, uint64(pre))
+	return nil
+}
+
+// NodePoly is one reconstructed node polynomial.
+type NodePoly struct {
+	Pre  int64
+	Poly ring.Poly
+}
+
+// Family is a NodePolys bundle reconstructed client-side: the node's
+// polynomial and its children's, in child order.
+type Family struct {
+	Node     NodePoly
+	Children []NodePoly
+}
+
+// Families fetches the bundle of every listed node in one exchange and
+// reconstructs every polynomial in it. A node's own share is bound to
+// the pre asked for, never to the one the server echoes.
+func (c *Client) Families(pres []int64) ([]Family, error) {
+	bundles, err := batchChunks(pres, polyChunkSize, c.api.NodePolysBatch)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]Family, len(bundles))
+	for i, b := range bundles {
+		if b.Err != "" {
+			return nil, errors.New(b.Err)
+		}
+		rows := append([]PolyRow{{Pre: pres[i], Poly: b.Node.Poly}}, b.Children...)
+		polys := make([]NodePoly, len(rows))
+		for j, row := range rows {
+			polys[j] = NodePoly{Pre: row.Pre, Poly: c.r.NewPoly()}
+			if err := c.reconstructInto(polys[j].Poly, row.Pre, row.Poly); err != nil {
+				return nil, err
+			}
+		}
+		c.Counters.Reconstructions.Add(int64(len(rows)))
+		out[i] = Family{Node: polys[0], Children: polys[1:]}
+	}
+	return out, nil
 }
 
 // NodeBatch fetches the metadata of every listed node in one exchange.

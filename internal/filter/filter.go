@@ -440,23 +440,19 @@ func (c *Client) Contains(pre int64, val gf.Elem) (bool, error) {
 func (c *Client) ServerStats() (ServerStats, error) { return c.api.ServerStats() }
 
 // Reconstruct fetches the server share of pre and adds the regenerated
-// client share, yielding the true node polynomial. The decode lands in
-// a pooled buffer and the client share streams into it in place, so the
-// only allocation is the returned polynomial itself.
+// client share, yielding the true node polynomial. The share decodes
+// straight into the returned polynomial and the client share streams
+// into it in place, so that polynomial is the only allocation.
 func (c *Client) Reconstruct(pre int64) (ring.Poly, error) {
 	row, err := c.api.Poly(pre)
 	if err != nil {
 		return nil, err
 	}
-	buf := c.r.GetPoly()
-	if err := c.r.DecodeInto(buf, row.Poly); err != nil {
-		c.r.PutPoly(buf)
-		return nil, decodeErr(pre, err)
+	full := c.r.NewPoly()
+	if err := c.reconstructInto(full, pre, row.Poly); err != nil {
+		return nil, err
 	}
-	c.Counters.Decodes.Add(1)
 	c.Counters.Reconstructions.Add(1)
-	full := c.scheme.ReconstructInto(c.r.NewPoly(), buf, uint64(pre))
-	c.r.PutPoly(buf)
 	return full, nil
 }
 

@@ -174,21 +174,14 @@ func (s *Session) planInsert(parentPre int64, t gf.Elem) (ops []filter.RowOp, ne
 // value t.
 func (s *Session) planUpdate(pre int64, t gf.Elem) ([]filter.RowOp, error) {
 	r := s.keys.ring
-	node, err := s.cli.Node(pre)
+	chain, err := s.editChain(pre)
 	if err != nil {
 		return nil, err
 	}
-	prod, _, err := s.childProducts(pre, 0, nil)
-	if err != nil {
-		return nil, err
-	}
+	prod, _, _ := childProducts(r, chain[0], 0, nil) // replacing nothing cannot fail
 	fNew := r.MulLinear(prod, t)
-	fOld, err := s.cli.Reconstruct(pre)
-	if err != nil {
-		return nil, err
-	}
-	ops := []filter.RowOp{{Kind: filter.OpPatch, Pre: pre, Blob: r.Bytes(r.Sub(fNew, fOld))}}
-	up, err := s.rebuildUp(node.Parent, pre, fNew, 0)
+	ops := []filter.RowOp{{Kind: filter.OpPatch, Pre: pre, Blob: r.Bytes(r.Sub(fNew, chain[0].Node.Poly))}}
+	up, err := rebuildUp(r, chain[1:], pre, fNew, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -197,19 +190,13 @@ func (s *Session) planUpdate(pre int64, t gf.Elem) ([]filter.RowOp, error) {
 
 // planDelete builds the op list for removing the leaf at pre.
 func (s *Session) planDelete(pre int64) ([]filter.RowOp, error) {
-	r := s.keys.ring
-	node, err := s.cli.Node(pre)
-	if err != nil {
+	chain, err := s.editChain(pre)
+	switch {
+	case err != nil:
 		return nil, err
-	}
-	if node.Parent == 0 {
+	case len(chain) == 1:
 		return nil, ErrDeleteRoot
-	}
-	kids, err := s.cli.Children(pre)
-	if err != nil {
-		return nil, err
-	}
-	if len(kids) > 0 {
+	case len(chain[0].Children) > 0:
 		return nil, ErrHasChildren
 	}
 	total, err := s.cli.Count()
@@ -217,25 +204,12 @@ func (s *Session) planDelete(pre int64) ([]filter.RowOp, error) {
 		return nil, err
 	}
 
-	// Parent rebuilt without the deleted child's factor. Its old tag is
-	// recovered against the product that still includes the child.
-	parent, err := s.cli.Node(node.Parent)
+	// The parent and every ancestor above it lose the deleted child's
+	// factor, and each sits after it in postorder.
+	up, err := rebuildUp(s.keys.ring, chain[1:], pre, nil, -1)
 	if err != nil {
 		return nil, err
 	}
-	cOld, cNew, err := s.childProducts(parent.Pre, pre, nil)
-	if err != nil {
-		return nil, err
-	}
-	fpOld, err := s.cli.Reconstruct(parent.Pre)
-	if err != nil {
-		return nil, err
-	}
-	tP, err := recoverTag(r, fpOld, cOld)
-	if err != nil {
-		return nil, err
-	}
-	fpNew := r.MulLinear(cNew, tP)
 
 	// Row removal first (frees the slot), then the tail shift ascending
 	// (pre+1 lands on the just-freed pre), then the rebuilt chain. The
@@ -249,76 +223,73 @@ func (s *Session) planDelete(pre int64) ([]filter.RowOp, error) {
 			Blob: s.rebindDelta(q, q-1),
 		})
 	}
-	ops = append(ops, filter.RowOp{
-		Kind: filter.OpPatch, Pre: parent.Pre, PostDelta: -1,
-		Blob: r.Bytes(r.Sub(fpNew, fpOld)),
-	})
-	up, err := s.rebuildUp(parent.Parent, parent.Pre, fpNew, -1)
-	if err != nil {
-		return nil, err
-	}
 	return append(ops, up...), nil
 }
 
-// rebuildUp walks the ancestor chain from the node at `from` (0 stops
-// immediately) to the root. At each step the ancestor's polynomial is
-// rebuilt with the path child's polynomial replaced by childNew, its
-// tag recovered algebraically from the pre-mutation state, and a patch
-// with the given postDelta emitted. Reads are all pre-mutation: the
-// plan is computed before any op is applied.
-func (s *Session) rebuildUp(from, childPre int64, childNew ring.Poly, postDelta int64) ([]filter.RowOp, error) {
-	r := s.keys.ring
-	var ops []filter.RowOp
-	for a := from; a != 0; {
-		meta, err := s.cli.Node(a)
+// editChain reads everything an update or delete of the node at pre
+// plans from. It walks the metadata chain up to the root, one Node call
+// per level, then fetches and reconstructs every chain node's bundle
+// (its row plus all child rows) in a single NodePolysBatch exchange:
+// chain[0] is the edited node's family, the root's comes last. Reads
+// are all pre-mutation: the plan is computed before any op is applied.
+func (s *Session) editChain(pre int64) ([]filter.Family, error) {
+	var pres []int64
+	for a := pre; a != 0; {
+		m, err := s.cli.Node(a)
 		if err != nil {
 			return nil, err
 		}
-		cOld, cNew, err := s.childProducts(a, childPre, childNew)
+		if m.Parent >= a { // a parent precedes its children in pre order
+			return nil, fmt.Errorf("encshare: node %d names parent %d, which does not precede it", a, m.Parent)
+		}
+		pres = append(pres, a)
+		a = m.Parent
+	}
+	return s.cli.Families(pres)
+}
+
+// rebuildUp rebuilds the ancestors whose families are listed, the path
+// child's parent first and the root last. At each step the ancestor's
+// polynomial is rebuilt with the path child (childPre) replaced by
+// childNew, or dropped when childNew is nil, its tag recovered
+// algebraically from the pre-mutation family, and a patch with the
+// given postDelta emitted. Pure: every polynomial comes from the
+// families, fetched in one exchange by editChain.
+func rebuildUp(r *ring.Ring, fams []filter.Family, childPre int64, childNew ring.Poly, postDelta int64) ([]filter.RowOp, error) {
+	ops := make([]filter.RowOp, 0, len(fams))
+	for _, fam := range fams {
+		cOld, cNew, err := childProducts(r, fam, childPre, childNew)
 		if err != nil {
 			return nil, err
 		}
-		fOld, err := s.cli.Reconstruct(a)
-		if err != nil {
-			return nil, err
-		}
-		tA, err := recoverTag(r, fOld, cOld)
+		tA, err := recoverTag(r, fam.Node.Poly, cOld)
 		if err != nil {
 			return nil, err
 		}
 		fNew := r.MulLinear(cNew, tA)
 		ops = append(ops, filter.RowOp{
-			Kind: filter.OpPatch, Pre: a, PostDelta: postDelta,
-			Blob: r.Bytes(r.Sub(fNew, fOld)),
+			Kind: filter.OpPatch, Pre: fam.Node.Pre, PostDelta: postDelta,
+			Blob: r.Bytes(r.Sub(fNew, fam.Node.Poly)),
 		})
-		childPre, childNew = a, fNew
-		a = meta.Parent
+		childPre, childNew = fam.Node.Pre, fNew
 	}
 	return ops, nil
 }
 
-// childProducts reconstructs the children of the node at pre and
-// returns the product of their polynomials twice: as stored (old), and
-// with the child at replacePre substituted by replaceWith (new). A nil
-// replaceWith drops that child from the new product (the delete case);
-// replacePre 0 leaves both products identical.
-func (s *Session) childProducts(pre, replacePre int64, replaceWith ring.Poly) (cOld, cNew ring.Poly, err error) {
-	r := s.keys.ring
-	kids, err := s.cli.Children(pre)
-	if err != nil {
-		return nil, nil, err
-	}
+// childProducts returns the product of fam's child polynomials twice:
+// as stored (old), and with the child at replacePre substituted by
+// replaceWith (new). A nil replaceWith drops that child from the new
+// product (the delete case); replacePre 0 leaves both products
+// identical and cannot fail. Pure: the children come reconstructed in
+// the family.
+func childProducts(r *ring.Ring, fam filter.Family, replacePre int64, replaceWith ring.Poly) (cOld, cNew ring.Poly, err error) {
 	cOld, cNew = r.One(), r.One()
 	found := false
-	for _, k := range kids {
-		fk, err := s.cli.Reconstruct(k.Pre)
-		if err != nil {
-			return nil, nil, err
-		}
-		cOld = r.Mul(cOld, fk)
+	for _, k := range fam.Children {
+		cOld = r.Mul(cOld, k.Poly)
 		switch {
 		case k.Pre != replacePre:
-			cNew = r.Mul(cNew, fk)
+			cNew = r.Mul(cNew, k.Poly)
 		case replaceWith != nil:
 			cNew = r.Mul(cNew, replaceWith)
 			found = true
@@ -327,7 +298,7 @@ func (s *Session) childProducts(pre, replacePre int64, replaceWith ring.Poly) (c
 		}
 	}
 	if replacePre != 0 && !found {
-		return nil, nil, fmt.Errorf("encshare: node %d is not a child of node %d", replacePre, pre)
+		return nil, nil, fmt.Errorf("encshare: node %d is not a child of node %d", replacePre, fam.Node.Pre)
 	}
 	return cOld, cNew, nil
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -256,6 +257,134 @@ func TestMutateErrors(t *testing.T) {
 	}
 }
 
+// editDeltas runs edit and returns the wire methods it sent, by count.
+func editDeltas(t *testing.T, s *Session, edit func() error) map[string]int64 {
+	t.Helper()
+	before := s.remote.CallCounts()
+	if err := edit(); err != nil {
+		t.Fatal(err)
+	}
+	got := map[string]int64{}
+	for m, n := range s.remote.CallCounts() {
+		if d := n - before[m]; d != 0 {
+			got[m] = d
+		}
+	}
+	return got
+}
+
+// TestEditPlanExchanges pins each edit class's exchanges on a chain of
+// five nodes (a new child of address). Update and delete walk the
+// chain's metadata with one Node call per level, then read every chain
+// node's bundle in a single NodePolysBatch exchange; insert reads each
+// ancestor's own polynomial with a Poly call.
+func TestEditPlanExchanges(t *testing.T) {
+	keys, err := GenerateKeys(Params{P: 83}, testNames(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	db := encodeFresh(t, keys, testXML)
+	srv := rmi.NewServer()
+	filter.RegisterServer(srv, filter.NewMutable(filter.NewServerFilter(db.st, keys.ring, 1024), 0, nil, nil))
+	s := pipeSession(t, keys, srv)
+
+	const address = 9 // site/people/person/address
+	var pre int64
+	got := editDeltas(t, s, func() (err error) { pre, err = s.Insert(address, "item"); return err })
+	want := map[string]int64{"filter.AcquireLease": 1, "filter.Node": 4, "filter.Descendants": 1,
+		"filter.Count": 1, "filter.Poly": 4, "filter.MutateLeased": 1}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("insert sent %v, want %v", got, want)
+	}
+	got = editDeltas(t, s, func() error { return s.Update(pre, "city") })
+	want = map[string]int64{"filter.AcquireLease": 1, "filter.Node": 5, "filter.NodePolysBatchPage": 1,
+		"filter.MutateLeased": 1}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("update sent %v, want %v", got, want)
+	}
+	got = editDeltas(t, s, func() error { return s.Delete(pre) })
+	want["filter.Count"] = 1
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("delete sent %v, want %v", got, want)
+	}
+	assertSameTable(t, "insert, update, delete", db, encodeFresh(t, keys, testXML))
+}
+
+// tamperServer serves a Mutable whose Node and NodePolysBatch replies
+// pass through node and bundle (when set) before they leave the
+// server: an untrusted server lying about an edit chain.
+type tamperServer struct {
+	*filter.Mutable
+	node   func(m *filter.NodeMeta)
+	bundle func(b *filter.NodePolys)
+}
+
+func (m *tamperServer) Node(pre int64) (filter.NodeMeta, error) {
+	meta, err := m.Mutable.Node(pre)
+	if m.node != nil {
+		m.node(&meta)
+	}
+	return meta, err
+}
+
+func (m *tamperServer) NodePolysBatch(pres []int64) ([]filter.NodePolys, error) {
+	out, err := m.Mutable.NodePolysBatch(pres)
+	for i := range out {
+		if m.bundle != nil {
+			m.bundle(&out[i])
+		}
+	}
+	return out, err
+}
+
+// TestEditPlanRejectsTamperedChain: a parent pointer that does not
+// precede its child, a bundle that omits a child row, or a bundle with
+// an undecodable blob fails the plan before any batch is sent, and the
+// table is left untouched.
+func TestEditPlanRejectsTamperedChain(t *testing.T) {
+	keys, err := GenerateKeys(Params{P: 83}, testNames(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const person, name, city = 7, 8, 10 // city's chain runs through person, whose children are name and address
+	for _, tc := range []struct {
+		label, want string
+		srv         tamperServer
+	}{
+		{"parent cycle", "does not precede it", tamperServer{node: func(m *filter.NodeMeta) {
+			if m.Pre == person {
+				m.Parent = city
+			}
+		}}},
+		{"dropped child", "cannot recover a node's tag", tamperServer{bundle: func(b *filter.NodePolys) {
+			if b.Node.Pre == person {
+				b.Children = b.Children[1:] // name
+			}
+		}}},
+		{"short blob", fmt.Sprintf("filter: decoding poly of %d: ", name), tamperServer{bundle: func(b *filter.NodePolys) {
+			if b.Node.Pre == person {
+				b.Children = append([]filter.PolyRow{{Pre: name, Poly: b.Children[0].Poly[1:]}}, b.Children[1:]...)
+			}
+		}}},
+	} {
+		t.Run(tc.label, func(t *testing.T) {
+			db := encodeFresh(t, keys, testXML)
+			tc.srv.Mutable = filter.NewMutable(filter.NewServerFilter(db.st, keys.ring, 1024), 0, nil, nil)
+			srv := rmi.NewServer()
+			filter.RegisterServer(srv, &tc.srv)
+			s := pipeSession(t, keys, srv)
+			err := s.Update(city, "name")
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("update over a tampered chain = %v, want an error containing %q", err, tc.want)
+			}
+			if n := s.remote.CallCounts()["filter.MutateLeased"]; n != 0 {
+				t.Fatalf("%d MutateLeased frames sent for a plan that failed", n)
+			}
+			assertSameTable(t, tc.label, db, encodeFresh(t, keys, testXML))
+		})
+	}
+}
+
 // TestMutateRemote covers the single-server write path over TCP: the
 // writer sees its own write, a session dialed afterwards sees it, a
 // second writer interleaves (the server sequences both writers'
@@ -467,6 +596,30 @@ func TestMutateCluster(t *testing.T) {
 	}
 	if _, err := local.Insert(3, "item"); err != nil {
 		t.Fatal(err)
+	}
+	// The insert puts its row at pre 6, shard 1's first pre, so shard 1
+	// takes it (cluster.putOwner) and grows by one. Then the update's
+	// chain holds europe (3) and the delete's holds the root, and each
+	// has children on both shards: both plans read bundles merged from
+	// NodePolysPartial fragments.
+	if plan[1].Lo != 6 {
+		t.Fatalf("shard plan %v: the insert no longer lands at shard 1's first pre", plan)
+	}
+	ranges := []ShardRange{plan[0], {Lo: plan[1].Lo, Hi: plan[1].Hi + 1}}
+	for _, anc := range []int64{3, 1} {
+		kids, err := local.cli.Children(anc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var onShard [2]bool
+		for _, k := range kids {
+			for si, r := range ranges {
+				onShard[si] = onShard[si] || (r.Lo <= k.Pre && k.Pre <= r.Hi)
+			}
+		}
+		if !onShard[0] || !onShard[1] {
+			t.Fatalf("children %v of %d do not span both shards %v", kids, anc, ranges)
+		}
 	}
 	if err := session.Update(6, "city"); err != nil {
 		t.Fatalf("cluster update: %v", err)
