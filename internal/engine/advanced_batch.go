@@ -106,34 +106,22 @@ func (r *advBatch) start(steps []xpath.Step) error {
 	if s.Name == xpath.ParentStep {
 		return nil // the virtual root has no parent: empty result
 	}
-	switch s.Axis {
-	case xpath.Child:
-		// "The AdvancedQuery engine always starts at the root node."
-		r.visited++
-		if s.IsNameTest() {
-			ok, err := r.e.accept(root.Pre, s.Name, r.test)
-			if err != nil {
-				return err
-			}
-			if !ok {
-				return nil
-			}
+	// "The AdvancedQuery engine always starts at the root node." Along
+	// the descendant axis the root is a candidate, then the walk runs
+	// downwards.
+	r.visited++
+	ok := !s.IsNameTest()
+	if v, mapped := r.e.val(s.Name); !ok && mapped {
+		oks, err := r.e.check([]filter.Check{{Pre: root.Pre, Point: v}}, r.test)
+		if err != nil {
+			return err
 		}
+		ok = oks[0]
+	}
+	if ok {
 		r.push(root, steps[1:], 0)
-	case xpath.Descendant:
-		// The root itself is a candidate, then walk downwards.
-		r.visited++
-		if s.IsNameTest() {
-			ok, err := r.e.accept(root.Pre, s.Name, r.test)
-			if err != nil {
-				return err
-			}
-			if ok {
-				r.push(root, steps[1:], 0)
-			}
-		} else {
-			r.push(root, steps[1:], 0)
-		}
+	}
+	if s.Axis == xpath.Descendant {
 		r.scans = append(r.scans, advScan{node: root, s: s, rest: steps[1:]})
 	}
 	return r.drain()

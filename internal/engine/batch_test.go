@@ -26,6 +26,10 @@ var predQueries = []string{
 	"/site//person[//city]",
 	"/site/regions/*[//name]",
 	"/site//item[//keyword]",
+	// Parent steps and wildcards inside a predicate.
+	"//name[/..//city]",
+	"/site/regions/*[/*/name]",
+	"/site/people/person[/../person/name]",
 }
 
 // sameWork reports whether two runs performed the same checks: equal
@@ -167,11 +171,13 @@ func nameSteps(q *xpath.Query) int64 {
 }
 
 // TestRemoteRoundTripsPerStep verifies the acceptance property of the
-// batch pipeline: a remote simple-engine query issues AT MOST ONE filter
-// (evaluation) round-trip per engine step, and none through the per-call
-// method.
+// batch pipeline: a remote query sends no per-call frame but Root, for
+// both engines under both tests, and a simple-engine query issues AT
+// MOST ONE evaluation round-trip per name step.
 func TestRemoteRoundTripsPerStep(t *testing.T) {
 	rfx := buildRemote(t, smallXML)
+	perCall := []string{"filter.EvalAt", "filter.Poly", "filter.ChildrenPolys",
+		"filter.Children", "filter.Descendants", "filter.Node"}
 	for _, qs := range []string{
 		"/site/regions/europe/item",
 		"/site//item",
@@ -180,21 +186,24 @@ func TestRemoteRoundTripsPerStep(t *testing.T) {
 		"/site/regions/../people/person",
 	} {
 		q := xpath.MustParse(qs)
-		before := rfx.rem.EvalRoundTrips()
-		if _, err := rfx.simple.Run(q, Containment); err != nil {
-			t.Fatalf("%s: %v", qs, err)
+		for _, test := range []Test{Containment, Equality} {
+			for _, e := range []Engine{rfx.simple, rfx.advanced} {
+				before, evalsBefore := rfx.rem.CallCounts(), rfx.rem.EvalRoundTrips()
+				if _, err := e.Run(q, test); err != nil {
+					t.Fatalf("%s/%s %s: %v", e.Name(), test, qs, err)
+				}
+				after := rfx.rem.CallCounts()
+				for _, m := range perCall {
+					if n := after[m] - before[m]; n != 0 {
+						t.Errorf("%s/%s %s: %d per-call %s frames", e.Name(), test, qs, n, m)
+					}
+				}
+				evals := rfx.rem.EvalRoundTrips() - evalsBefore
+				if max := nameSteps(q); e.Name() == "simple" && evals > max {
+					t.Errorf("%s/%s %s: %d evaluation round-trips for %d name steps", e.Name(), test, qs, evals, max)
+				}
+			}
 		}
-		rtts := rfx.rem.EvalRoundTrips() - before
-		if max := nameSteps(q); rtts > max {
-			t.Errorf("%s: %d evaluation round-trips for %d name steps", qs, rtts, max)
-		}
-	}
-	if n := rfx.rem.CallCounts()["filter.EvalAt"]; n != 0 {
-		t.Errorf("batched pipeline issued %d per-call evaluations", n)
-	}
-	// Parent steps ride the batched frame too, never per-call Node floods.
-	if n := rfx.rem.CallCounts()["filter.Node"]; n != 0 {
-		t.Errorf("batched pipeline issued %d per-call node fetches", n)
 	}
 }
 

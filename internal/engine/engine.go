@@ -13,9 +13,11 @@
 // the two engines return identical result sets; they differ only in the
 // work spent (the subject of Figs. 5 and 6).
 //
-// Both engines run one traversal: the simple engine a frontier per step,
-// the advanced engine a wave per tree level (advanced_batch.go). Every
-// check of a frontier or wave travels through the engine's transport.
+// Each engine runs one traversal, for a query and its predicates alike:
+// the simple engine a tagged frontier per step (Simple.walk), the
+// advanced engine a wave per tree level (advanced_batch.go). Every check
+// and every navigation below the root, the root's own test included,
+// travels through the engine's transport.
 // The default transport is the filter client itself, which sends a batch
 // as one exchange, so a remote query costs O(steps) round-trips instead
 // of O(candidates) — including predicates, whose existence checks run as
@@ -174,45 +176,6 @@ func (b *base) val(name string) (v gf.Elem, ok bool) {
 		}
 	}
 	return v, true
-}
-
-// accept applies the selected test to one candidate.
-func (b *base) accept(pre int64, name string, test Test) (bool, error) {
-	v, ok := b.val(name)
-	if !ok {
-		return false, nil
-	}
-	if test == Equality {
-		return b.cli.Equals(pre, v)
-	}
-	return b.cli.Contains(pre, v)
-}
-
-// acceptBatch applies the selected test to a whole candidate slice with
-// one transport batch, returning the accepted subset in order.
-func (b *base) acceptBatch(cands []filter.NodeMeta, name string, test Test) ([]filter.NodeMeta, error) {
-	if len(cands) == 0 {
-		return nil, nil
-	}
-	v, ok := b.val(name)
-	if !ok {
-		return nil, nil
-	}
-	checks := make([]filter.Check, len(cands))
-	for i, c := range cands {
-		checks[i] = filter.Check{Pre: c.Pre, Point: v}
-	}
-	oks, err := b.check(checks, test)
-	if err != nil {
-		return nil, err
-	}
-	var kept []filter.NodeMeta
-	for i, ok := range oks {
-		if ok {
-			kept = append(kept, cands[i])
-		}
-	}
-	return kept, nil
 }
 
 // check applies the selected test to a check batch (Contains for

@@ -43,6 +43,19 @@ func (e *depthFirst) Run(q *xpath.Query, test Test) (Result, error) {
 	})
 }
 
+// accept applies the selected test to one candidate with one per-call
+// exchange.
+func (e *depthFirst) accept(pre int64, name string, test Test) (bool, error) {
+	v, ok := e.val(name)
+	if !ok {
+		return false, nil
+	}
+	if test == Equality {
+		return e.cli.Equals(pre, v)
+	}
+	return e.cli.Contains(pre, v)
+}
+
 // dfWalk is the state of one depth-first traversal.
 type dfWalk struct {
 	e       *depthFirst

@@ -40,50 +40,79 @@ func (e *Simple) Name() string { return "simple" }
 // Run implements Engine.
 func (e *Simple) Run(q *xpath.Query, test Test) (Result, error) {
 	return e.run(func() ([]int64, int64, error) {
-		frontier, visited, err := e.steps(q.Steps, test)
+		found, visited, err := e.walk([]taggedMeta{{}}, q.Steps, test)
 		if err != nil {
 			return nil, 0, err
+		}
+		frontier := make([]filter.NodeMeta, len(found))
+		for i, tm := range found {
+			frontier[i] = tm.m
 		}
 		pres, err := applyPreds(e, q, test, frontier)
 		return pres, visited, err
 	})
 }
 
-// evalRelativeBatch implements predEvaluator: the stepwise traversal
-// over a frontier of (node, context) pairs. Each step expands and tests
-// the candidates of ALL contexts in the same shared batches,
-// so answering the existence question for the whole frontier costs the
-// same number of round-trips as answering it for one node. A context is
-// satisfied iff any of its candidates survives every step.
+// evalRelativeBatch implements predEvaluator: one walk carries every
+// context as a tagged frontier member, so answering the existence
+// question for the whole frontier costs the same number of round-trips
+// as answering it for one node. A context is satisfied iff any of its
+// candidates survives every step.
 func (e *Simple) evalRelativeBatch(ctxs []filter.NodeMeta, q *xpath.Query, test Test) ([]bool, error) {
 	cur := make([]taggedMeta, len(ctxs))
 	for i, m := range ctxs {
 		cur[i] = taggedMeta{m: m, ctx: i}
 	}
+	found, _, err := e.walk(cur, q.Steps, test)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]bool, len(ctxs))
+	for _, tm := range found {
+		out[tm.ctx] = true
+	}
+	return out, nil
+}
+
+// walk applies the steps to a frontier of (node, context) pairs,
+// expanding and testing the candidates of ALL contexts in the same
+// shared batches. It returns the surviving pairs and the number of
+// candidates tested. A frontier member with the zero NodeMeta is the
+// virtual document root, which a query starts from alone: a child step
+// from it reaches the document root — "the first slash instructs the
+// search engine to locate the root node ... done in constant time"
+// (indexed parent = 0) — and a descendant step the root and everything
+// below it.
+func (e *Simple) walk(cur []taggedMeta, steps []xpath.Step, test Test) ([]taggedMeta, int64, error) {
+	label := "pred "
+	if isDocRoot(cur) {
+		label = "step "
+	}
 	tr := e.cli.Tracer()
 	if tr != nil {
 		defer tr.EndStep()
 	}
-	for _, s := range q.Steps {
-		if tr != nil {
-			tr.BeginStep("pred " + s.String())
-		}
+	var visited int64
+	for _, s := range steps {
 		if len(cur) == 0 {
 			break
+		}
+		if tr != nil {
+			tr.BeginStep(label + s.String())
 		}
 		// Parent step: navigate up, no test.
 		if s.Name == xpath.ParentStep {
 			var pres []int64
 			var keep []taggedMeta
 			for _, tm := range cur {
-				if tm.m.Parent != 0 { // root has no parent
+				if tm.m.Parent != 0 { // neither root has a parent
 					pres = append(pres, tm.m.Parent)
 					keep = append(keep, tm)
 				}
 			}
 			parents, err := e.wire.NodeBatch(pres)
 			if err != nil {
-				return nil, err
+				return nil, 0, err
 			}
 			for i := range parents {
 				keep[i].m = parents[i]
@@ -94,29 +123,38 @@ func (e *Simple) evalRelativeBatch(ctxs []filter.NodeMeta, q *xpath.Query, test 
 
 		// Expand every context's candidates along the axis together.
 		var cands []taggedMeta
-		switch s.Axis {
-		case xpath.Child:
+		fromRoot := isDocRoot(cur)
+		if fromRoot {
+			root, err := e.cli.Root()
+			if err != nil {
+				return nil, 0, err
+			}
+			cur = []taggedMeta{{m: root}}
+			cands = cur // the root is a candidate of either axis
+		}
+		switch {
+		case s.Axis == xpath.Child && !fromRoot:
 			pres := make([]int64, len(cur))
 			for i, tm := range cur {
 				pres[i] = tm.m.Pre
 			}
 			lists, err := e.wire.ChildrenBatch(pres)
 			if err != nil {
-				return nil, err
+				return nil, 0, err
 			}
 			for i, kids := range lists {
 				for _, kid := range kids {
 					cands = append(cands, taggedMeta{m: kid, ctx: cur[i].ctx})
 				}
 			}
-		case xpath.Descendant:
+		case s.Axis == xpath.Descendant:
 			spans := make([]filter.Span, len(cur))
 			for i, tm := range cur {
 				spans[i] = filter.Span{Pre: tm.m.Pre, Post: tm.m.Post}
 			}
 			lists, err := e.wire.DescendantsBatch(spans)
 			if err != nil {
-				return nil, err
+				return nil, 0, err
 			}
 			for i, desc := range lists {
 				for _, d := range desc {
@@ -127,12 +165,16 @@ func (e *Simple) evalRelativeBatch(ctxs []filter.NodeMeta, q *xpath.Query, test 
 		}
 
 		if s.Name == xpath.Wildcard {
+			// "The * reduces the workload because no additional filtering
+			// is needed."
 			cur = cands
 			continue
 		}
+		visited += int64(len(cands))
 		v, ok := e.val(s.Name)
 		if !ok {
-			return make([]bool, len(ctxs)), nil // name cannot occur anywhere
+			cur = nil // the name cannot occur anywhere
+			continue
 		}
 		checks := make([]filter.Check, len(cands))
 		for i, tm := range cands {
@@ -140,7 +182,7 @@ func (e *Simple) evalRelativeBatch(ctxs []filter.NodeMeta, q *xpath.Query, test 
 		}
 		oks, err := e.check(checks, test)
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		var kept []taggedMeta
 		for i, ok := range oks {
@@ -150,112 +192,10 @@ func (e *Simple) evalRelativeBatch(ctxs []filter.NodeMeta, q *xpath.Query, test 
 		}
 		cur = kept
 	}
-	out := make([]bool, len(ctxs))
-	for _, tm := range cur {
-		out[tm.ctx] = true
-	}
-	return out, nil
+	return cur, visited, nil
 }
 
-// steps applies the step list from the virtual document root, returning
-// the final frontier and the number of candidates tested.
-func (e *Simple) steps(steps []xpath.Step, test Test) (frontier []filter.NodeMeta, visited int64, err error) {
-	tr := e.cli.Tracer()
-	if tr != nil {
-		defer tr.EndStep()
-	}
-	for i, s := range steps {
-		if tr != nil {
-			tr.BeginStep("step " + s.String())
-		}
-		// Parent step: navigate up, no test.
-		if s.Name == xpath.ParentStep {
-			var pres []int64
-			for _, n := range frontier {
-				if n.Parent != 0 { // root has no parent
-					pres = append(pres, n.Parent)
-				}
-			}
-			parents, err := e.wire.NodeBatch(pres)
-			if err != nil {
-				return nil, 0, err
-			}
-			frontier = dedupMetas(parents)
-			continue
-		}
-
-		// Expand candidates along the axis.
-		cands, err := e.expand(frontier, s, i == 0)
-		if err != nil {
-			return nil, 0, err
-		}
-
-		// Filter by the step's test.
-		if s.Name == xpath.Wildcard {
-			// "The * reduces the workload because no additional filtering
-			// is needed."
-			frontier = cands
-			continue
-		}
-		visited += int64(len(cands))
-		frontier, err = e.acceptBatch(cands, s.Name, test)
-		if err != nil {
-			return nil, 0, err
-		}
-	}
-	return frontier, visited, nil
-}
-
-// expand collects the step's candidates: the whole frontier is expanded
-// along the axis in one transport batch.
-func (e *Simple) expand(frontier []filter.NodeMeta, s xpath.Step, fromRoot bool) ([]filter.NodeMeta, error) {
-	switch {
-	case s.Axis == xpath.Child && fromRoot:
-		// "The first slash instructs the search engine to locate the
-		// root node ... done in constant time" (indexed parent = 0).
-		root, err := e.cli.Root()
-		if err != nil {
-			return nil, err
-		}
-		return []filter.NodeMeta{root}, nil
-	case s.Axis == xpath.Child:
-		pres := make([]int64, len(frontier))
-		for i, n := range frontier {
-			pres[i] = n.Pre
-		}
-		lists, err := e.wire.ChildrenBatch(pres)
-		if err != nil {
-			return nil, err
-		}
-		var cands []filter.NodeMeta
-		for _, kids := range lists {
-			cands = append(cands, kids...)
-		}
-		return cands, nil
-	case s.Axis == xpath.Descendant && fromRoot:
-		root, err := e.cli.Root()
-		if err != nil {
-			return nil, err
-		}
-		desc, err := e.cli.Descendants(root.Pre, root.Post)
-		if err != nil {
-			return nil, err
-		}
-		return append([]filter.NodeMeta{root}, desc...), nil
-	case s.Axis == xpath.Descendant:
-		spans := make([]filter.Span, len(frontier))
-		for i, n := range frontier {
-			spans[i] = filter.Span{Pre: n.Pre, Post: n.Post}
-		}
-		lists, err := e.wire.DescendantsBatch(spans)
-		if err != nil {
-			return nil, err
-		}
-		var cands []filter.NodeMeta
-		for _, desc := range lists {
-			cands = append(cands, desc...)
-		}
-		return dedupMetas(cands), nil
-	}
-	return nil, nil
+// isDocRoot reports whether the frontier is the virtual document root.
+func isDocRoot(cur []taggedMeta) bool {
+	return len(cur) == 1 && cur[0].m == filter.NodeMeta{}
 }

@@ -113,10 +113,11 @@ func (s *Session) Delete(pre int64) error {
 // tag value t.
 func (s *Session) planInsert(parentPre int64, t gf.Elem) (ops []filter.RowOp, newPre int64, err error) {
 	r := s.keys.ring
-	parent, err := s.cli.Node(parentPre)
+	chain, err := s.chainMeta(parentPre)
 	if err != nil {
 		return nil, 0, err
 	}
+	parent := chain[0]
 	desc, err := s.cli.Descendants(parentPre, parent.Post)
 	if err != nil {
 		return nil, 0, err
@@ -143,22 +144,16 @@ func (s *Session) planInsert(parentPre int64, t gf.Elem) (ops []filter.RowOp, ne
 	// Ancestors, parent included: each gains the new leaf's (x − t)
 	// factor, and each sits after the leaf in postorder (the leaf takes
 	// the parent's old post), so post moves up by one.
-	for a := parent; ; {
-		fOld, rerr := s.cli.Reconstruct(a.Pre)
-		if rerr != nil {
-			return nil, 0, rerr
+	for _, a := range chain {
+		fOld, err := s.cli.Reconstruct(a.Pre)
+		if err != nil {
+			return nil, 0, err
 		}
 		fNew := r.MulLinear(fOld, t)
 		ops = append(ops, filter.RowOp{
 			Kind: filter.OpPatch, Pre: a.Pre, PostDelta: 1,
 			Blob: r.Bytes(r.Sub(fNew, fOld)),
 		})
-		if a.Parent == 0 {
-			break
-		}
-		if a, err = s.cli.Node(a.Parent); err != nil {
-			return nil, 0, err
-		}
 	}
 
 	// The new leaf itself, last: its slot is free once the tail moved.
@@ -226,15 +221,14 @@ func (s *Session) planDelete(pre int64) ([]filter.RowOp, error) {
 	return append(ops, up...), nil
 }
 
-// editChain reads everything an update or delete of the node at pre
-// plans from. It walks the metadata chain up to the root, one Node call
-// per level, then fetches and reconstructs every chain node's bundle
-// (its row plus all child rows) in a single NodePolysBatch exchange:
-// chain[0] is the edited node's family, the root's comes last. Reads
-// are all pre-mutation: the plan is computed before any op is applied.
-func (s *Session) editChain(pre int64) ([]filter.Family, error) {
-	var pres []int64
-	for a := pre; a != 0; {
+// chainMeta walks the metadata chain from the node at pre up to the
+// root, one Node call per level: chain[0] is the node's own, the root's
+// comes last, each bound to the pre asked for, never the one the
+// server echoes. It refuses a parent pointer that does not precede its
+// child, so a lying server cannot loop the walk.
+func (s *Session) chainMeta(pre int64) ([]filter.NodeMeta, error) {
+	var chain []filter.NodeMeta
+	for a := pre; ; {
 		m, err := s.cli.Node(a)
 		if err != nil {
 			return nil, err
@@ -242,8 +236,29 @@ func (s *Session) editChain(pre int64) ([]filter.Family, error) {
 		if m.Parent >= a { // a parent precedes its children in pre order
 			return nil, fmt.Errorf("encshare: node %d names parent %d, which does not precede it", a, m.Parent)
 		}
-		pres = append(pres, a)
+		m.Pre = a
+		chain = append(chain, m)
+		if m.Parent == 0 {
+			return chain, nil
+		}
 		a = m.Parent
+	}
+}
+
+// editChain reads everything an update or delete of the node at pre
+// plans from: the metadata chain (chainMeta), then every chain node's
+// bundle (its row plus all child rows), fetched and reconstructed in a
+// single NodePolysBatch exchange. chain[0] is the edited node's family,
+// the root's comes last. Reads are all pre-mutation: the plan is
+// computed before any op is applied.
+func (s *Session) editChain(pre int64) ([]filter.Family, error) {
+	chain, err := s.chainMeta(pre)
+	if err != nil {
+		return nil, err
+	}
+	pres := make([]int64, len(chain))
+	for i, m := range chain {
+		pres[i] = m.Pre
 	}
 	return s.cli.Families(pres)
 }

@@ -312,14 +312,21 @@ func TestEditPlanExchanges(t *testing.T) {
 
 // tamperServer serves a Mutable whose Node and NodePolysBatch replies
 // pass through node and bundle (when set) before they leave the
-// server: an untrusted server lying about an edit chain.
+// server: an untrusted server lying about an edit chain. With
+// maxNodes set, every Node call past that many fails, so a walk that
+// trusts a lie fails instead of looping.
 type tamperServer struct {
 	*filter.Mutable
-	node   func(m *filter.NodeMeta)
-	bundle func(b *filter.NodePolys)
+	node     func(m *filter.NodeMeta)
+	bundle   func(b *filter.NodePolys)
+	maxNodes int
+	nodes    int
 }
 
 func (m *tamperServer) Node(pre int64) (filter.NodeMeta, error) {
+	if m.nodes++; m.maxNodes > 0 && m.nodes > m.maxNodes {
+		return filter.NodeMeta{}, fmt.Errorf("tamper: Node call %d past the limit of %d", m.nodes, m.maxNodes)
+	}
 	meta, err := m.Mutable.Node(pre)
 	if m.node != nil {
 		m.node(&meta)
@@ -340,7 +347,8 @@ func (m *tamperServer) NodePolysBatch(pres []int64) ([]filter.NodePolys, error) 
 // TestEditPlanRejectsTamperedChain: a parent pointer that does not
 // precede its child, a bundle that omits a child row, or a bundle with
 // an undecodable blob fails the plan before any batch is sent, and the
-// table is left untouched.
+// table is left untouched. A parent cycle also fails an insert below
+// it.
 func TestEditPlanRejectsTamperedChain(t *testing.T) {
 	keys, err := GenerateKeys(Params{P: 83}, testNames(t))
 	if err != nil {
@@ -351,7 +359,7 @@ func TestEditPlanRejectsTamperedChain(t *testing.T) {
 		label, want string
 		srv         tamperServer
 	}{
-		{"parent cycle", "does not precede it", tamperServer{node: func(m *filter.NodeMeta) {
+		{"parent cycle", "does not precede it", tamperServer{maxNodes: 64, node: func(m *filter.NodeMeta) {
 			if m.Pre == person {
 				m.Parent = city
 			}
@@ -376,6 +384,12 @@ func TestEditPlanRejectsTamperedChain(t *testing.T) {
 			err := s.Update(city, "name")
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("update over a tampered chain = %v, want an error containing %q", err, tc.want)
+			}
+			if tc.srv.node != nil {
+				const address = 9 // person's child, city's parent
+				if _, err := s.Insert(address, "item"); err == nil || !strings.Contains(err.Error(), tc.want) {
+					t.Fatalf("insert below a tampered chain = %v, want an error containing %q", err, tc.want)
+				}
 			}
 			if n := s.remote.CallCounts()["filter.MutateLeased"]; n != 0 {
 				t.Fatalf("%d MutateLeased frames sent for a plan that failed", n)
