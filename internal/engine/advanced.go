@@ -41,8 +41,8 @@ func (e *Advanced) Name() string { return "advanced" }
 // Run implements Engine.
 func (e *Advanced) Run(q *xpath.Query, test Test) (Result, error) {
 	return e.run(func() ([]int64, int64, error) {
-		r := &advBatch{e: e, test: test, preds: q.Preds}
-		if err := r.start(q.Steps); err != nil {
+		r := newAdvBatch(e, test, q.Steps, q.Preds)
+		if err := r.start(); err != nil {
 			return nil, 0, err
 		}
 		pres, err := applyPreds(e, q, test, dedupMetas(r.out))
@@ -55,9 +55,11 @@ func (e *Advanced) Run(q *xpath.Query, test Test) (Result, error) {
 // context's branches ride the same per-wave batches, and a witnessed
 // context stops spending work. See advBatch.
 func (e *Advanced) evalRelativeBatch(ctxs []filter.NodeMeta, q *xpath.Query, test Test) ([]bool, error) {
-	r := &advBatch{e: e, test: test, existsOnly: true, found: make([]bool, len(ctxs)), pending: len(ctxs)}
+	r := newAdvBatch(e, test, q.Steps, nil)
+	r.existsOnly, r.found, r.pending = true, make([]bool, len(ctxs)), len(ctxs)
+	r.items = make([]advItem, 0, len(ctxs))
 	for i, ctx := range ctxs {
-		r.push(ctx, q.Steps, i)
+		r.push(ctx, len(q.Steps), i)
 	}
 	if err := r.drain(); err != nil {
 		return nil, err

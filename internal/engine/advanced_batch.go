@@ -41,7 +41,8 @@ import (
 type advBatch struct {
 	e          *Advanced
 	test       Test
-	preds      []*xpath.Query // top-level predicates, folded into look-ahead
+	steps      []xpath.Step // the run's query: every branch holds a suffix of it
+	la         [][]string   // look-ahead names, by the number of steps left
 	visited    int64
 	out        []filter.NodeMeta
 	existsOnly bool
@@ -49,26 +50,63 @@ type advBatch struct {
 	pending    int    // contexts still without a witness
 
 	items []advItem // nodes clearing look-ahead, then consuming a step
+	ready []advItem // this wave's cleared items (reused across waves)
 	scans []advScan // descendant walks, one level per wave
+	spare []advScan // the previous wave's scans, reused for the next
+}
+
+// newAdvBatch prepares a run of steps. Every branch a run pushes holds
+// a suffix of steps, so its look-ahead names depend only on how many
+// steps it has left and are computed once per count here, not per node.
+func newAdvBatch(e *Advanced, test Test, steps []xpath.Step, preds []*xpath.Query) *advBatch {
+	r := &advBatch{e: e, test: test, steps: steps, la: make([][]string, len(steps)+1)}
+	for left := range r.la {
+		r.la[left] = lookaheadNames(r.rest(left), preds)
+	}
+	return r
 }
 
 // advItem is one alive traversal branch: a node that must clear the
-// pending look-ahead names (one per wave) and then consume steps[0], on
-// behalf of predicate context ctx (always 0 for full-result runs).
+// look-ahead names r.la[left][la:] (one per wave) and then consume the
+// next of its left remaining steps, on behalf of predicate context ctx
+// (always 0 for full-result runs).
 type advItem struct {
-	node  filter.NodeMeta
-	steps []xpath.Step
-	la    []string
-	ctx   int
+	node filter.NodeMeta
+	left int
+	la   int
+	ctx  int
 }
 
 // advScan is one descendant walk position: the children of node are the
-// next level, scanned against step s, with rest to follow below matches.
+// next level, scanned against the step before the last left steps, with
+// those left steps to follow below matches.
 type advScan struct {
 	node filter.NodeMeta
-	s    xpath.Step
-	rest []xpath.Step
+	left int
 	ctx  int
+}
+
+// advCand is a fetched child awaiting its check: the kid and the index
+// of the item or scan whose expansion fetched it.
+type advCand struct {
+	node  filter.NodeMeta
+	owner int
+}
+
+// rest returns the run's last left steps.
+func (r *advBatch) rest(left int) []xpath.Step { return r.steps[len(r.steps)-left:] }
+
+// scanned returns the step a scan with left steps below it walks for.
+func (r *advBatch) scanned(sc advScan) xpath.Step { return r.steps[len(r.steps)-sc.left-1] }
+
+// candidates sizes a wave's check batch and candidate list once, for
+// every child the fetch returned.
+func candidates(lists [][]filter.NodeMeta) ([]filter.Check, []advCand) {
+	n := 0
+	for _, l := range lists {
+		n += len(l)
+	}
+	return make([]filter.Check, 0, n), make([]advCand, 0, n)
 }
 
 // done reports whether branch work for ctx is moot (its witness exists).
@@ -85,24 +123,24 @@ func (r *advBatch) witness(ctx int) {
 	}
 }
 
-// push enqueues a node with the look-ahead of its remaining steps — the
-// wave analogue of the depth-first walk's recursive call.
-func (r *advBatch) push(node filter.NodeMeta, steps []xpath.Step, ctx int) {
-	r.items = append(r.items, advItem{node: node, steps: steps, la: lookaheadNames(steps, r.preds), ctx: ctx})
+// push enqueues a node with left steps to consume — the wave analogue
+// of the depth-first walk's recursive call.
+func (r *advBatch) push(node filter.NodeMeta, left, ctx int) {
+	r.items = append(r.items, advItem{node: node, left: left, ctx: ctx})
 }
 
 // start handles the virtual document root — the first step addresses
 // the document root itself (child axis) or every node (descendant axis)
 // — then drains the wave queue.
-func (r *advBatch) start(steps []xpath.Step) error {
-	if len(steps) == 0 {
+func (r *advBatch) start() error {
+	if len(r.steps) == 0 {
 		return nil
 	}
 	root, err := r.e.cli.Root()
 	if err != nil {
 		return err
 	}
-	s := steps[0]
+	s, left := r.steps[0], len(r.steps)-1
 	if s.Name == xpath.ParentStep {
 		return nil // the virtual root has no parent: empty result
 	}
@@ -119,10 +157,10 @@ func (r *advBatch) start(steps []xpath.Step) error {
 		ok = oks[0]
 	}
 	if ok {
-		r.push(root, steps[1:], 0)
+		r.push(root, left, 0)
 	}
 	if s.Axis == xpath.Descendant {
-		r.scans = append(r.scans, advScan{node: root, s: s, rest: steps[1:]})
+		r.scans = append(r.scans, advScan{node: root, left: left})
 	}
 	return r.drain()
 }
@@ -169,18 +207,21 @@ func (r *advBatch) wave() error {
 
 // lookaheadRound checks one pending look-ahead name per item in a single
 // exchange and returns the items whose look-ahead is fully cleared.
+// Items still pending stay in r.items, compacted in place.
 func (r *advBatch) lookaheadRound() ([]advItem, error) {
-	var ready, pending, checked []advItem
-	var checks []filter.Check
+	ready := r.ready[:0]
+	checks := make([]filter.Check, 0, len(r.items))
+	checked := r.items[:0]
 	for _, it := range r.items {
 		if r.done(it.ctx) {
 			continue // context already witnessed: dead branch
 		}
-		if len(it.la) == 0 {
+		la := r.la[it.left]
+		if it.la == len(la) {
 			ready = append(ready, it)
 			continue
 		}
-		v, mapped := r.e.val(it.la[0])
+		v, mapped := r.e.val(la[it.la])
 		if !mapped {
 			continue // name cannot occur anywhere: dead branch
 		}
@@ -191,34 +232,36 @@ func (r *advBatch) lookaheadRound() ([]advItem, error) {
 	if err != nil {
 		return nil, err
 	}
+	pending := checked[:0]
 	for i, ok := range oks {
 		if !ok {
 			continue // dead branch
 		}
 		it := checked[i]
-		it.la = it.la[1:]
-		if len(it.la) == 0 {
+		it.la++
+		if it.la == len(r.la[it.left]) {
 			ready = append(ready, it)
 		} else {
 			pending = append(pending, it)
 		}
 	}
-	r.items = pending
+	r.items, r.ready = pending, ready
 	return ready, nil
 }
 
 // consume lets every cleared item take its next step: emit results (or
 // witnesses), climb parents (one shared exchange), queue descendant
-// walks, and collect child expansions for the shared batch.
+// walks, and collect child expansions for the shared batch (compacted
+// in place over ready).
 func (r *advBatch) consume(ready []advItem) ([]advItem, error) {
-	var childParents []advItem
+	childParents := ready[:0]
 	var parentPres []int64
 	var parentItems []advItem
 	for _, it := range ready {
 		if r.done(it.ctx) {
 			continue
 		}
-		if len(it.steps) == 0 {
+		if it.left == 0 {
 			if r.existsOnly {
 				r.witness(it.ctx)
 				continue
@@ -226,19 +269,18 @@ func (r *advBatch) consume(ready []advItem) ([]advItem, error) {
 			r.out = append(r.out, it.node)
 			continue
 		}
-		s := it.steps[0]
-		rest := it.steps[1:]
+		s := r.rest(it.left)[0]
 		switch {
 		case s.Name == xpath.ParentStep:
 			if it.node.Parent == 0 {
 				continue
 			}
 			parentPres = append(parentPres, it.node.Parent)
-			parentItems = append(parentItems, advItem{steps: rest, ctx: it.ctx})
+			parentItems = append(parentItems, advItem{left: it.left - 1, ctx: it.ctx})
 		case s.Axis == xpath.Child:
 			childParents = append(childParents, it)
 		case s.Axis == xpath.Descendant:
-			r.scans = append(r.scans, advScan{node: it.node, s: s, rest: rest, ctx: it.ctx})
+			r.scans = append(r.scans, advScan{node: it.node, left: it.left - 1, ctx: it.ctx})
 		}
 	}
 	parents, err := r.e.wire.NodeBatch(parentPres)
@@ -247,7 +289,7 @@ func (r *advBatch) consume(ready []advItem) ([]advItem, error) {
 	}
 	for i, parent := range parents {
 		r.visited++
-		r.push(parent, parentItems[i].steps, parentItems[i].ctx)
+		r.push(parent, parentItems[i].left, parentItems[i].ctx)
 	}
 	return childParents, nil
 }
@@ -273,11 +315,9 @@ func (r *advBatch) expandChildren(parents []advItem) error {
 	if err != nil {
 		return err
 	}
-	var checks []filter.Check
-	var cands []advItem // candidate with steps = rest, parallel to checks
+	checks, cands := candidates(lists)
 	for i, it := range parents {
-		s := it.steps[0]
-		rest := it.steps[1:]
+		s := r.rest(it.left)[0]
 		var v gf.Elem
 		mapped := false
 		if s.IsNameTest() {
@@ -286,14 +326,14 @@ func (r *advBatch) expandChildren(parents []advItem) error {
 		for _, kid := range lists[i] {
 			r.visited++
 			if !s.IsNameTest() {
-				r.push(kid, rest, it.ctx)
+				r.push(kid, it.left-1, it.ctx)
 				continue
 			}
 			if !mapped {
 				continue
 			}
 			checks = append(checks, filter.Check{Pre: kid.Pre, Point: v})
-			cands = append(cands, advItem{node: kid, steps: rest, ctx: it.ctx})
+			cands = append(cands, advCand{node: kid, owner: i})
 		}
 	}
 	oks, err := r.e.check(checks, r.test)
@@ -302,7 +342,8 @@ func (r *advBatch) expandChildren(parents []advItem) error {
 	}
 	for i, ok := range oks {
 		if ok {
-			r.push(cands[i].node, cands[i].steps, cands[i].ctx)
+			it := parents[cands[i].owner]
+			r.push(cands[i].node, it.left-1, it.ctx)
 		}
 	}
 	return nil
@@ -315,15 +356,15 @@ func (r *advBatch) expandChildren(parents []advItem) error {
 // (if accepted) enter the remaining steps — the paper's "walk downwards
 // ... until this results in a non-zero sum", one level per wave.
 func (r *advBatch) scanLevel() error {
-	scans := r.scans
-	r.scans = nil
-	live := scans[:0]
-	for _, sc := range scans {
+	scans := r.scans[:0]
+	for _, sc := range r.scans {
 		if !r.done(sc.ctx) {
-			live = append(live, sc)
+			scans = append(scans, sc)
 		}
 	}
-	scans = live
+	// The next level goes into the previous wave's slice; this one is
+	// read until we return and refilled one wave later.
+	r.scans, r.spare = r.spare[:0], scans
 	if len(scans) == 0 {
 		return nil
 	}
@@ -335,25 +376,24 @@ func (r *advBatch) scanLevel() error {
 	if err != nil {
 		return err
 	}
-	var checks []filter.Check
-	var cands []advScan // the kid in .node, walk params in .s/.rest
+	checks, cands := candidates(lists)
 	for i, sc := range scans {
-		if sc.s.IsNameTest() {
-			v, mapped := r.e.val(sc.s.Name)
+		if s := r.scanned(sc); s.IsNameTest() {
+			v, mapped := r.e.val(s.Name)
 			if !mapped {
 				continue // the name cannot occur: nothing to find below
 			}
 			for _, kid := range lists[i] {
 				r.visited++
 				checks = append(checks, filter.Check{Pre: kid.Pre, Point: v})
-				cands = append(cands, advScan{node: kid, s: sc.s, rest: sc.rest, ctx: sc.ctx})
+				cands = append(cands, advCand{node: kid, owner: i})
 			}
 		} else {
 			// //*: every descendant qualifies and the walk continues below.
 			for _, kid := range lists[i] {
 				r.visited++
-				r.push(kid, sc.rest, sc.ctx)
-				r.scans = append(r.scans, advScan{node: kid, s: sc.s, rest: sc.rest, ctx: sc.ctx})
+				r.push(kid, sc.left, sc.ctx)
+				r.scans = append(r.scans, advScan{node: kid, left: sc.left, ctx: sc.ctx})
 			}
 		}
 	}
@@ -361,36 +401,35 @@ func (r *advBatch) scanLevel() error {
 	if err != nil {
 		return err
 	}
-	if r.test == Equality {
-		var eqChecks []filter.Check
-		var eqCands []advScan
-		for i, ok := range oks {
-			if !ok {
-				continue // prune: nothing named s.Name anywhere below
-			}
-			kid := cands[i]
-			r.scans = append(r.scans, advScan{node: kid.node, s: kid.s, rest: kid.rest, ctx: kid.ctx})
-			eqChecks = append(eqChecks, checks[i])
-			eqCands = append(eqCands, kid)
-		}
-		eqOks, err := r.e.wire.EqualsBatch(eqChecks)
-		if err != nil {
-			return err
-		}
-		for i, ok := range eqOks {
-			if ok {
-				r.push(eqCands[i].node, eqCands[i].rest, eqCands[i].ctx)
-			}
-		}
-		return nil
-	}
+	// Survivors of the prune continue the walk; in strict mode they are
+	// compacted in place to form the EqualsBatch.
+	kept := 0
 	for i, ok := range oks {
 		if !ok {
-			continue // prune: nothing named s.Name anywhere below
+			continue // prune: nothing below carries the scanned name
 		}
-		kid := cands[i]
-		r.push(kid.node, kid.rest, kid.ctx)
-		r.scans = append(r.scans, advScan{node: kid.node, s: kid.s, rest: kid.rest, ctx: kid.ctx})
+		c := cands[i]
+		sc := scans[c.owner]
+		r.scans = append(r.scans, advScan{node: c.node, left: sc.left, ctx: sc.ctx})
+		if r.test == Equality {
+			checks[kept], cands[kept] = checks[i], c
+			kept++
+		} else {
+			r.push(c.node, sc.left, sc.ctx)
+		}
+	}
+	if r.test != Equality {
+		return nil
+	}
+	eqOks, err := r.e.wire.EqualsBatch(checks[:kept])
+	if err != nil {
+		return err
+	}
+	for i, ok := range eqOks {
+		if ok {
+			sc := scans[cands[i].owner]
+			r.push(cands[i].node, sc.left, sc.ctx)
+		}
 	}
 	return nil
 }

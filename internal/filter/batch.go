@@ -15,9 +15,11 @@
 package filter
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -169,9 +171,9 @@ func checkReplyLen[T any](part []T, want int) error {
 
 // batchChunks is the shared skeleton of every client batch method: ship
 // frame-bounded chunks through batch, validating each reply's member
-// count.
+// count. A batch that fits one chunk returns that chunk's reply as is.
 func batchChunks[Req, Resp any](reqs []Req, chunk int, batch func([]Req) ([]Resp, error)) ([]Resp, error) {
-	out := make([]Resp, 0, len(reqs))
+	var out []Resp
 	err := chunked(len(reqs), chunk, func(lo, hi int) error {
 		part, err := batch(reqs[lo:hi])
 		if err != nil {
@@ -179,6 +181,13 @@ func batchChunks[Req, Resp any](reqs []Req, chunk int, batch func([]Req) ([]Resp
 		}
 		if err := checkReplyLen(part, hi-lo); err != nil {
 			return err
+		}
+		if hi-lo == len(reqs) {
+			out = part
+			return nil
+		}
+		if out == nil {
+			out = make([]Resp, 0, len(reqs))
 		}
 		out = append(out, part...)
 		return nil
@@ -207,21 +216,31 @@ func (s *ServerFilter) poolSize() int {
 	return defaultWorkers()
 }
 
-// groupByPre splits request indices by node, preserving first-seen node
-// order — the shared pre-grouping of the batched eval paths (server and
-// client), which lets each side pay its per-node cost (decode, PRG
-// stream) once however many points one node is asked.
-func groupByPre(n int, preAt func(int) int64) (pres []int64, byPre map[int64][]int) {
-	byPre = make(map[int64][]int, n)
-	pres = make([]int64, 0, n)
-	for i := 0; i < n; i++ {
-		pre := preAt(i)
-		if _, seen := byPre[pre]; !seen {
-			pres = append(pres, pre)
-		}
-		byPre[pre] = append(byPre[pre], i)
+// groupByPre orders request indices by node — the shared pre-grouping
+// of the batched eval paths (server and client), which lets each side
+// pay its per-node cost (decode, PRG stream) once however many points
+// one node is asked. idx is 0..n-1 stably sorted by pre (left as is
+// when the pres already ascend); starts holds the position in idx where
+// each distinct node's run begins, then n, so node g's indices are
+// idx[starts[g]:starts[g+1]], in request order. Nodes come in ascending
+// pre order, not first-seen order.
+func groupByPre(n int, preAt func(int) int64) (idx, starts []int) {
+	buf := make([]int, 2*n+1)
+	idx, starts = buf[:n], buf[n:n]
+	sorted := true
+	for i := range idx {
+		idx[i] = i
+		sorted = sorted && (i == 0 || preAt(i-1) <= preAt(i))
 	}
-	return pres, byPre
+	if !sorted {
+		slices.SortStableFunc(idx, func(a, b int) int { return cmp.Compare(preAt(a), preAt(b)) })
+	}
+	for i := range idx {
+		if i == 0 || preAt(idx[i]) != preAt(idx[i-1]) {
+			starts = append(starts, i)
+		}
+	}
+	return idx, append(starts, n)
 }
 
 // EvalBatch implements BatchAPI: all members are evaluated on the worker
@@ -233,11 +252,10 @@ func groupByPre(n int, preAt func(int) int64) (pres []int64, byPre map[int64][]i
 // coefficients.
 func (s *ServerFilter) EvalBatch(reqs []EvalRequest) ([]EvalResult, error) {
 	out := make([]EvalResult, len(reqs))
-	pres, byPre := groupByPre(len(reqs), func(i int) int64 { return reqs[i].Pre })
-	parallelFor(len(pres), s.poolSize(), func(pi int) {
-		pre := pres[pi]
-		idx := byPre[pre]
-		p, err := s.serverPoly(pre)
+	order, starts := groupByPre(len(reqs), func(i int) int64 { return reqs[i].Pre })
+	parallelFor(len(starts)-1, s.poolSize(), func(g int) {
+		idx := order[starts[g]:starts[g+1]]
+		p, err := s.serverPoly(reqs[idx[0]].Pre)
 		if err != nil {
 			for _, i := range idx {
 				out[i].Err = err.Error()
@@ -391,10 +409,10 @@ func (c *Client) ContainsBatch(checks []Check) ([]bool, error) {
 		return nil, err
 	}
 	out := make([]bool, len(checks))
-	pres, byPre := groupByPre(len(checks), func(i int) int64 { return checks[i].Pre })
-	parallelFor(len(pres), c.poolSize(), func(pi int) {
-		pre := pres[pi]
-		idx := byPre[pre]
+	order, starts := groupByPre(len(checks), func(i int) int64 { return checks[i].Pre })
+	parallelFor(len(starts)-1, c.poolSize(), func(g int) {
+		idx := order[starts[g]:starts[g+1]]
+		pre := checks[idx[0]].Pre
 		var ptsArr, valsArr [8]gf.Elem
 		var pts, vals []gf.Elem
 		if len(idx) <= len(ptsArr) {

@@ -1,8 +1,11 @@
 package filter
 
 import (
+	"slices"
 	"strings"
 	"testing"
+
+	"encshare/internal/gf"
 )
 
 // allChecks builds the full (node × name) check matrix of the fixture —
@@ -20,41 +23,107 @@ func allChecks(t testing.TB, fx *fixture) []Check {
 	return checks
 }
 
+// checkSet is one named batch input.
+type checkSet struct {
+	name   string
+	checks []Check
+}
+
+// checkSets are the batch inputs the per-node grouping must handle: the
+// full check matrix, whose pres already ascend, and a short batch whose
+// pres are out of order and repeated.
+func checkSets(t testing.TB, fx *fixture) []checkSet {
+	t.Helper()
+	points := []gf.Elem{fx.val(t, "name"), fx.val(t, "item")}
+	var unsorted []Check
+	for i, pre := range []int64{9, 3, 9, 1, 3} {
+		unsorted = append(unsorted, Check{Pre: pre, Point: points[i%2]})
+	}
+	return []checkSet{{"sorted", allChecks(t, fx)}, {"unsorted", unsorted}}
+}
+
+// distinctPres counts the distinct nodes a batch asks about.
+func distinctPres(checks []Check) int64 {
+	seen := map[int64]bool{}
+	for _, c := range checks {
+		seen[c.Pre] = true
+	}
+	return int64(len(seen))
+}
+
+// decodesOf returns the decode counter of a server filter.
+func decodesOf(t testing.TB, s *ServerFilter) int64 {
+	t.Helper()
+	st, err := s.ServerStats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st.Decodes
+}
+
 // TestEvalBatchMatchesEvalAt: one batched exchange must return exactly
 // the per-call results, member for member, on both the in-process server
-// filter and the RMI proxy.
+// filter and the RMI proxy, whether or not the pres arrive in order —
+// and a server without a poly cache decodes each distinct node once.
 func TestEvalBatchMatchesEvalAt(t *testing.T) {
 	fx := newFixture(t, testXML)
 	rem := NewRemote(fx.rmiCli)
-	for _, tc := range []struct {
-		name string
-		api  BatchAPI
-	}{
-		{"local", fx.server},
-		{"remote", rem},
-	} {
-		checks := allChecks(t, fx)
-		reqs := make([]EvalRequest, len(checks))
-		for i, c := range checks {
-			reqs[i] = EvalRequest(c)
-		}
-		got, err := tc.api.EvalBatch(reqs)
-		if err != nil {
-			t.Fatalf("%s: EvalBatch: %v", tc.name, err)
-		}
-		if len(got) != len(reqs) {
-			t.Fatalf("%s: %d results for %d requests", tc.name, len(got), len(reqs))
-		}
-		sapi := tc.api.(ServerAPI)
-		for i, q := range reqs {
-			want, err := sapi.EvalAt(q.Pre, q.Point)
+	cold := NewServerFilter(fx.server.st, fx.r, 0)
+	for _, set := range checkSets(t, fx) {
+		for _, tc := range []struct {
+			name string
+			api  BatchAPI
+		}{
+			{"local", fx.server},
+			{"remote", rem},
+			{"uncached", cold},
+		} {
+			reqs := make([]EvalRequest, len(set.checks))
+			for i, c := range set.checks {
+				reqs[i] = EvalRequest(c)
+			}
+			decodes := decodesOf(t, cold)
+			got, err := tc.api.EvalBatch(reqs)
 			if err != nil {
-				t.Fatalf("%s: EvalAt(%d): %v", tc.name, q.Pre, err)
+				t.Fatalf("%s/%s: EvalBatch: %v", set.name, tc.name, err)
 			}
-			if got[i].Err != "" || got[i].Val != want {
-				t.Fatalf("%s: member %d = (%d, %q), want (%d, \"\")",
-					tc.name, i, got[i].Val, got[i].Err, want)
+			if len(got) != len(reqs) {
+				t.Fatalf("%s/%s: %d results for %d requests", set.name, tc.name, len(got), len(reqs))
 			}
+			if tc.api == cold {
+				if n, want := decodesOf(t, cold)-decodes, distinctPres(set.checks); n != want {
+					t.Fatalf("%s: %d decodes for %d distinct nodes", set.name, n, want)
+				}
+			}
+			sapi := tc.api.(ServerAPI)
+			for i, q := range reqs {
+				want, err := sapi.EvalAt(q.Pre, q.Point)
+				if err != nil {
+					t.Fatalf("%s/%s: EvalAt(%d): %v", set.name, tc.name, q.Pre, err)
+				}
+				if got[i].Err != "" || got[i].Val != want {
+					t.Fatalf("%s/%s: member %d = (%d, %q), want (%d, \"\")",
+						set.name, tc.name, i, got[i].Val, got[i].Err, want)
+				}
+			}
+		}
+	}
+}
+
+// TestGroupByPre: every distinct pre forms one run, runs ascend by pre,
+// and a run lists its request indices in request order.
+func TestGroupByPre(t *testing.T) {
+	for _, tc := range []struct {
+		pres        []int64
+		idx, starts []int
+	}{
+		{nil, []int{}, []int{0}},
+		{[]int64{9, 3, 9, 1, 3}, []int{3, 1, 4, 0, 2}, []int{0, 1, 3, 5}},
+		{[]int64{1, 1, 2, 5, 5, 5}, []int{0, 1, 2, 3, 4, 5}, []int{0, 2, 3, 6}},
+	} {
+		idx, starts := groupByPre(len(tc.pres), func(i int) int64 { return tc.pres[i] })
+		if !slices.Equal(idx, tc.idx) || !slices.Equal(starts, tc.starts) {
+			t.Errorf("groupByPre(%v) = %v, %v; want %v, %v", tc.pres, idx, starts, tc.idx, tc.starts)
 		}
 	}
 }
@@ -120,33 +189,44 @@ func TestEvalBatchCacheInteraction(t *testing.T) {
 }
 
 // TestContainsBatchMatchesContains: the batched client test must agree
-// with N individual Contains calls and count the same work.
+// with N individual Contains calls and count the same work, whether or
+// not the pres arrive in order; over a server without a poly cache, each
+// distinct node is decoded once.
 func TestContainsBatchMatchesContains(t *testing.T) {
 	fx := newFixture(t, testXML)
-	for _, tc := range []struct {
-		name string
-		cli  *Client
-	}{
-		{"local", fx.local},
-		{"remote", fx.remote},
-	} {
-		checks := allChecks(t, fx)
-		before := tc.cli.Counters.Snapshot()
-		got, err := tc.cli.ContainsBatch(checks)
-		if err != nil {
-			t.Fatalf("%s: ContainsBatch: %v", tc.name, err)
-		}
-		d := tc.cli.Counters.Snapshot().Sub(before)
-		if d.Evaluations != int64(len(checks)) {
-			t.Fatalf("%s: batch counted %d evaluations, want %d", tc.name, d.Evaluations, len(checks))
-		}
-		for i, c := range checks {
-			want, err := tc.cli.Contains(c.Pre, c.Point)
+	cold := NewServerFilter(fx.server.st, fx.r, 0)
+	for _, set := range checkSets(t, fx) {
+		for _, tc := range []struct {
+			name string
+			cli  *Client
+		}{
+			{"local", fx.local},
+			{"remote", fx.remote},
+			{"uncached", NewClient(cold, fx.scheme)},
+		} {
+			checks := set.checks
+			before, decodes := tc.cli.Counters.Snapshot(), decodesOf(t, cold)
+			got, err := tc.cli.ContainsBatch(checks)
 			if err != nil {
-				t.Fatal(err)
+				t.Fatalf("%s/%s: ContainsBatch: %v", set.name, tc.name, err)
 			}
-			if got[i] != want {
-				t.Fatalf("%s: member %d (pre=%d) = %v, want %v", tc.name, i, c.Pre, got[i], want)
+			d := tc.cli.Counters.Snapshot().Sub(before)
+			if d.Evaluations != int64(len(checks)) {
+				t.Fatalf("%s/%s: batch counted %d evaluations, want %d", set.name, tc.name, d.Evaluations, len(checks))
+			}
+			if tc.name == "uncached" {
+				if n, want := decodesOf(t, cold)-decodes, distinctPres(checks); n != want {
+					t.Fatalf("%s: %d decodes for %d distinct nodes", set.name, n, want)
+				}
+			}
+			for i, c := range checks {
+				want, err := tc.cli.Contains(c.Pre, c.Point)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got[i] != want {
+					t.Fatalf("%s/%s: member %d (pre=%d) = %v, want %v", set.name, tc.name, i, c.Pre, got[i], want)
+				}
 			}
 		}
 	}

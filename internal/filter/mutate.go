@@ -261,7 +261,7 @@ func EncodeBatch(b MutationBatch) ([]byte, error) {
 // passed the CRC check, and the server whatever a peer sent.
 func DecodeBatch(data []byte) (MutationBatch, error) {
 	var b MutationBatch
-	err := decodeWire(data, true, func(r *wireReader) {
+	err := decodeKeeping(data, false, func(r *wireReader) {
 		b.Ver, b.Seq = r.byte("header"), r.uvarint("seq")
 		// Every op occupies at least 9 bytes: a kind, seven one-byte
 		// varints and an empty blob.

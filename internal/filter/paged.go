@@ -173,7 +173,9 @@ func pageBundles[T any](a bundlePageArgs, fetch func([]int64) ([]T, error), size
 	if a.Member < 0 || a.Member > n {
 		return bundlePage[T]{}, fmt.Errorf("filter: bad bundle page cursor %d", a.Member)
 	}
-	var rep bundlePage[T]
+	// Room for a whole client chunk up front. Only a peer that ignores
+	// the chunking asks for more, and the budget bounds what it gets.
+	rep := bundlePage[T]{Bundles: make([]T, 0, min(n-a.Member, polyChunkSize))}
 	budget := ReplyByteBudget
 	m := a.Member
 	for m < n && budget > 0 {
@@ -212,7 +214,7 @@ func remotePagedBundles[T any](r *Remote, method string, pres []int64) ([]T, err
 	if len(pres) == 0 {
 		return nil, nil
 	}
-	out := make([]T, 0, len(pres))
+	var out []T
 	for {
 		var rep bundlePage[T]
 		if err := r.call(method, bundlePageArgs{Pres: pres, Member: len(out)}, &rep); err != nil {
@@ -220,6 +222,16 @@ func remotePagedBundles[T any](r *Remote, method string, pres []int64) ([]T, err
 		}
 		if len(rep.Bundles) == 0 && !rep.Done {
 			return nil, &BadReplyError{Msg: fmt.Sprintf("paged %s reply made no progress at member %d", method, len(out))}
+		}
+		if out == nil && rep.Done {
+			// One page: its bundles are the answer.
+			if err := checkReplyLen(rep.Bundles, len(pres)); err != nil {
+				return nil, err
+			}
+			return rep.Bundles, nil
+		}
+		if out == nil {
+			out = make([]T, 0, len(pres))
 		}
 		out = append(out, rep.Bundles...)
 		if len(out) > len(pres) {

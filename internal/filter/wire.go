@@ -13,15 +13,17 @@
 // Decoders follow DecodeBatch's discipline: every count and length is
 // checked against the bytes that remain before anything is allocated,
 // trailing bytes are an error, and no input panics. A message holding
-// byte strings copies its frame once and points them into the copy, so
-// nothing a decoder returns aliases the (reused) connection buffer it
-// came from.
+// byte strings points them into its frame when rmi hands the frame over
+// (DecodeWire's owned: a reply larger than a connection keeps), and
+// otherwise copies the frame once and points them into the copy, so
+// nothing a decoder returns aliases a reused connection buffer.
 package filter
 
 import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 
 	"encshare/internal/gf"
 )
@@ -128,16 +130,23 @@ func (r *wireReader) done() error {
 	return r.err
 }
 
-// decodeWire runs read over b. Messages holding byte strings pass
-// owned=true: b is copied once, so the strings they keep point into the
-// copy rather than into the caller's buffer.
-func decodeWire(b []byte, owned bool, read func(*wireReader)) error {
-	if owned && len(b) > 0 {
-		b = append([]byte(nil), b...)
-	}
+// decodeWire runs read over b, for a message that keeps none of b's
+// bytes.
+func decodeWire(b []byte, read func(*wireReader)) error {
 	r := wireReader{b: b}
 	read(&r)
 	return r.done()
+}
+
+// decodeKeeping runs read over b, for a message that keeps byte strings
+// of b. Unless rmi handed b over (owned), b sits in a connection buffer
+// the next frame reuses, so it is copied once and the strings point
+// into the copy.
+func decodeKeeping(b []byte, owned bool, read func(*wireReader)) error {
+	if !owned && len(b) > 0 {
+		b = append([]byte(nil), b...)
+	}
+	return decodeWire(b, read)
 }
 
 func appendBool(dst []byte, v bool) []byte {
@@ -235,47 +244,47 @@ func readNested[T any](r *wireReader, what string, least int, read func(*T, *wir
 // empty is the body of a method without arguments (or reply).
 type empty struct{}
 
-func (empty) AppendWire(dst []byte) []byte { return dst }
-func (e *empty) DecodeWire(b []byte) error { return decodeWire(b, false, func(*wireReader) {}) }
+func (empty) AppendWire(dst []byte) []byte         { return dst }
+func (e *empty) DecodeWire(b []byte, _ bool) error { return decodeWire(b, func(*wireReader) {}) }
 
 // varint64 carries one signed integer: a pre, or a node count.
 type varint64 int64
 
 func (v varint64) AppendWire(dst []byte) []byte { return binary.AppendVarint(dst, int64(v)) }
-func (v *varint64) DecodeWire(b []byte) error {
-	return decodeWire(b, false, func(r *wireReader) { *v = varint64(r.varint("integer")) })
+func (v *varint64) DecodeWire(b []byte, _ bool) error {
+	return decodeWire(b, func(r *wireReader) { *v = varint64(r.varint("integer")) })
 }
 
 // uvarint64 carries one unsigned integer: a lease ID.
 type uvarint64 uint64
 
 func (v uvarint64) AppendWire(dst []byte) []byte { return binary.AppendUvarint(dst, uint64(v)) }
-func (v *uvarint64) DecodeWire(b []byte) error {
-	return decodeWire(b, false, func(r *wireReader) { *v = uvarint64(r.uvarint("integer")) })
+func (v *uvarint64) DecodeWire(b []byte, _ bool) error {
+	return decodeWire(b, func(r *wireReader) { *v = uvarint64(r.uvarint("integer")) })
 }
 
 // fieldElem carries one field element: an evaluation.
 type fieldElem gf.Elem
 
 func (e fieldElem) AppendWire(dst []byte) []byte { return binary.AppendUvarint(dst, uint64(e)) }
-func (e *fieldElem) DecodeWire(b []byte) error {
-	return decodeWire(b, false, func(r *wireReader) { *e = fieldElem(r.elem("field element")) })
+func (e *fieldElem) DecodeWire(b []byte, _ bool) error {
+	return decodeWire(b, func(r *wireReader) { *e = fieldElem(r.elem("field element")) })
 }
 
 func (a descArgs) AppendWire(dst []byte) []byte {
 	return binary.AppendVarint(binary.AppendVarint(dst, a.Pre), a.Post)
 }
 
-func (a *descArgs) DecodeWire(b []byte) error {
-	return decodeWire(b, false, func(r *wireReader) { a.Pre, a.Post = r.varint("pre"), r.varint("post") })
+func (a *descArgs) DecodeWire(b []byte, _ bool) error {
+	return decodeWire(b, func(r *wireReader) { a.Pre, a.Post = r.varint("pre"), r.varint("post") })
 }
 
 func (a evalArgs) AppendWire(dst []byte) []byte {
 	return binary.AppendUvarint(binary.AppendVarint(dst, a.Pre), uint64(a.Point))
 }
 
-func (a *evalArgs) DecodeWire(b []byte) error {
-	return decodeWire(b, false, func(r *wireReader) { a.Pre, a.Point = r.varint("pre"), r.elem("point") })
+func (a *evalArgs) DecodeWire(b []byte, _ bool) error {
+	return decodeWire(b, func(r *wireReader) { a.Pre, a.Point = r.varint("pre"), r.elem("point") })
 }
 
 // --- nodes and share rows ---------------------------------------------
@@ -286,7 +295,7 @@ func (m NodeMeta) AppendWire(dst []byte) []byte {
 }
 
 // DecodeWire implements rmi.Message.
-func (m *NodeMeta) DecodeWire(b []byte) error { return decodeWire(b, false, m.read) }
+func (m *NodeMeta) DecodeWire(b []byte, _ bool) error { return decodeWire(b, m.read) }
 
 func (m *NodeMeta) read(r *wireReader) {
 	m.Pre, m.Post, m.Parent = r.varint("pre"), r.varint("post"), r.varint("parent")
@@ -303,7 +312,7 @@ func (p PolyRow) AppendWire(dst []byte) []byte {
 }
 
 // DecodeWire implements rmi.Message.
-func (p *PolyRow) DecodeWire(b []byte) error { return decodeWire(b, true, p.read) }
+func (p *PolyRow) DecodeWire(b []byte, owned bool) error { return decodeKeeping(b, owned, p.read) }
 
 func (p *PolyRow) read(r *wireReader) { p.Pre, p.Poly = r.varint("pre"), r.bytes("share blob") }
 
@@ -318,7 +327,7 @@ type presList []int64
 func (l presList) AppendWire(dst []byte) []byte {
 	return appendList(dst, l, func(dst []byte, p *int64) []byte { return binary.AppendVarint(dst, *p) })
 }
-func (l *presList) DecodeWire(b []byte) error { return decodeWire(b, false, l.read) }
+func (l *presList) DecodeWire(b []byte, _ bool) error { return decodeWire(b, l.read) }
 func (l *presList) read(r *wireReader) {
 	*l = readList(r, "pre count", 1, func(p *int64, r *wireReader) { *p = r.varint("pre") })
 }
@@ -329,7 +338,7 @@ type spanList []Span
 func (l spanList) AppendWire(dst []byte) []byte {
 	return appendList(dst, l, func(dst []byte, s *Span) []byte { return binary.AppendVarint(binary.AppendVarint(dst, s.Pre), s.Post) })
 }
-func (l *spanList) DecodeWire(b []byte) error { return decodeWire(b, false, l.read) }
+func (l *spanList) DecodeWire(b []byte, _ bool) error { return decodeWire(b, l.read) }
 func (l *spanList) read(r *wireReader) {
 	*l = readList(r, "span count", 2, func(s *Span, r *wireReader) { s.Pre, s.Post = r.varint("pre"), r.varint("post") })
 }
@@ -343,8 +352,8 @@ func (l evalRequestList) AppendWire(dst []byte) []byte {
 	})
 }
 
-func (l *evalRequestList) DecodeWire(b []byte) error {
-	return decodeWire(b, false, func(r *wireReader) {
+func (l *evalRequestList) DecodeWire(b []byte, _ bool) error {
+	return decodeWire(b, func(r *wireReader) {
 		*l = readList(r, "eval count", 2, func(q *EvalRequest, r *wireReader) { q.Pre, q.Point = r.varint("pre"), r.elem("point") })
 	})
 }
@@ -358,8 +367,8 @@ func (l evalResultList) AppendWire(dst []byte) []byte {
 	})
 }
 
-func (l *evalResultList) DecodeWire(b []byte) error {
-	return decodeWire(b, false, func(r *wireReader) {
+func (l *evalResultList) DecodeWire(b []byte, _ bool) error {
+	return decodeWire(b, func(r *wireReader) {
 		*l = readList(r, "result count", 2, func(v *EvalResult, r *wireReader) { v.Val, v.Err = r.elem("value"), r.string("error") })
 	})
 }
@@ -368,8 +377,8 @@ func (l *evalResultList) DecodeWire(b []byte) error {
 type metaList []NodeMeta
 
 func (l metaList) AppendWire(dst []byte) []byte { return appendList(dst, l, appendMeta) }
-func (l *metaList) DecodeWire(b []byte) error {
-	return decodeWire(b, false, func(r *wireReader) { *l = readList(r, "node count", metaMinBytes, (*NodeMeta).read) })
+func (l *metaList) DecodeWire(b []byte, _ bool) error {
+	return decodeWire(b, func(r *wireReader) { *l = readList(r, "node count", metaMinBytes, (*NodeMeta).read) })
 }
 
 // metaLists carries one node list per member: ChildrenBatch.
@@ -379,16 +388,16 @@ func (l metaLists) AppendWire(dst []byte) []byte {
 	return appendNested(dst, len(l), func(i int) []NodeMeta { return l[i] }, appendMeta)
 }
 
-func (l *metaLists) DecodeWire(b []byte) error {
-	return decodeWire(b, false, func(r *wireReader) { *l = readNested(r, "node lists", metaMinBytes, (*NodeMeta).read) })
+func (l *metaLists) DecodeWire(b []byte, _ bool) error {
+	return decodeWire(b, func(r *wireReader) { *l = readNested(r, "node lists", metaMinBytes, (*NodeMeta).read) })
 }
 
 // polyRowList carries Poly rows: ChildrenPolys.
 type polyRowList []PolyRow
 
 func (l polyRowList) AppendWire(dst []byte) []byte { return appendList(dst, l, appendPolyRow) }
-func (l *polyRowList) DecodeWire(b []byte) error {
-	return decodeWire(b, true, func(r *wireReader) { *l = readList(r, "row count", polyRowMinBytes, (*PolyRow).read) })
+func (l *polyRowList) DecodeWire(b []byte, owned bool) error {
+	return decodeKeeping(b, owned, func(r *wireReader) { *l = readList(r, "row count", polyRowMinBytes, (*PolyRow).read) })
 }
 
 // --- equality bundles ---------------------------------------------------
@@ -457,8 +466,8 @@ func (a descPageArgs) AppendWire(dst []byte) []byte {
 	return binary.AppendVarint(binary.AppendVarint(dst, int64(a.Member)), a.Resume)
 }
 
-func (a *descPageArgs) DecodeWire(b []byte) error {
-	return decodeWire(b, false, func(r *wireReader) {
+func (a *descPageArgs) DecodeWire(b []byte, _ bool) error {
+	return decodeWire(b, func(r *wireReader) {
 		(*spanList)(&a.Spans).read(r)
 		a.Member, a.Resume = int(r.varint("member")), r.varint("resume")
 	})
@@ -475,8 +484,8 @@ func (p descPageReply) AppendWire(dst []byte) []byte {
 	return appendBool(dst, p.Done)
 }
 
-func (p *descPageReply) DecodeWire(b []byte) error {
-	return decodeWire(b, false, func(r *wireReader) {
+func (p *descPageReply) DecodeWire(b []byte, _ bool) error {
+	return decodeWire(b, func(r *wireReader) {
 		p.Parts = readList(r, "page parts", 1, func(part *descPagePart, r *wireReader) {
 			part.Member = int(r.varint("part member"))
 		})
@@ -497,19 +506,27 @@ func (a bundlePageArgs) AppendWire(dst []byte) []byte {
 	return binary.AppendVarint(presList(a.Pres).AppendWire(dst), int64(a.Member))
 }
 
-func (a *bundlePageArgs) DecodeWire(b []byte) error {
-	return decodeWire(b, false, func(r *wireReader) {
+func (a *bundlePageArgs) DecodeWire(b []byte, _ bool) error {
+	return decodeWire(b, func(r *wireReader) {
 		(*presList)(&a.Pres).read(r)
 		a.Member = int(r.varint("member"))
 	})
 }
 
+// AppendWire grows dst once, to the bound pageBundles sizes pages by,
+// so a page of a megabyte is not copied through every doubling of the
+// reply buffer on its way in.
 func (p bundlePage[T]) AppendWire(dst []byte) []byte {
-	return appendBool(appendBundles(dst, p.Bundles), p.Done)
+	n := 2*binary.MaxVarintLen64 + 1 // the two list counts and Done
+	for i := range p.Bundles {
+		b := partsOf(&p.Bundles[i])
+		n += bundleWireBytes(*b.node, *b.kids, *b.err)
+	}
+	return appendBool(appendBundles(slices.Grow(dst, n), p.Bundles), p.Done)
 }
 
-func (p *bundlePage[T]) DecodeWire(b []byte) error {
-	return decodeWire(b, true, func(r *wireReader) {
+func (p *bundlePage[T]) DecodeWire(b []byte, owned bool) error {
+	return decodeKeeping(b, owned, func(r *wireReader) {
 		p.Bundles = readBundles[T](r)
 		p.Done = r.bool("done")
 	})
@@ -523,7 +540,7 @@ func (p PreRange) AppendWire(dst []byte) []byte {
 }
 
 // DecodeWire implements rmi.Message.
-func (p *PreRange) DecodeWire(b []byte) error { return decodeWire(b, false, p.read) }
+func (p *PreRange) DecodeWire(b []byte, _ bool) error { return decodeWire(b, p.read) }
 
 func (p *PreRange) read(r *wireReader) { p.Lo, p.Hi = r.varint("range lo"), r.varint("range hi") }
 
@@ -536,8 +553,8 @@ func (s ServerStats) AppendWire(dst []byte) []byte {
 }
 
 // DecodeWire implements rmi.Message.
-func (s *ServerStats) DecodeWire(b []byte) error {
-	return decodeWire(b, false, func(r *wireReader) {
+func (s *ServerStats) DecodeWire(b []byte, _ bool) error {
+	return decodeWire(b, func(r *wireReader) {
 		for _, v := range [...]*int64{&s.Evals, &s.CacheHits, &s.CacheMisses, &s.Decodes, &s.Aggregates} {
 			*v = r.varint("stats counter")
 		}
@@ -552,8 +569,8 @@ func (q AggregateRequest) AppendWire(dst []byte) []byte {
 }
 
 // DecodeWire implements rmi.Message.
-func (q *AggregateRequest) DecodeWire(b []byte) error {
-	return decodeWire(b, true, func(r *wireReader) {
+func (q *AggregateRequest) DecodeWire(b []byte, owned bool) error {
+	return decodeKeeping(b, owned, func(r *wireReader) {
 		q.Ver, q.Kind = r.byte("version"), r.byte("kind")
 		q.Pres = r.bytes("rows")
 		q.Mask = readList(r, "mask count", 1, func(m *gf.Elem, r *wireReader) { *m = r.elem("mask element") })
@@ -578,8 +595,8 @@ func (p AggregateReply) AppendWire(dst []byte) []byte {
 }
 
 // DecodeWire implements rmi.Message.
-func (p *AggregateReply) DecodeWire(b []byte) error {
-	return decodeWire(b, true, func(r *wireReader) {
+func (p *AggregateReply) DecodeWire(b []byte, owned bool) error {
+	return decodeKeeping(b, owned, func(r *wireReader) {
 		p.Ver = r.byte("version")
 		p.Chunks = readList(r, "chunk count", aggChunkMinBytes, func(c *AggregateChunk, r *wireReader) {
 			c.FirstPre, c.LastPre = r.varint("first pre"), r.varint("last pre")
@@ -604,8 +621,9 @@ func (b MutationBatch) AppendWire(dst []byte) []byte {
 	})
 }
 
-// DecodeWire is DecodeBatch.
-func (b *MutationBatch) DecodeWire(data []byte) error {
+// DecodeWire is DecodeBatch, which always copies: a batch's blobs are
+// applied and journaled after its frame is gone.
+func (b *MutationBatch) DecodeWire(data []byte, _ bool) error {
 	d, err := DecodeBatch(data)
 	*b = d
 	return err
@@ -615,7 +633,9 @@ func (b *MutationBatch) DecodeWire(data []byte) error {
 func (m MutateReply) AppendWire(dst []byte) []byte { return EpochInfo(m).AppendWire(dst) }
 
 // DecodeWire implements rmi.Message.
-func (m *MutateReply) DecodeWire(b []byte) error { return (*EpochInfo)(m).DecodeWire(b) }
+func (m *MutateReply) DecodeWire(b []byte, owned bool) error {
+	return (*EpochInfo)(m).DecodeWire(b, owned)
+}
 
 // AppendWire encodes Epoch, LastSeq and Range.
 func (e EpochInfo) AppendWire(dst []byte) []byte {
@@ -623,8 +643,8 @@ func (e EpochInfo) AppendWire(dst []byte) []byte {
 }
 
 // DecodeWire implements rmi.Message.
-func (e *EpochInfo) DecodeWire(b []byte) error {
-	return decodeWire(b, false, func(r *wireReader) {
+func (e *EpochInfo) DecodeWire(b []byte, _ bool) error {
+	return decodeWire(b, func(r *wireReader) {
 		e.Epoch, e.LastSeq = r.uvarint("epoch"), r.uvarint("last seq")
 		e.Range.read(r)
 	})
@@ -636,8 +656,8 @@ func (q LeaseRequest) AppendWire(dst []byte) []byte {
 }
 
 // DecodeWire implements rmi.Message.
-func (q *LeaseRequest) DecodeWire(b []byte) error {
-	return decodeWire(b, false, func(r *wireReader) { q.Owner, q.TTLMillis = r.string("owner"), r.varint("ttl") })
+func (q *LeaseRequest) DecodeWire(b []byte, _ bool) error {
+	return decodeWire(b, func(r *wireReader) { q.Owner, q.TTLMillis = r.string("owner"), r.varint("ttl") })
 }
 
 // AppendWire encodes ID, TTLMillis, LastSeq, Epoch and Range.
@@ -647,8 +667,8 @@ func (g LeaseGrant) AppendWire(dst []byte) []byte {
 }
 
 // DecodeWire implements rmi.Message.
-func (g *LeaseGrant) DecodeWire(b []byte) error {
-	return decodeWire(b, false, func(r *wireReader) {
+func (g *LeaseGrant) DecodeWire(b []byte, _ bool) error {
+	return decodeWire(b, func(r *wireReader) {
 		g.ID, g.TTLMillis = r.uvarint("lease id"), r.varint("ttl")
 		g.LastSeq, g.Epoch = r.uvarint("last seq"), r.uvarint("epoch")
 		g.Range.read(r)
@@ -662,11 +682,11 @@ func (lb LeasedBatch) AppendWire(dst []byte) []byte {
 }
 
 // DecodeWire implements rmi.Message.
-func (lb *LeasedBatch) DecodeWire(b []byte) error {
+func (lb *LeasedBatch) DecodeWire(b []byte, _ bool) error {
 	r := wireReader{b: b}
 	lb.LeaseID, lb.Release = r.uvarint("lease id"), r.bool("release")
 	if r.err != nil {
 		return r.err
 	}
-	return lb.B.DecodeWire(r.b)
+	return lb.B.DecodeWire(r.b, false)
 }

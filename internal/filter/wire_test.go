@@ -79,18 +79,18 @@ func TestWireRoundTrip(t *testing.T) {
 	for _, m := range wireSamples() {
 		b := m.AppendWire(nil)
 		got := fresh(m)
-		if err := got.DecodeWire(b); err != nil {
+		if err := got.DecodeWire(b, false); err != nil {
 			t.Fatalf("%T: decoding its own encoding: %v", m, err)
 		}
 		if !reflect.DeepEqual(got, m) {
 			t.Fatalf("%T: round trip\n got %+v\nwant %+v", m, got, m)
 		}
 		for n := 0; n < len(b); n++ {
-			if err := fresh(m).DecodeWire(b[:n]); err == nil {
+			if err := fresh(m).DecodeWire(b[:n], false); err == nil {
 				t.Fatalf("%T: %d-byte prefix of a %d-byte encoding accepted", m, n, len(b))
 			}
 		}
-		if err := fresh(m).DecodeWire(append(b[:len(b):len(b)], 0)); err == nil {
+		if err := fresh(m).DecodeWire(append(b[:len(b):len(b)], 0), false); err == nil {
 			t.Fatalf("%T: trailing byte accepted", m)
 		}
 	}
@@ -126,7 +126,7 @@ func TestWireHostileCounts(t *testing.T) {
 			for i := 0; i < 5; i++ {
 				var before, after runtime.MemStats
 				runtime.ReadMemStats(&before)
-				err = fresh(m).DecodeWire(b)
+				err = fresh(m).DecodeWire(b, false)
 				runtime.ReadMemStats(&after)
 				n = min(n, after.TotalAlloc-before.TotalAlloc)
 			}
@@ -154,7 +154,7 @@ func FuzzWireMessages(f *testing.F) {
 		m := fresh(samples[int(sel)%len(samples)])
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		err := m.DecodeWire(b)
+		err := m.DecodeWire(b, false)
 		runtime.ReadMemStats(&after)
 		if n := after.TotalAlloc - before.TotalAlloc; n > 64*uint64(len(b))+64<<10 {
 			t.Fatalf("%T: decoding %d bytes allocated %d", m, len(b), n)
@@ -164,7 +164,7 @@ func FuzzWireMessages(f *testing.F) {
 		}
 		e1 := m.AppendWire(nil)
 		m2 := fresh(m)
-		if err := m2.DecodeWire(e1); err != nil {
+		if err := m2.DecodeWire(e1, false); err != nil {
 			t.Fatalf("%T: re-encoding refused: %v", m, err)
 		}
 		if !reflect.DeepEqual(m, m2) {
@@ -229,7 +229,7 @@ func TestWireCorpusTargets(t *testing.T) {
 		if sel != n {
 			t.Errorf("%s: selector %d", name, sel)
 		}
-		if err := fresh(m).DecodeWire([]byte(body)); err != nil {
+		if err := fresh(m).DecodeWire([]byte(body), false); err != nil {
 			t.Errorf("%s: does not decode as %T: %v", name, m, err)
 		}
 	}
@@ -307,6 +307,55 @@ func TestReplyBlobsDoNotAlias(t *testing.T) {
 	for i := range keep {
 		if !bytes.Equal(keep[i], now[i]) {
 			t.Fatalf("blob %d changed after later calls on the connection", i)
+		}
+	}
+
+	// A reply larger than the 64 KiB a connection keeps is handed to its
+	// decoder, whose blobs alias it: later large replies get buffers of
+	// their own, and small ones the connection's buffer, so neither may
+	// touch it.
+	large := func(shift int64) []int64 {
+		pres := make([]int64, 2000)
+		for i := range pres {
+			pres[i] = (int64(i)+shift)%fx.doc.Count + 1
+		}
+		return pres
+	}
+	in := fx.rmiCli.Stats().BytesIn
+	big, err := rem.NodePolysBatch(large(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := fx.rmiCli.Stats().BytesIn - in; n <= 64<<10 {
+		t.Fatalf("large NodePolysBatch reply is %d bytes, want over 64 KiB", n)
+	}
+	blobs := func(bs []NodePolys) (out [][]byte) {
+		for _, b := range bs {
+			out = append(out, b.Node.Poly)
+			for _, k := range b.Children {
+				out = append(out, k.Poly)
+			}
+		}
+		return out
+	}
+	var bigKeep [][]byte
+	for _, b := range blobs(big) {
+		bigKeep = append(bigKeep, clone(b))
+	}
+	for shift := int64(1); shift <= 3; shift++ {
+		if _, err := rem.NodePolysBatch(large(shift)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := rem.Poly(shift + 1); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := rem.NodePolysBatch([]int64{shift + 2, shift + 3}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, b := range blobs(big) {
+		if !bytes.Equal(bigKeep[i], b) {
+			t.Fatalf("large reply blob %d changed after later calls on the connection", i)
 		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -251,4 +252,66 @@ func FuzzFrame(f *testing.F) {
 		}
 		readFrame(bytes.NewReader(b), nil) // arbitrary prefix: must not panic
 	})
+}
+
+// ownedProbe is a body that records how rmi handed it over.
+type ownedProbe struct {
+	body  []byte
+	owned bool
+}
+
+func (p ownedProbe) AppendWire(dst []byte) []byte { return append(dst, p.body...) }
+
+func (p *ownedProbe) DecodeWire(b []byte, owned bool) error {
+	p.body, p.owned = b, owned
+	return nil
+}
+
+// TestReplyOwnership pins DecodeWire's owned: a reply frame larger than
+// maxRetained is handed to its decoder and never reused by the
+// connection, a smaller one is not handed over, and a request body never
+// is, whatever its size.
+func TestReplyOwnership(t *testing.T) {
+	srv := NewServer()
+	HandleFunc(srv, "fill", func(n num) ([]byte, error) { return bytes.Repeat([]byte{byte(n)}, int(n)), nil })
+	var reqOwned []bool
+	HandleFunc(srv, "probe", func(p ownedProbe) (num, error) {
+		reqOwned = append(reqOwned, p.owned)
+		return num(len(p.body)), nil
+	})
+	cli := Pipe(srv)
+	defer cli.Close()
+	fill := func(n int) ownedProbe {
+		t.Helper()
+		var p ownedProbe
+		if err := cli.Call("fill", num(n), &p); err != nil || len(p.body) != n {
+			t.Fatalf("fill %d: %d bytes, %v", n, len(p.body), err)
+		}
+		return p
+	}
+	// A reply frame is the body plus a one-byte seq and the status.
+	for _, tc := range []struct {
+		body  int
+		owned bool
+	}{{10, false}, {maxRetained - 2, false}, {maxRetained - 1, true}, {10, false}} {
+		if p := fill(tc.body); p.owned != tc.owned {
+			t.Fatalf("%d-byte reply: owned = %v, want %v", tc.body, p.owned, tc.owned)
+		}
+	}
+	kept := fill(3*maxRetained + 1)
+	want := bytes.Clone(kept.body)
+	fill(3*maxRetained + 2)
+	fill(10)
+	if !bytes.Equal(kept.body, want) {
+		t.Fatal("an owned reply was overwritten by later calls on the connection")
+	}
+	for _, n := range []int{10, 2 * maxRetained} {
+		var got num
+		if err := cli.Call("probe", ownedProbe{body: make([]byte, n)}, &got); err != nil || int(got) != n {
+			t.Fatalf("probe %d: %d, %v", n, got, err)
+		}
+	}
+	if !slices.Equal(reqOwned, []bool{false, false}) {
+		t.Fatalf("request bodies handed over as owned: %v", reqOwned)
+	}
 }

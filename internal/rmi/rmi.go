@@ -37,8 +37,11 @@
 // Each connection end keeps one read and one write buffer and reuses
 // them while they stay within maxRetained; a larger frame gets a buffer
 // of its own that is dropped after the call, so an idle connection holds
-// at most 2 × maxRetained bytes. Decoders copy every []byte they keep, so
-// no decoded value aliases a reused buffer.
+// at most 2 × maxRetained bytes. A reply read into a buffer of its own
+// is handed to its decoder (DecodeWire's owned), which may alias it
+// instead of copying; a reply in a reused buffer, and every request
+// body, is copied by whatever decoder keeps its bytes, so no decoded
+// value aliases a reused buffer.
 package rmi
 
 import (
@@ -131,13 +134,22 @@ const (
 
 // Message is a frame body that encodes itself. AppendWire appends the
 // encoding to dst; DecodeWire replaces the receiver with the value b
-// encodes, consuming all of b. b may live in a connection buffer that is
-// reused after DecodeWire returns, so DecodeWire copies whatever it
-// keeps. A value type usually implements AppendWire and its pointer
+// encodes, consuming all of b. owned says who holds b's storage once
+// DecodeWire returns:
+//
+//   - false: b lives in a connection buffer that the next frame
+//     overwrites, so DecodeWire copies whatever it keeps. Request bodies
+//     are always passed this way (a handler's body is valid only until
+//     it returns), and so are replies of at most 64 KiB.
+//   - true: b is a reply frame larger than the buffer a connection
+//     keeps. rmi drops its own reference after the call, so decoded
+//     values may alias b, and b lives as long as they do.
+//
+// A value type usually implements AppendWire and its pointer
 // DecodeWire, so the pointer is the Message.
 type Message interface {
 	AppendWire(dst []byte) []byte
-	DecodeWire(b []byte) error
+	DecodeWire(b []byte, owned bool) error
 }
 
 // appender is the encoding half of Message, which is all an argument
@@ -161,14 +173,14 @@ func appendBody(dst []byte, v any) ([]byte, error) {
 }
 
 // decodeBody decodes b into v, a *[]byte (filled with a copy of b) or a
-// Message.
-func decodeBody(b []byte, v any) error {
+// Message, passing on whether b is owned (see Message).
+func decodeBody(b []byte, owned bool, v any) error {
 	switch m := v.(type) {
 	case *[]byte:
 		*m = append((*m)[:0], b...)
 		return nil
 	case Message:
-		return m.DecodeWire(b)
+		return m.DecodeWire(b, owned)
 	}
 	return fmt.Errorf("rmi: cannot decode into %T: not *[]byte or rmi.Message", v)
 }
@@ -353,7 +365,7 @@ func HandleFuncAt[Args any, Reply any](s *Server, tenant, method string, fn func
 	}
 	s.HandleAt(tenant, method, func(body, out []byte) ([]byte, error) {
 		var args Args
-		if err := decodeBody(body, &args); err != nil {
+		if err := decodeBody(body, false, &args); err != nil {
 			return out, fmt.Errorf("decoding args: %w", err)
 		}
 		reply, err := fn(args)
@@ -695,6 +707,7 @@ func (c *Client) doCall(method string, args any, reply any, tc TraceContext) (Fr
 	if err != nil {
 		return fi, &TransportError{Method: method, Err: fmt.Errorf("receiving reply: %w", err)}
 	}
+	owned := !keeps(body)
 	c.rbuf = retain(c.rbuf, body)
 	c.bytesIn.Add(int64(4 + len(body)))
 	c.calls.Add(1)
@@ -710,7 +723,7 @@ func (c *Client) doCall(method string, args any, reply any, tc TraceContext) (Fr
 		return fi, &RemoteError{Msg: string(body)}
 	}
 	if reply != nil {
-		if err := decodeBody(body, reply); err != nil {
+		if err := decodeBody(body, owned, reply); err != nil {
 			return fi, &TransportError{Method: method, Err: fmt.Errorf("decoding reply: %w", err)}
 		}
 	}
@@ -829,11 +842,15 @@ func prefixed(b []byte) ([]byte, []byte, bool) {
 	return b[:n], b[n:], true
 }
 
+// keeps reports whether a connection keeps buf for its next frames:
+// only buffers within maxRetained are kept.
+func keeps(buf []byte) bool { return cap(buf) <= maxRetained }
+
 // retain returns the buffer a connection keeps after a frame: the
 // frame's own buffer while it is small enough to keep, else the one it
 // kept before.
 func retain(kept, used []byte) []byte {
-	if cap(used) > maxRetained {
+	if !keeps(used) {
 		return kept
 	}
 	return used[:0]

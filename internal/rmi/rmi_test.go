@@ -22,7 +22,7 @@ func (a echoArgs) AppendWire(dst []byte) []byte {
 	return binary.AppendVarint(append(dst, a.S...), a.N)
 }
 
-func (a *echoArgs) DecodeWire(b []byte) error {
+func (a *echoArgs) DecodeWire(b []byte, _ bool) error {
 	s, b, ok := prefixed(b)
 	if !ok {
 		return errors.New("bad string")
@@ -41,7 +41,7 @@ func (p pair) AppendWire(dst []byte) []byte {
 	return binary.AppendVarint(binary.AppendVarint(dst, p[0]), p[1])
 }
 
-func (p *pair) DecodeWire(b []byte) error {
+func (p *pair) DecodeWire(b []byte, _ bool) error {
 	for i := range p {
 		v, k := binary.Varint(b)
 		if k <= 0 {
@@ -59,7 +59,7 @@ type num int64
 
 func (n num) AppendWire(dst []byte) []byte { return binary.AppendVarint(dst, int64(n)) }
 
-func (n *num) DecodeWire(b []byte) error {
+func (n *num) DecodeWire(b []byte, _ bool) error {
 	v, k := binary.Varint(b)
 	if k <= 0 || k != len(b) {
 		return errors.New("bad number")
