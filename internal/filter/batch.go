@@ -126,14 +126,16 @@ func firstBatchErr(errs []EvalResult) error {
 // step still costs O(1) exchanges; the constant only grows for
 // frontiers of tens of thousands of members. Chunk sizes are matched to
 // the per-member reply weight: evaluations and node metadata are a few
-// bytes each, children lists carry one fanout's worth of metadata, and
-// descendant spans / poly bundles carry whole subtrees or share blobs,
-// so they get small chunks with a wide safety margin. The bound is on
-// member count, not bytes — a single pathological member (a subtree of
-// millions of nodes) can still exceed the frame limit, exactly as it
-// already could under the per-call protocol; byte-aware reply framing
-// is a ROADMAP item. Variables, not constants, so tests can shrink
-// them.
+// bytes each, and children lists carry one fanout's worth of metadata.
+// DescendantsBatch and NodePolysBatch replies carry whole subtrees or
+// share blobs, but their frames are already bounded by bytes: the
+// server pages them (paged.go). Their small member chunks stay for
+// memory, not for the frame limit. Lifting them cut scan-large from
+// 29.6 to 16.2 round trips per op but raised its allocation from
+// 10 776 to 12 190 KiB per op (one bench run each way, 2-CPU host),
+// because a reply frame above rmi's 64 KiB retained buffer is read
+// through a buffer that grows by doubling. Variables, not constants,
+// so tests can shrink them.
 var (
 	evalChunkSize     = 1 << 16 // one field element per member
 	metaChunkSize     = 1 << 14 // one NodeMeta per member

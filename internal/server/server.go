@@ -114,10 +114,6 @@ type Tenant struct {
 	// Nil means the real filesystem (wal.OS); tests install
 	// internal/iofault to inject disk faults deterministically.
 	FS wal.FS
-	// PoolPages bounds the tenant's buffer pool. Zero derives a quota
-	// from CacheEntries (see poolPages). Ignored by AttachStore, where
-	// the caller already opened the store.
-	PoolPages int
 }
 
 func (t Tenant) quota() int {
@@ -129,25 +125,6 @@ func (t Tenant) quota() int {
 	default:
 		return t.CacheEntries
 	}
-}
-
-// poolPages is the tenant's buffer-pool quota in pages. Explicit
-// PoolPages wins; otherwise it scales with the tenant's cache quota —
-// the one budget knob operators already size per tenant — at one page
-// per four cache entries, floored so small tenants still cover their
-// tree depth and capped at the engine default.
-func (t Tenant) poolPages() int {
-	if t.PoolPages > 0 {
-		return t.PoolPages
-	}
-	pages := t.quota() / 4
-	if pages < 128 {
-		pages = 128
-	}
-	if pages > store.DefaultPoolPages {
-		pages = store.DefaultPoolPages
-	}
-	return pages
 }
 
 // Config tunes the runtime.
@@ -305,7 +282,7 @@ func (rt *Runtime) budgetLeft(skip string) int {
 // attach) closes it and drops its backing DSN.
 func (rt *Runtime) AttachFile(t Tenant) error {
 	dsn := store.FreshDSN()
-	st, err := store.OpenWith(dsn, store.Options{PoolPages: t.poolPages()})
+	st, err := store.Open(dsn)
 	if err != nil {
 		return err
 	}
@@ -677,19 +654,6 @@ func (rt *Runtime) Metrics() *obs.Registry {
 			emit(obs.Sample{Name: "encshare_lease_acquires_total", Help: "writer-lease grants (extensions included)", Type: obs.TypeCounter, Labels: lbl, Value: float64(dw.LeaseAcquires)})
 			emit(obs.Sample{Name: "encshare_lease_expirations_total", Help: "expired writer leases fenced or taken over", Type: obs.TypeCounter, Labels: lbl, Value: float64(dw.LeaseExpirations)})
 		}
-		// Buffer-pool families of the storage engine, emitted for every
-		// tenant. Hits/(hits+misses) is the page hit rate.
-		for name, ps := range rt.PoolStats() {
-			if name == "" {
-				name = "default"
-			}
-			lbl := obs.Labels{"tenant": name}
-			emit(obs.Sample{Name: "encshare_pool_pages", Help: "buffer-pool frame capacity", Type: obs.TypeGauge, Labels: lbl, Value: float64(ps.Pages)})
-			emit(obs.Sample{Name: "encshare_pool_resident", Help: "buffer-pool frames holding a page", Type: obs.TypeGauge, Labels: lbl, Value: float64(ps.Resident)})
-			emit(obs.Sample{Name: "encshare_pool_hits_total", Help: "page fetches served from the pool", Type: obs.TypeCounter, Labels: lbl, Value: float64(ps.Hits)})
-			emit(obs.Sample{Name: "encshare_pool_misses_total", Help: "page fetches that read the pager", Type: obs.TypeCounter, Labels: lbl, Value: float64(ps.Misses)})
-			emit(obs.Sample{Name: "encshare_pool_evictions_total", Help: "pool frames recycled by the clock", Type: obs.TypeCounter, Labels: lbl, Value: float64(ps.Evictions)})
-		}
 	})
 	return reg
 }
@@ -722,19 +686,6 @@ func (rt *Runtime) WALStats() map[string]TenantWAL {
 		lst := ts.mut.LeaseStatsNow()
 		tw.LeaseAcquires, tw.LeaseExpirations = lst.Acquires, lst.Expirations
 		out[name] = tw
-	}
-	return out
-}
-
-// PoolStats returns every tenant's buffer-pool counters, keyed by
-// tenant name.
-func (rt *Runtime) PoolStats() map[string]store.PoolStats {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	out := make(map[string]store.PoolStats, len(rt.tenants))
-	for name, ts := range rt.tenants {
-		ps, _ := ts.st.PoolStats()
-		out[name] = ps
 	}
 	return out
 }

@@ -2,14 +2,13 @@ package store
 
 import "encoding/binary"
 
-// Disk-aware B⁺-tree over pool-managed index pages, keyed by a pair of
-// int64s compared lexicographically. The engine runs two of them per
-// table: (pre, 0) → RID for point lookups and pre-range scans, and
+// Disk-aware B⁺-tree over index pages, keyed by a pair of int64s
+// compared lexicographically. The engine runs two of them per table:
+// (pre, 0) → RID for point lookups and pre-range scans, and
 // (parent, pre) → RID standing in for the paper's parent index.
-// Index pages live in the same buffer pool as heap pages — hot upper
-// levels stay resident under CLOCK exactly like hot heap pages — but in
-// their own page space: the tree is rebuilt on Load and never dumped,
-// which keeps Dump's byte-determinism a heap-only property.
+// Index pages live in their own page space, apart from heap pages: the
+// tree is rebuilt on Load and never dumped, which keeps Dump's
+// byte-determinism a heap-only property.
 //
 // Page layouts (pageSize bytes):
 //
@@ -46,7 +45,6 @@ const (
 )
 
 type bptree struct {
-	pool *bufferPool
 	pg   *pager
 	root uint32
 
@@ -55,9 +53,8 @@ type bptree struct {
 	leafCap, branchCap int
 }
 
-func newBptree(pool *bufferPool, pg *pager) *bptree {
+func newBptree(pg *pager) *bptree {
 	t := &bptree{
-		pool:      pool,
 		pg:        pg,
 		leafCap:   (pageSize - idxHdrLen) / leafEntryLen,
 		branchCap: (pageSize - idxHdrLen) / branchEntryLen,
@@ -68,10 +65,7 @@ func newBptree(pool *bufferPool, pg *pager) *bptree {
 
 func (t *bptree) newLeaf() uint32 {
 	id := t.pg.alloc()
-	fi, b := t.pool.fetch(spaceIndex, id)
-	clear(b)
-	b[0] = pageTypeLeaf
-	t.pool.unpin(fi, true)
+	t.pg.page(id)[0] = pageTypeLeaf
 	return id
 }
 
@@ -161,23 +155,21 @@ func branchSearch(b []byte, k treeKey) int {
 
 // get returns the RID stored under k.
 func (t *bptree) get(k treeKey) (rid, bool) {
-	id := t.root
-	for {
-		fi, b := t.pool.fetch(spaceIndex, id)
-		if b[0] == pageTypeBranch {
-			next := branchChildAt(b, branchSearch(b, k))
-			t.pool.unpin(fi, false)
-			id = next
-			continue
-		}
-		pos, exact := leafSearch(b, k)
-		var r rid
-		if exact {
-			r = leafRIDAt(b, pos)
-		}
-		t.pool.unpin(fi, false)
-		return r, exact
+	b := t.leafFor(k)
+	pos, exact := leafSearch(b, k)
+	if !exact {
+		return rid{}, false
 	}
+	return leafRIDAt(b, pos), true
+}
+
+// leafFor descends from the root to the leaf whose range holds k.
+func (t *bptree) leafFor(k treeKey) []byte {
+	b := t.pg.page(t.root)
+	for b[0] == pageTypeBranch {
+		b = t.pg.page(branchChildAt(b, branchSearch(b, k)))
+	}
+	return b
 }
 
 // set inserts k → r, overwriting any existing entry; reports whether an
@@ -187,26 +179,23 @@ func (t *bptree) set(k treeKey, r rid) bool {
 	if right != 0 {
 		// Root split: grow a level.
 		id := t.pg.alloc()
-		fi, b := t.pool.fetch(spaceIndex, id)
-		clear(b)
+		b := t.pg.page(id)
 		b[0] = pageTypeBranch
 		setNKeys(b, 1)
 		setLink(b, t.root)
 		branchSetEntry(b, 0, sk, right)
-		t.pool.unpin(fi, true)
 		t.root = id
 	}
 	return replaced
 }
 
 func (t *bptree) insertRec(id uint32, k treeKey, r rid) (replaced bool, splitKey treeKey, rightID uint32) {
-	fi, b := t.pool.fetch(spaceIndex, id)
+	b := t.pg.page(id)
 	if b[0] == pageTypeBranch {
 		idx := branchSearch(b, k)
 		child := branchChildAt(b, idx)
 		replaced, sk, rc := t.insertRec(child, k, r)
 		if rc == 0 {
-			t.pool.unpin(fi, false)
 			return replaced, treeKey{}, 0
 		}
 		n := nKeys(b)
@@ -216,7 +205,6 @@ func (t *bptree) insertRec(id uint32, k treeKey, r rid) (replaced bool, splitKey
 			copy(b[base+branchEntryLen:idxHdrLen+branchEntryLen*(n+1)], b[base:idxHdrLen+branchEntryLen*n])
 			branchSetEntry(b, idx, sk, rc)
 			setNKeys(b, n+1)
-			t.pool.unpin(fi, true)
 			return replaced, treeKey{}, 0
 		}
 		// Branch split: materialize keys/children with the new entry in
@@ -233,22 +221,19 @@ func (t *bptree) insertRec(id uint32, k treeKey, r rid) (replaced bool, splitKey
 		mid := len(keys) / 2
 		up := keys[mid]
 		newID := t.pg.alloc()
-		nfi, nb := t.pool.fetch(spaceIndex, newID)
-		clear(nb)
+		nb := t.pg.page(newID)
 		nb[0] = pageTypeBranch
 		setLink(nb, children[mid+1])
 		for i, kk := range keys[mid+1:] {
 			branchSetEntry(nb, i, kk, children[mid+2+i])
 		}
 		setNKeys(nb, len(keys)-mid-1)
-		t.pool.unpin(nfi, true)
 		clear(b[idxHdrLen:])
 		setLink(b, children[0])
 		for i := 0; i < mid; i++ {
 			branchSetEntry(b, i, keys[i], children[i+1])
 		}
 		setNKeys(b, mid)
-		t.pool.unpin(fi, true)
 		return replaced, up, newID
 	}
 
@@ -257,7 +242,6 @@ func (t *bptree) insertRec(id uint32, k treeKey, r rid) (replaced bool, splitKey
 	n := nKeys(b)
 	if exact {
 		leafSetEntry(b, pos, k, r)
-		t.pool.unpin(fi, true)
 		return true, treeKey{}, 0
 	}
 	if n < t.leafCap {
@@ -265,15 +249,13 @@ func (t *bptree) insertRec(id uint32, k treeKey, r rid) (replaced bool, splitKey
 		copy(b[base+leafEntryLen:idxHdrLen+leafEntryLen*(n+1)], b[base:idxHdrLen+leafEntryLen*n])
 		leafSetEntry(b, pos, k, r)
 		setNKeys(b, n+1)
-		t.pool.unpin(fi, true)
 		return false, treeKey{}, 0
 	}
 	// Leaf split: upper half moves to a fresh leaf spliced into the
 	// chain, then the entry lands in whichever half owns k.
 	h := (n + 1) / 2
 	newID := t.pg.alloc()
-	nfi, nb := t.pool.fetch(spaceIndex, newID)
-	clear(nb)
+	nb := t.pg.page(newID)
 	nb[0] = pageTypeLeaf
 	copy(nb[idxHdrLen:idxHdrLen+leafEntryLen*(n-h)], b[idxHdrLen+leafEntryLen*h:idxHdrLen+leafEntryLen*n])
 	setNKeys(nb, n-h)
@@ -294,124 +276,79 @@ func (t *bptree) insertRec(id uint32, k treeKey, r rid) (replaced bool, splitKey
 		leafSetEntry(nb, pos, k, r)
 		setNKeys(nb, n-h+1)
 	}
-	t.pool.unpin(nfi, true)
-	t.pool.unpin(fi, true)
 	return false, sk, newID
 }
 
 // delete removes k; reports whether it was present. Lazy: leaves are
 // never merged and separators stay behind, which preserves routing.
 func (t *bptree) delete(k treeKey) bool {
-	id := t.root
-	for {
-		fi, b := t.pool.fetch(spaceIndex, id)
-		if b[0] == pageTypeBranch {
-			next := branchChildAt(b, branchSearch(b, k))
-			t.pool.unpin(fi, false)
-			id = next
-			continue
-		}
-		pos, exact := leafSearch(b, k)
-		if !exact {
-			t.pool.unpin(fi, false)
-			return false
-		}
-		n := nKeys(b)
-		base := idxHdrLen + leafEntryLen*pos
-		copy(b[base:], b[base+leafEntryLen:idxHdrLen+leafEntryLen*n])
-		setNKeys(b, n-1)
-		t.pool.unpin(fi, true)
-		return true
+	b := t.leafFor(k)
+	pos, exact := leafSearch(b, k)
+	if !exact {
+		return false
 	}
+	n := nKeys(b)
+	base := idxHdrLen + leafEntryLen*pos
+	copy(b[base:], b[base+leafEntryLen:idxHdrLen+leafEntryLen*n])
+	setNKeys(b, n-1)
+	return true
 }
 
 // scanFrom visits entries with key ≥ k in ascending order until fn
-// returns false. One page pin per leaf; empty leaves are skipped.
+// returns false. Empty leaves are skipped.
 func (t *bptree) scanFrom(k treeKey, fn func(k treeKey, r rid) bool) {
-	id := t.root
+	b := t.leafFor(k)
+	pos, _ := leafSearch(b, k)
 	for {
-		fi, b := t.pool.fetch(spaceIndex, id)
-		if b[0] != pageTypeBranch {
-			pos, _ := leafSearch(b, k)
-			for {
-				n := nKeys(b)
-				for ; pos < n; pos++ {
-					if !fn(leafKeyAt(b, pos), leafRIDAt(b, pos)) {
-						t.pool.unpin(fi, false)
-						return
-					}
-				}
-				next := link(b)
-				t.pool.unpin(fi, false)
-				if next == 0 {
-					return
-				}
-				fi, b = t.pool.fetch(spaceIndex, next)
-				pos = 0
+		for n := nKeys(b); pos < n; pos++ {
+			if !fn(leafKeyAt(b, pos), leafRIDAt(b, pos)) {
+				return
 			}
 		}
-		next := branchChildAt(b, branchSearch(b, k))
-		t.pool.unpin(fi, false)
-		id = next
+		next := link(b)
+		if next == 0 {
+			return
+		}
+		b, pos = t.pg.page(next), 0
 	}
 }
 
 // min returns the smallest key, max the largest (ok=false when empty).
 func (t *bptree) min() (treeKey, rid, bool) {
-	id := t.root
-	for {
-		fi, b := t.pool.fetch(spaceIndex, id)
-		if b[0] == pageTypeBranch {
-			next := branchChildAt(b, 0)
-			t.pool.unpin(fi, false)
-			id = next
-			continue
-		}
-		for {
-			if n := nKeys(b); n > 0 {
-				k, r := leafKeyAt(b, 0), leafRIDAt(b, 0)
-				t.pool.unpin(fi, false)
-				return k, r, true
-			}
-			next := link(b)
-			t.pool.unpin(fi, false)
-			if next == 0 {
-				return treeKey{}, rid{}, false
-			}
-			fi, b = t.pool.fetch(spaceIndex, next)
-		}
+	b := t.pg.page(t.root)
+	for b[0] == pageTypeBranch {
+		b = t.pg.page(branchChildAt(b, 0))
 	}
+	for nKeys(b) == 0 {
+		next := link(b)
+		if next == 0 {
+			return treeKey{}, rid{}, false
+		}
+		b = t.pg.page(next)
+	}
+	return leafKeyAt(b, 0), leafRIDAt(b, 0), true
 }
 
 func (t *bptree) max() (treeKey, rid, bool) {
-	id := t.root
-	for {
-		fi, b := t.pool.fetch(spaceIndex, id)
-		if b[0] == pageTypeBranch {
-			next := branchChildAt(b, nKeys(b))
-			t.pool.unpin(fi, false)
-			id = next
-			continue
-		}
-		// Rightmost leaf; may be empty after lazy deletes, in which case
-		// a full reverse walk is unavailable (no prev pointers) — fall
-		// back to a forward scan from the front. Rare: only after every
-		// key ≥ the rightmost separator was deleted.
-		if n := nKeys(b); n > 0 {
-			k, r := leafKeyAt(b, n-1), leafRIDAt(b, n-1)
-			t.pool.unpin(fi, false)
-			return k, r, true
-		}
-		t.pool.unpin(fi, false)
-		var lk treeKey
-		var lr rid
-		found := false
-		t.scanFrom(treeKey{a: minInt64, b: minInt64}, func(k treeKey, r rid) bool {
-			lk, lr, found = k, r, true
-			return true
-		})
-		return lk, lr, found
+	b := t.pg.page(t.root)
+	for b[0] == pageTypeBranch {
+		b = t.pg.page(branchChildAt(b, nKeys(b)))
 	}
+	// Rightmost leaf; may be empty after lazy deletes, in which case a
+	// full reverse walk is unavailable (no prev pointers) — fall back to
+	// a forward scan from the front. Rare: only after every key ≥ the
+	// rightmost separator was deleted.
+	if n := nKeys(b); n > 0 {
+		return leafKeyAt(b, n-1), leafRIDAt(b, n-1), true
+	}
+	var lk treeKey
+	var lr rid
+	found := false
+	t.scanFrom(treeKey{a: minInt64, b: minInt64}, func(k treeKey, r rid) bool {
+		lk, lr, found = k, r, true
+		return true
+	})
+	return lk, lr, found
 }
 
 const minInt64 = -1 << 63

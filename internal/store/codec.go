@@ -51,7 +51,7 @@ func decodeRowMeta(b []byte) (pre, post, parent int64) {
 }
 
 // decodeRow decodes a full row. The returned Poly aliases b — callers
-// that let the row escape the page pin must copy it (see rowAt).
+// that let the row escape the table's read lock must copy it (see rowAt).
 func decodeRow(b []byte) (NodeRow, error) {
 	if len(b) < rowHeaderLen {
 		return NodeRow{}, fmt.Errorf("store: short row: %d bytes", len(b))

@@ -47,7 +47,6 @@ func (s *Store) Dump(w io.Writer) error {
 	tb := s.tbl
 	tb.mu.RLock()
 	defer tb.mu.RUnlock()
-	tb.pool.flush(spaceHeap)
 	var hdr [v2HeaderLen]byte
 	copy(hdr[:16], v2Magic)
 	binary.LittleEndian.PutUint32(hdr[16:], v2Version)
@@ -64,20 +63,6 @@ func (s *Store) Dump(w io.Writer) error {
 		}
 	}
 	return nil
-}
-
-// reset clears the table back to empty (fresh pagers, pool, trees),
-// preserving the pool capacity. Callers hold mu.
-func (tb *pagedTable) reset() {
-	capPages := tb.pool.cap
-	tb.heapPg = &pager{}
-	tb.idxPg = &pager{}
-	tb.pool = newBufferPool(capPages, tb.heapPg, tb.idxPg)
-	tb.pre = newBptree(tb.pool, tb.idxPg)
-	tb.kids = newBptree(tb.pool, tb.idxPg)
-	tb.firstHeap = 0
-	tb.rowCount = 0
-	tb.created = true
 }
 
 // readV2Header validates the stream header and returns its fields.
@@ -110,33 +95,55 @@ func readV2Header(r io.Reader) (nPages, firstHeap uint32, rowCount int64, err er
 // Load restores the table from a Dump stream and leaves the store
 // attached. Page images are adopted verbatim (so dump→load→dump is the
 // byte identity) and the trees are rebuilt from the live slots. A
-// stream without a current header is refused before the table is
-// touched, with an error that says to re-encode.
+// stream that is not a whole current dump — a foreign or old header, a
+// truncated body, a page that is not a heap page, a row count that
+// disagrees with the header, a duplicate pre — is refused with an error
+// that says to re-encode, and leaves the table as it was: the stream is
+// read into a fresh table, adopted only once all of it has validated.
 func (s *Store) Load(r io.Reader) error {
-	tb := s.tbl
-	tb.mu.Lock()
-	defer tb.mu.Unlock()
-	nPages, firstHeap, rowCount, err := readV2Header(r)
+	nt, err := readDump(r)
 	if err != nil {
 		return err
 	}
-	tb.reset()
-	tb.firstHeap = firstHeap
+	tb := s.tbl
+	tb.mu.Lock()
+	defer tb.mu.Unlock()
+	tb.heapPg, tb.idxPg, tb.pre, tb.kids = nt.heapPg, nt.idxPg, nt.pre, nt.kids
+	tb.firstHeap, tb.rowCount, tb.created = nt.firstHeap, nt.rowCount, true
+	return nil
+}
+
+// readDump reads a whole Dump stream into a fresh, unregistered table.
+func readDump(r io.Reader) (*pagedTable, error) {
+	nPages, firstHeap, rowCount, err := readV2Header(r)
+	if err != nil {
+		return nil, err
+	}
+	nt := newPagedTable()
+	if err := nt.readPages(r, nPages, firstHeap, rowCount); err != nil {
+		return nil, fmt.Errorf("store: load: %w: %s", err, reencode)
+	}
+	return nt, nil
+}
+
+// readPages fills a fresh table with nPages heap page images from r
+// and indexes their live rows.
+func (tb *pagedTable) readPages(r io.Reader, nPages, firstHeap uint32, rowCount int64) error {
+	if firstHeap > nPages {
+		return fmt.Errorf("first heap page %d of %d", firstHeap, nPages)
+	}
 	type entry struct {
 		pre, parent int64
 		r           rid
 	}
 	var entries []entry
 	for id := uint32(1); id <= nPages; id++ {
-		if got := tb.heapPg.alloc(); got != id {
-			return fmt.Errorf("store: load: page id drift (%d != %d)", got, id)
-		}
-		p := tb.heapPg.pages[id-1]
+		p := tb.heapPg.pages[tb.heapPg.alloc()-1]
 		if _, err := io.ReadFull(r, p); err != nil {
-			return fmt.Errorf("store: load: page %d: %w", id, err)
+			return fmt.Errorf("page %d: %w", id, err)
 		}
 		if p[0] != pageTypeHeap {
-			return fmt.Errorf("store: load: page %d has type %q", id, p[0])
+			return fmt.Errorf("page %d has type %q", id, p[0])
 		}
 		for i := 0; i < pageNSlots(p); i++ {
 			sl := pageSlot(p, i)
@@ -144,22 +151,22 @@ func (s *Store) Load(r io.Reader) error {
 				continue
 			}
 			if len(sl) < rowHeaderLen {
-				return fmt.Errorf("store: load: page %d slot %d truncated", id, i)
+				return fmt.Errorf("page %d slot %d truncated", id, i)
 			}
 			pre, _, parent := decodeRowMeta(sl)
 			entries = append(entries, entry{pre: pre, parent: parent, r: rid{page: id, slot: uint16(i)}})
 		}
 	}
 	if int64(len(entries)) != rowCount {
-		return fmt.Errorf("store: load: %d live rows but header says %d", len(entries), rowCount)
+		return fmt.Errorf("%d live rows but header says %d", len(entries), rowCount)
 	}
 	sort.Slice(entries, func(i, j int) bool { return entries[i].pre < entries[j].pre })
 	for _, e := range entries {
 		if tb.pre.set(treeKey{a: e.pre}, e.r) {
-			return fmt.Errorf("store: load: duplicate pre %d", e.pre)
+			return fmt.Errorf("duplicate pre %d", e.pre)
 		}
 		tb.kids.set(treeKey{a: e.parent, b: e.pre}, e.r)
 	}
-	tb.rowCount = rowCount
+	tb.firstHeap, tb.rowCount = firstHeap, rowCount
 	return nil
 }

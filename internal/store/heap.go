@@ -8,11 +8,11 @@ import (
 )
 
 // The engine: slotted heap pages clustered by pre, a B⁺-tree on pre
-// for point lookups and range scans, a (parent, pre) B⁺-tree standing
-// in for the parent index, and one CLOCK buffer pool holding both heap
-// and index pages. Descendants(pre) is a tree descent to the first key
-// past pre followed by leaf-chain reads that decode (or, for the *Meta
-// twins, skip) poly blobs straight out of pinned pages.
+// for point lookups and range scans, and a (parent, pre) B⁺-tree
+// standing in for the parent index, all read and written in place in
+// their pagers under mu. Descendants(pre) is a tree descent to the
+// first key past pre followed by leaf-chain reads that decode (or, for
+// the *Meta twins, skip) poly blobs straight out of the heap pages.
 //
 // Tables register under a process-wide DSN namespace: Open(dsn) twice
 // shares one table, Drop(dsn) frees it, FreshDSN names a private one.
@@ -21,7 +21,6 @@ type pagedTable struct {
 
 	heapPg *pager
 	idxPg  *pager
-	pool   *bufferPool
 	pre    *bptree // (pre, 0) → rid
 	kids   *bptree // (parent, pre) → rid
 
@@ -39,14 +38,14 @@ var (
 )
 
 // tableFor returns the table registered under dsn, creating it on
-// demand. poolPages only applies to a fresh table.
-func tableFor(dsn string, poolPages int) *pagedTable {
+// demand.
+func tableFor(dsn string) *pagedTable {
 	tablesMu.Lock()
 	defer tablesMu.Unlock()
 	if tb, ok := tables[dsn]; ok {
 		return tb
 	}
-	tb := newPagedTable(poolPages)
+	tb := newPagedTable()
 	tables[dsn] = tb
 	return tb
 }
@@ -68,11 +67,10 @@ func FreshDSN() string {
 	return fmt.Sprintf("anon-%d", anonSeq)
 }
 
-func newPagedTable(poolPages int) *pagedTable {
+func newPagedTable() *pagedTable {
 	tb := &pagedTable{heapPg: &pager{}, idxPg: &pager{}}
-	tb.pool = newBufferPool(poolPages, tb.heapPg, tb.idxPg)
-	tb.pre = newBptree(tb.pool, tb.idxPg)
-	tb.kids = newBptree(tb.pool, tb.idxPg)
+	tb.pre = newBptree(tb.idxPg)
+	tb.kids = newBptree(tb.idxPg)
 	return tb
 }
 
@@ -109,9 +107,7 @@ func (tb *pagedTable) place(row NodeRow) (rid, error) {
 	if tb.rowCount == 0 {
 		if tb.firstHeap == 0 {
 			tb.firstHeap = tb.heapPg.alloc()
-			fi, b := tb.pool.fetch(spaceHeap, tb.firstHeap)
-			pageInit(b)
-			tb.pool.unpin(fi, true)
+			pageInit(tb.heapPg.page(tb.firstHeap))
 		}
 		target = tb.firstHeap
 	} else {
@@ -131,47 +127,40 @@ func (tb *pagedTable) place(row NodeRow) (rid, error) {
 		}
 	}
 
-	fi, b := tb.pool.fetch(spaceHeap, target)
+	b := tb.heapPg.page(target)
 	if slot, ok := pageInsert(b, tb.scratch); ok {
-		tb.pool.unpin(fi, true)
 		return rid{page: target, slot: uint16(slot)}, nil
 	}
 	if pageLive(b) < 2 {
 		// Too few live rows to split: the page is clogged with dead
 		// slots and payload residue — rebuild it in place.
 		if err := tb.compactHeap(target, b); err != nil {
-			tb.pool.unpin(fi, true)
 			return rid{}, err
 		}
 		slot, ok := pageInsert(b, tb.scratch)
-		tb.pool.unpin(fi, true)
 		if !ok {
 			return rid{}, fmt.Errorf("row of %d bytes does not fit an empty page", len(tb.scratch))
 		}
 		return rid{page: target, slot: uint16(slot)}, nil
 	}
 	// Full: split by pre-median, then land in whichever half owns pre.
-	rightID, rightMin, err := tb.splitHeap(target, fi, b)
+	rightID, rightMin, err := tb.splitHeap(target, b)
 	if err != nil {
-		tb.pool.unpin(fi, true)
 		return rid{}, err
 	}
 	if row.Pre >= rightMin {
-		tb.pool.unpin(fi, true)
 		target = rightID
-		fi, b = tb.pool.fetch(spaceHeap, target)
+		b = tb.heapPg.page(target)
 	}
 	slot, ok := pageInsert(b, tb.scratch)
 	if !ok {
-		tb.pool.unpin(fi, true)
 		return rid{}, fmt.Errorf("row of %d bytes does not fit a split page", len(tb.scratch))
 	}
-	tb.pool.unpin(fi, true)
 	return rid{page: target, slot: uint16(slot)}, nil
 }
 
-// compactHeap rebuilds page id in place, keeping only live rows (the
-// caller holds the pin and marks it dirty) and fixing their tree RIDs.
+// compactHeap rebuilds page id (bytes b) in place, keeping only live
+// rows and fixing their tree RIDs.
 func (tb *pagedTable) compactHeap(id uint32, b []byte) error {
 	type liveRow struct {
 		pre, parent int64
@@ -209,11 +198,11 @@ func (tb *pagedTable) compactHeap(id uint32, b []byte) error {
 	return nil
 }
 
-// splitHeap rebuilds full page id (pinned as fi/b by the caller, left
-// dirty) into two compacted halves by pre order, splices the new right
-// page into the chain, and rewrites the B⁺-tree RIDs of every row on
-// both halves. Returns the new page and its minimum pre.
-func (tb *pagedTable) splitHeap(id uint32, fi int, b []byte) (rightID uint32, rightMin int64, err error) {
+// splitHeap rebuilds full page id (bytes b) into two compacted halves
+// by pre order, splices the new right page into the chain, and rewrites
+// the B⁺-tree RIDs of every row on both halves. Returns the new page
+// and its minimum pre.
+func (tb *pagedTable) splitHeap(id uint32, b []byte) (rightID uint32, rightMin int64, err error) {
 	type liveRow struct {
 		pre, parent int64
 		data        []byte
@@ -243,7 +232,7 @@ func (tb *pagedTable) splitHeap(id uint32, fi int, b []byte) (rightID uint32, ri
 	sort.Slice(rows, func(i, j int) bool { return rows[i].pre < rows[j].pre })
 
 	rightID = tb.heapPg.alloc()
-	nfi, nb := tb.pool.fetch(spaceHeap, rightID)
+	nb := tb.heapPg.page(rightID)
 	pageInit(nb)
 	oldNext := pageNext(b)
 	pageInit(b)
@@ -265,14 +254,11 @@ func (tb *pagedTable) splitHeap(id uint32, fi int, b []byte) (rightID uint32, ri
 		return nil
 	}
 	if err := reinsert(id, b, rows[:h]); err != nil {
-		tb.pool.unpin(nfi, true)
 		return 0, 0, err
 	}
 	if err := reinsert(rightID, nb, rows[h:]); err != nil {
-		tb.pool.unpin(nfi, true)
 		return 0, 0, err
 	}
-	tb.pool.unpin(nfi, true)
 	return rightID, rightMin, nil
 }
 
@@ -292,25 +278,21 @@ func (s *Store) UpdateNode(oldPre int64, row NodeRow) error {
 			return fmt.Errorf("store: update pre=%d: new pre %d duplicates an existing row", oldPre, row.Pre)
 		}
 	}
-	fi, b := tb.pool.fetch(spaceHeap, r.page)
+	b := tb.heapPg.page(r.page)
 	sl := pageSlot(b, int(r.slot))
 	if sl == nil {
-		tb.pool.unpin(fi, false)
 		return fmt.Errorf("store: update pre=%d: slot %d/%d is dead (corrupt index)", oldPre, r.page, r.slot)
 	}
 	_, _, oldParent := decodeRowMeta(sl)
 	tb.scratch = encodeRow(tb.scratch[:0], row)
 	newRID := r
-	if pageUpdate(b, int(r.slot), tb.scratch) {
-		// In-place rewrite: the slot position is untouched, which is the
-		// property that keeps replicas byte-identical under identical op
-		// streams.
-		tb.pool.unpin(fi, true)
-	} else {
+	// An in-place rewrite leaves the slot position untouched, which is
+	// the property that keeps replicas byte-identical under identical op
+	// streams.
+	if !pageUpdate(b, int(r.slot), tb.scratch) {
 		// The rebuilt row outgrew its slot (only possible when the ring
 		// geometry changed): relocate deterministically.
 		pageDelete(b, int(r.slot))
-		tb.pool.unpin(fi, true)
 		var err error
 		newRID, err = tb.place(row)
 		if err != nil {
@@ -337,15 +319,13 @@ func (s *Store) DeleteNode(pre int64) error {
 	if !ok {
 		return NotFoundError(pre)
 	}
-	fi, b := tb.pool.fetch(spaceHeap, r.page)
+	b := tb.heapPg.page(r.page)
 	sl := pageSlot(b, int(r.slot))
 	if sl == nil {
-		tb.pool.unpin(fi, false)
 		return fmt.Errorf("store: delete pre=%d: slot %d/%d is dead (corrupt index)", pre, r.page, r.slot)
 	}
 	_, _, parent := decodeRowMeta(sl)
 	pageDelete(b, int(r.slot))
-	tb.pool.unpin(fi, true)
 	tb.pre.delete(treeKey{a: pre})
 	tb.kids.delete(treeKey{a: parent, b: pre})
 	tb.rowCount--
@@ -355,8 +335,8 @@ func (s *Store) DeleteNode(pre int64) error {
 // ---- reads ----
 
 // rowAt decodes the row at r. withPoly copies the blob into *arena (one
-// amortized allocation per call chain — page frames are recycled by the
-// pool, so blobs must not alias them past the pin).
+// amortized allocation per call chain — UPDATE rewrites rows inside
+// their page, so blobs must not alias page bytes past the read lock).
 func (tb *pagedTable) rowAt(b []byte, r rid, withPoly bool, arena *[]byte) (NodeRow, error) {
 	sl := pageSlot(b, int(r.slot))
 	if sl == nil {
@@ -391,10 +371,8 @@ func (s *Store) node(pre int64, withPoly bool) (NodeRow, error) {
 	if !ok {
 		return NodeRow{}, NotFoundError(pre)
 	}
-	fi, b := tb.pool.fetch(spaceHeap, r.page)
-	defer tb.pool.unpin(fi, false)
 	var arena []byte
-	return tb.rowAt(b, r, withPoly, &arena)
+	return tb.rowAt(tb.heapPg.page(r.page), r, withPoly, &arena)
 }
 
 // Root returns the unique node with parent = 0.
@@ -417,10 +395,8 @@ func (s *Store) Root() (NodeRow, error) {
 	default:
 		return NodeRow{}, fmt.Errorf("store: %d root nodes", len(roots))
 	}
-	fi, b := tb.pool.fetch(spaceHeap, roots[0].page)
-	defer tb.pool.unpin(fi, false)
 	var arena []byte
-	row, err := tb.rowAt(b, roots[0], true, &arena)
+	row, err := tb.rowAt(tb.heapPg.page(roots[0].page), roots[0], true, &arena)
 	if err != nil {
 		return NodeRow{}, fmt.Errorf("store: root: %w", err)
 	}
@@ -428,8 +404,8 @@ func (s *Store) Root() (NodeRow, error) {
 }
 
 // fetchRows materializes rows for a RID list in order, reusing the
-// pinned page across consecutive same-page RIDs (RID lists from tree
-// scans are clustered, so this is ~1 pool fetch per page, not per row).
+// page across consecutive same-page RIDs (RID lists from tree scans are
+// clustered, so this is ~1 page lookup per page, not per row).
 func (tb *pagedTable) fetchRows(rids []rid, withPoly bool) ([]NodeRow, error) {
 	return tb.fetchRowsSized(rids, withPoly, 0)
 }
@@ -444,42 +420,32 @@ func (tb *pagedTable) fetchRowsSized(rids []rid, withPoly bool, polyBytes int) (
 	out := make([]NodeRow, len(rids))
 	arena := make([]byte, 0, polyBytes)
 	var cur uint32
-	fi := -1
 	var b []byte
-	fail := func(err error) ([]NodeRow, error) {
-		tb.pool.unpin(fi, false)
-		return nil, err
-	}
 	// The row decode is open-coded here rather than calling rowAt: this
 	// loop is the body of every warm subtree scan, and the per-row call,
 	// duplicate slot lookup, and NodeRow copy were its hottest samples.
 	for i, r := range rids {
-		if r.page != cur || fi < 0 {
-			if fi >= 0 {
-				tb.pool.unpin(fi, false)
-			}
-			fi, b = tb.pool.fetch(spaceHeap, r.page)
-			cur = r.page
+		if r.page != cur {
+			b, cur = tb.heapPg.page(r.page), r.page
 		}
 		sl := pageSlot(b, int(r.slot))
 		if sl == nil {
-			return fail(fmt.Errorf("store: slot %d/%d is dead (corrupt index)", r.page, r.slot))
+			return nil, fmt.Errorf("store: slot %d/%d is dead (corrupt index)", r.page, r.slot)
 		}
 		if len(sl) < rowHeaderLen {
-			return fail(fmt.Errorf("store: short row: %d bytes", len(sl)))
+			return nil, fmt.Errorf("store: short row: %d bytes", len(sl))
 		}
 		out[i].Pre, out[i].Post, out[i].Parent = decodeRowMeta(sl)
 		if withPoly {
 			n := int(binary.LittleEndian.Uint32(sl[rowOffPolyLen:]))
 			if n > len(sl)-rowHeaderLen {
-				return fail(fmt.Errorf("store: row poly length %d exceeds slot (%d bytes)", n, len(sl)))
+				return nil, fmt.Errorf("store: row poly length %d exceeds slot (%d bytes)", n, len(sl))
 			}
 			off := len(arena)
 			arena = append(arena, sl[rowHeaderLen:rowHeaderLen+n]...)
 			out[i].Poly = arena[off:len(arena):len(arena)]
 		}
 	}
-	tb.pool.unpin(fi, false)
 	return out, nil
 }
 
@@ -510,21 +476,16 @@ func (s *Store) children(pre int64, withPoly bool) ([]NodeRow, error) {
 
 // scanDesc streams the proper descendants of (pre, post) in document
 // order: a tree descent to the first key past pre, then leaf-chain
-// entries decoded straight off pinned heap pages until the first row
+// entries decoded straight off the heap pages until the first row
 // whose post exceeds post — the subtree boundary, discovered as the
 // scan's own stop condition instead of a separate probe.
 func (tb *pagedTable) scanDesc(pre, post int64, fn func(sl []byte, r rid) error) error {
 	var cur uint32
-	fi := -1
 	var pb []byte
 	var err error
 	tb.pre.scanFrom(treeKey{a: pre + 1, b: minInt64}, func(_ treeKey, r rid) bool {
-		if r.page != cur || fi < 0 {
-			if fi >= 0 {
-				tb.pool.unpin(fi, false)
-			}
-			fi, pb = tb.pool.fetch(spaceHeap, r.page)
-			cur = r.page
+		if r.page != cur {
+			pb, cur = tb.heapPg.page(r.page), r.page
 		}
 		sl := pageSlot(pb, int(r.slot))
 		if sl == nil {
@@ -537,9 +498,6 @@ func (tb *pagedTable) scanDesc(pre, post int64, fn func(sl []byte, r rid) error)
 		err = fn(sl, r)
 		return err == nil
 	})
-	if fi >= 0 {
-		tb.pool.unpin(fi, false)
-	}
 	return err
 }
 
@@ -611,16 +569,11 @@ func (s *Store) DescendantsNaive(pre, post int64) ([]NodeRow, error) {
 	// no boundary stop (kept for the ablation benchmark).
 	var rids []rid
 	var cur uint32
-	fi := -1
 	var pb []byte
 	var scanErr error
 	tb.pre.scanFrom(treeKey{a: pre + 1, b: minInt64}, func(_ treeKey, r rid) bool {
-		if r.page != cur || fi < 0 {
-			if fi >= 0 {
-				tb.pool.unpin(fi, false)
-			}
-			fi, pb = tb.pool.fetch(spaceHeap, r.page)
-			cur = r.page
+		if r.page != cur {
+			pb, cur = tb.heapPg.page(r.page), r.page
 		}
 		sl := pageSlot(pb, int(r.slot))
 		if sl == nil {
@@ -633,9 +586,6 @@ func (s *Store) DescendantsNaive(pre, post int64) ([]NodeRow, error) {
 		}
 		return true
 	})
-	if fi >= 0 {
-		tb.pool.unpin(fi, false)
-	}
 	if scanErr != nil {
 		return nil, fmt.Errorf("store: naive descendants of %d: %w", pre, scanErr)
 	}

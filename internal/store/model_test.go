@@ -8,13 +8,14 @@ import (
 	"math/rand"
 	"slices"
 	"sort"
+	"sync"
 	"testing"
 )
 
 // model is the reference the store is checked against: every row in
 // one slice sorted by pre, each read answered straight from its
-// definition with no index. It shares no code with the page, tree or
-// pool layers.
+// definition with no index. It shares no code with the page or tree
+// layers.
 type model struct{ rows []NodeRow }
 
 func (m *model) find(pre int64) (int, bool) {
@@ -331,8 +332,8 @@ func randomOps(t *testing.T, s *Store, m *model, seed int64, n int) map[string][
 
 // TestStoreMatchesModel drives the store and the model with one seeded
 // op script and compares every read API; then again after Dump→Load
-// into a table whose pool is far smaller than the data, and once more
-// after a second script runs on the loaded table.
+// into a fresh table, and once more after a second script runs on the
+// loaded table.
 func TestStoreMatchesModel(t *testing.T) {
 	s, m := newStore(t), &model{}
 	checkAgainstModel(t, s, m)
@@ -348,11 +349,149 @@ func TestStoreMatchesModel(t *testing.T) {
 	if err := s.Dump(&img); err != nil {
 		t.Fatal(err)
 	}
-	loaded := openBare(t, Options{PoolPages: minPoolPages})
+	loaded := openBare(t)
 	if err := loaded.Load(&img); err != nil {
 		t.Fatal(err)
 	}
 	checkAgainstModel(t, loaded, m)
 	randomOps(t, loaded, m, 12, 1000)
 	checkAgainstModel(t, loaded, m)
+}
+
+// TestStoreConcurrentReadWrite runs readers against one writer. The
+// writer drives the model's op script in the test goroutine while
+// readers loop Node, Children, Descendants, Range and Dump. The
+// table's RWMutex is the only thing that orders page bytes, so every
+// read must see one consistent table. Its rows come back in pre order
+// and inside the bounds asked for. Each share blob still holds the
+// pattern randomOps wrote for its pre when read after the call
+// returns, so a blob aliasing a page that a later UPDATE rewrites is
+// caught (and is a data race under -race). A dump taken mid-script
+// loads. The only error allowed is not-found, and the final table
+// must match the model.
+func TestStoreConcurrentReadWrite(t *testing.T) {
+	s, m := newStore(t), &model{}
+	randomOps(t, s, m, 21, 200)
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	var haltOnce sync.Once
+	halt := func() { haltOnce.Do(func() { close(stop); wg.Wait() }) }
+	defer halt()
+	for seed := int64(1); seed <= 3; seed++ {
+		wg.Add(1)
+		go func(seed int64) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(seed))
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if err := readConsistent(s, rng, i); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(seed)
+	}
+	randomOps(t, s, m, 22, 2000)
+	halt()
+	checkAgainstModel(t, s, m)
+}
+
+// readConsistent makes read number i of one concurrent reader and
+// checks what it saw.
+func readConsistent(s *Store, rng *rand.Rand, i int) error {
+	n, err := s.Count()
+	if err != nil {
+		return err
+	}
+	pre := 1 + rng.Int63n(2*n+4)
+	var rows []NodeRow
+	switch i % 5 {
+	case 0:
+		r, err := s.Node(pre)
+		if errors.Is(err, ErrNotFound) {
+			return nil
+		}
+		if err != nil || r.Pre != pre {
+			return fmt.Errorf("Node(%d) = pre %d, %v", pre, r.Pre, err)
+		}
+		rows = []NodeRow{r}
+	case 1:
+		if rows, err = s.Children(pre); err != nil {
+			return fmt.Errorf("Children(%d): %v", pre, err)
+		}
+		for _, r := range rows {
+			if r.Parent != pre {
+				return fmt.Errorf("Children(%d) holds pre %d with parent %d", pre, r.Pre, r.Parent)
+			}
+		}
+	case 2:
+		post := pre + rng.Int63n(8)
+		if rows, err = s.Descendants(pre, post); err != nil {
+			return fmt.Errorf("Descendants(%d, %d): %v", pre, post, err)
+		}
+		for _, r := range rows {
+			if r.Pre <= pre || r.Post > post {
+				return fmt.Errorf("Descendants(%d, %d) holds (%d, %d)", pre, post, r.Pre, r.Post)
+			}
+		}
+	case 3:
+		hi := pre + rng.Int63n(64)
+		if rows, err = s.Range(pre, hi); err != nil {
+			return fmt.Errorf("Range(%d, %d): %v", pre, hi, err)
+		}
+		for _, r := range rows {
+			if r.Pre < pre || r.Pre > hi {
+				return fmt.Errorf("Range(%d, %d) holds pre %d", pre, hi, r.Pre)
+			}
+		}
+	default:
+		if i%25 != 4 {
+			return nil
+		}
+		var img bytes.Buffer
+		if err := s.Dump(&img); err != nil {
+			return err
+		}
+		dsn := FreshDSN()
+		defer Drop(dsn)
+		copied, err := Open(dsn)
+		if err != nil {
+			return err
+		}
+		if err := copied.Load(&img); err != nil {
+			return fmt.Errorf("a dump taken mid-script does not load: %v", err)
+		}
+		return nil
+	}
+	for j, r := range rows {
+		if j > 0 && r.Pre <= rows[j-1].Pre {
+			return fmt.Errorf("read %d: pre %d after %d", i, r.Pre, rows[j-1].Pre)
+		}
+		if !randomOpsPoly(r) {
+			return fmt.Errorf("read %d: pre %d has a torn share blob", i, r.Pre)
+		}
+	}
+	return nil
+}
+
+// randomOpsPoly reports whether r's blob has the shape randomOps gives
+// every row it writes: byte k is pre+spread+k, spread 5 or 7.
+func randomOpsPoly(r NodeRow) bool {
+	if len(r.Poly) < 40 {
+		return false
+	}
+	if s := r.Poly[0] - byte(r.Pre); s != 5 && s != 7 {
+		return false
+	}
+	for k, b := range r.Poly {
+		if b != r.Poly[0]+byte(k) {
+			return false
+		}
+	}
+	return true
 }

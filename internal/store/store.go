@@ -5,9 +5,9 @@
 // The paper's prototype keeps these rows in MySQL with B-tree indexes on
 // pre, post and parent. This package is a purpose-built storage engine
 // for the same table: a fixed-width binary row codec, slotted 8 KiB heap
-// pages holding rows clustered in pre order, a B⁺-tree keyed on pre
-// (plus a composite (parent, pre) tree for child navigation) and a
-// CLOCK-evicting buffer pool.
+// pages holding rows clustered in pre order, and a B⁺-tree keyed on pre
+// (plus a composite (parent, pre) tree for child navigation), all held
+// in memory and read in place.
 //
 // The descendant query exploits the contiguity of descendants in pre
 // order: the subtree boundary — the smallest pre greater than pre(n)
@@ -42,40 +42,46 @@ func NotFoundError(pre int64) error {
 	return fmt.Errorf("store: node %d: %w", pre, ErrNotFound)
 }
 
-// Options configures OpenWith.
-type Options struct {
-	// PoolPages bounds the buffer pool (0 = DefaultPoolPages). It only
-	// applies when the DSN's table is created by this call.
-	PoolPages int
-}
-
 // Store is a handle on one node table.
 type Store struct {
-	dsn  string
-	opts Options
-	tbl  *pagedTable
+	dsn string
+	tbl *pagedTable
 }
 
-// Open connects to (creating if necessary) the table named by dsn with
-// default options. Call Init before first use of a fresh table.
+// Open connects to (creating if necessary) the table named by dsn.
+// Opening one DSN twice yields two handles on the same table. Call Init
+// before first use of a fresh table.
 func Open(dsn string) (*Store, error) {
-	return OpenWith(dsn, Options{})
-}
-
-// OpenWith is Open with explicit options. Opening one DSN twice yields
-// two handles on the same table.
-func OpenWith(dsn string, opts Options) (*Store, error) {
-	return &Store{dsn: dsn, opts: opts, tbl: tableFor(dsn, opts.PoolPages)}, nil
+	return &Store{dsn: dsn, tbl: tableFor(dsn)}, nil
 }
 
 // DSN returns the database name this store is attached to.
 func (s *Store) DSN() string { return s.dsn }
 
-// PoolStats returns the buffer-pool counters. ok is always true; the
-// flag remains so callers written against an engine without a pool
-// still compile.
+// Options, OpenWith, PoolStats and Store.PoolStats are a shim kept only
+// because the benchmark module (bench/) still calls them; they go when
+// it stops doing so (ROADMAP G1′). Options has no fields and OpenWith
+// is Open.
+type Options struct{}
+
+// OpenWith is Open; see Options.
+func OpenWith(dsn string, _ Options) (*Store, error) { return Open(dsn) }
+
+// PoolStats is the counter snapshot Store.PoolStats reports.
+type PoolStats struct {
+	Hits, Misses, Evictions uint64
+}
+
+// PoolStats counts each page access since the table was last loaded as
+// a hit and reports no misses or evictions: there is no cache between
+// the table and its pages. Its only reader is bench/traced.go, which emits
+// store.pool_hit_ratio only when hits plus misses exceed 0. ok is always
+// true.
 func (s *Store) PoolStats() (stats PoolStats, ok bool) {
-	return s.tbl.pool.stats(), true
+	tb := s.tbl
+	tb.mu.RLock()
+	defer tb.mu.RUnlock()
+	return PoolStats{Hits: tb.heapPg.reads.Load() + tb.idxPg.reads.Load()}, true
 }
 
 // Init creates the nodes table (the schema of §5.1), failing if it
@@ -105,9 +111,8 @@ func (s *Store) Attach() error {
 
 // CopyRange copies the rows with pre in [lo, hi] into a fresh store
 // under a new DSN — the shared shard builder behind Database.DumpShard
-// (shard files) and cluster.SplitStore (in-process shards). The result
-// is opened with the source's options. The caller owns it: Close it
-// and Drop the DSN when done.
+// (shard files) and cluster.SplitStore (in-process shards). The caller
+// owns the result: Close it and Drop the DSN when done.
 func (s *Store) CopyRange(lo, hi int64) (*Store, string, error) {
 	rows, err := s.Range(lo, hi)
 	if err != nil {
@@ -117,7 +122,7 @@ func (s *Store) CopyRange(lo, hi int64) (*Store, string, error) {
 		return nil, "", fmt.Errorf("store: range [%d, %d] holds no rows", lo, hi)
 	}
 	dsn := FreshDSN()
-	dst, err := OpenWith(dsn, s.opts)
+	dst, err := Open(dsn)
 	if err != nil {
 		return nil, "", err
 	}

@@ -25,10 +25,10 @@ func fill(t testing.TB, s *Store, d *xmldoc.Doc) {
 
 // openBare opens a handle on a fresh DSN without creating the table —
 // the state Load starts from. The DSN is dropped when the test ends.
-func openBare(t testing.TB, opts Options) *Store {
+func openBare(t testing.TB) *Store {
 	t.Helper()
 	dsn := FreshDSN()
-	s, err := OpenWith(dsn, opts)
+	s, err := Open(dsn)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +42,7 @@ func openBare(t testing.TB, opts Options) *Store {
 // newStore is openBare plus Init: an empty, writable table.
 func newStore(t testing.TB) *Store {
 	t.Helper()
-	s := openBare(t, Options{})
+	s := openBare(t)
 	if err := s.Init(); err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +224,7 @@ func TestDumpLoadRoundTrip(t *testing.T) {
 		if err := s.Dump(&buf); err != nil {
 			t.Fatal(err)
 		}
-		s2 := openBare(t, Options{})
+		s2 := openBare(t)
 		if err := s2.Load(&buf); err != nil {
 			t.Fatal(err)
 		}

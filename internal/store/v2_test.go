@@ -116,9 +116,7 @@ func TestSlottedPage(t *testing.T) {
 // exercise leaf splits, branch splits and multi-level descents.
 func smallTree(t *testing.T) *bptree {
 	t.Helper()
-	pg := &pager{}
-	pool := newBufferPool(minPoolPages, &pager{}, pg)
-	tr := newBptree(pool, pg)
+	tr := newBptree(&pager{})
 	tr.leafCap = 4
 	tr.branchCap = 4
 	return tr
@@ -220,59 +218,6 @@ func TestBptreeCompositeKeys(t *testing.T) {
 	}
 }
 
-// ---- buffer pool ----
-
-func TestBufferPoolEviction(t *testing.T) {
-	heap := &pager{}
-	pool := newBufferPool(minPoolPages, heap, &pager{})
-	// Twice the pool capacity in pages, each stamped with its ID.
-	nPages := 2 * minPoolPages
-	for i := 0; i < nPages; i++ {
-		id := heap.alloc()
-		fi, b := pool.fetch(spaceHeap, id)
-		pageInit(b)
-		b[pageHdrLen] = byte(id) // scribble past the header
-		pool.unpin(fi, true)
-	}
-	// Re-read everything; evicted dirty pages must have been written back.
-	for pass := 0; pass < 2; pass++ {
-		for id := uint32(1); id <= uint32(nPages); id++ {
-			fi, b := pool.fetch(spaceHeap, id)
-			if b[pageHdrLen] != byte(id) {
-				t.Fatalf("page %d lost its write (got %d)", id, b[pageHdrLen])
-			}
-			pool.unpin(fi, false)
-		}
-	}
-	// A repeated touch of a resident page is a hit.
-	fi, _ := pool.fetch(spaceHeap, uint32(nPages))
-	pool.unpin(fi, false)
-	st := pool.stats()
-	if st.Evictions == 0 {
-		t.Fatal("no evictions despite working set > capacity")
-	}
-	if st.Hits == 0 || st.Misses == 0 {
-		t.Fatalf("stats = %+v", st)
-	}
-	if st.Resident > st.Pages {
-		t.Fatalf("resident %d exceeds capacity %d", st.Resident, st.Pages)
-	}
-}
-
-func TestBufferPoolGrowsWhenAllPinned(t *testing.T) {
-	heap := &pager{}
-	pool := newBufferPool(minPoolPages, heap, &pager{})
-	var pins []int
-	for i := 0; i < minPoolPages+4; i++ {
-		id := heap.alloc()
-		fi, _ := pool.fetch(spaceHeap, id)
-		pins = append(pins, fi) // hold every pin: pool must grow, not deadlock
-	}
-	for _, fi := range pins {
-		pool.unpin(fi, false)
-	}
-}
-
 // ---- table-level behavior ----
 
 // TestV2DumpReplicaDeterminism: two v2 tables that apply the identical op
@@ -295,7 +240,7 @@ func TestV2DumpReplicaDeterminism(t *testing.T) {
 	}
 
 	// dump → load → dump identity.
-	s2 := openBare(t, Options{})
+	s2 := openBare(t)
 	if err := s2.Load(bytes.NewReader(dumps[0])); err != nil {
 		t.Fatal(err)
 	}
@@ -343,15 +288,16 @@ func TestV2HeapSplits(t *testing.T) {
 			t.Fatalf("row %d poly corrupted", i)
 		}
 	}
-	if st, ok := s.PoolStats(); !ok || st.Resident < 2 {
-		t.Fatalf("pool stats = %+v, %v", st, ok)
+	if pages := s.tbl.heapPg.count(); pages < 2 {
+		t.Fatalf("%d rows of %d bytes fit %d heap page", n, len(poly), pages)
 	}
 }
 
-// TestV2SmallPoolScans: a pool far smaller than the table still answers
-// every query correctly (pages stream through the clock).
+// TestV2SmallPoolScans: a table spanning many heap pages answers a
+// whole-table range scan correctly. (The name dates from the buffer
+// pool the scan once streamed through at its 16-page minimum.)
 func TestV2SmallPoolScans(t *testing.T) {
-	s := openBare(t, Options{PoolPages: minPoolPages})
+	s := openBare(t)
 	if err := s.Init(); err != nil {
 		t.Fatal(err)
 	}
@@ -369,20 +315,23 @@ func TestV2SmallPoolScans(t *testing.T) {
 	if len(rows) != n {
 		t.Fatalf("range = %d rows", len(rows))
 	}
-	st, _ := s.PoolStats()
-	if st.Evictions == 0 {
-		t.Fatalf("no evictions with %d-page pool over %d rows: %+v", minPoolPages, n, st)
+	for i, r := range rows {
+		if r.Pre != int64(i+1) || !bytes.Equal(r.Poly, poly) {
+			t.Fatalf("row %d = pre %d, poly %d bytes", i, r.Pre, len(r.Poly))
+		}
 	}
-	if st.Resident > st.Pages {
-		t.Fatalf("resident %d > capacity %d", st.Resident, st.Pages)
+	if pages := s.tbl.heapPg.count(); pages <= 16 {
+		t.Fatalf("%d rows span only %d heap pages", n, pages)
 	}
 }
 
-// TestV2CrossFormatLoadErrors: Load accepts only a current page dump.
-// Junk, an encoding/gob stream (the shape of the dumps the retired
+// TestV2CrossFormatLoadErrors: Load accepts only a whole current page
+// dump. Junk, an encoding/gob stream (the shape of the dumps the retired
 // SQL-backed engine wrote, which carry no header), a page header cut
-// short and an empty stream are each refused with an error that says
-// to re-encode, and the refusal leaves no table behind.
+// short, an empty stream, a page body cut short, a page that is not a
+// heap page and a first heap page past the last page are each refused
+// with an error that says to re-encode. The refusal leaves no table
+// behind in a fresh store, and every row of a populated one in place.
 func TestV2CrossFormatLoadErrors(t *testing.T) {
 	src := newStore(t)
 	randomOps(t, src, &model{}, 3, 50)
@@ -398,20 +347,27 @@ func TestV2CrossFormatLoadErrors(t *testing.T) {
 	if err := gob.NewEncoder(&gobDump).Encode(map[string][]NodeRow{"nodes": rows}); err != nil {
 		t.Fatal(err)
 	}
+	nonHeap := bytes.Clone(img.Bytes())
+	nonHeap[v2HeaderLen] = pageTypeLeaf
+	pastEnd := bytes.Clone(img.Bytes())
+	binary.LittleEndian.PutUint32(pastEnd[28:], binary.LittleEndian.Uint32(pastEnd[24:])+1)
 	// Subtest v1 feeds a gob stream, the format the retired v1 engine
 	// dumped; subtest v2 feeds junk and damaged page images.
 	for format, streams := range map[string]map[string][]byte{
 		"v1": {"gob": gobDump.Bytes()},
 		"v2": {
-			"junk":             []byte("this is neither a gob nor a page file"),
-			"truncated header": img.Bytes()[:v2HeaderLen-10],
-			"truncated magic":  img.Bytes()[:8],
-			"empty":            nil,
+			"junk":                    []byte("this is neither a gob nor a page file"),
+			"truncated header":        img.Bytes()[:v2HeaderLen-10],
+			"truncated magic":         img.Bytes()[:8],
+			"empty":                   nil,
+			"truncated body":          img.Bytes()[:img.Len()-1],
+			"non-heap page":           nonHeap,
+			"first page past the end": pastEnd,
 		},
 	} {
 		t.Run(format, func(t *testing.T) {
 			for name, stream := range streams {
-				s := openBare(t, Options{})
+				s := openBare(t)
 				err := s.Load(bytes.NewReader(stream))
 				if err == nil || !strings.Contains(err.Error(), "re-encode") {
 					t.Fatalf("%s: err = %v, want a re-encode refusal", name, err)
@@ -419,6 +375,12 @@ func TestV2CrossFormatLoadErrors(t *testing.T) {
 				if s.Attach() == nil {
 					t.Fatalf("%s: a refused load left a table behind", name)
 				}
+				full, m := newStore(t), &model{}
+				randomOps(t, full, m, 4, 40)
+				if full.Load(bytes.NewReader(stream)) == nil {
+					t.Fatalf("%s: loaded over a populated table", name)
+				}
+				checkAgainstModel(t, full, m)
 			}
 		})
 	}
@@ -459,7 +421,7 @@ func TestV2UpdateKeepsDumpAligned(t *testing.T) {
 	if err := a.Dump(&img); err != nil {
 		t.Fatal(err)
 	}
-	b := openBare(t, Options{})
+	b := openBare(t)
 	if err := b.Load(bytes.NewReader(img.Bytes())); err != nil {
 		t.Fatal(err)
 	}
