@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"reflect"
+	"strings"
 	"testing"
 
 	"encshare/internal/filter"
@@ -246,6 +248,55 @@ func TestBatchedReducesRoundTrips(t *testing.T) {
 					e.name, test, batched, seq)
 			}
 			t.Logf("%s/%s: %d round-trips batched vs %d per-call", e.name, test, batched, seq)
+		}
+	}
+}
+
+// TestWideWaveIsOneExchange: a wave costs one paged exchange however
+// wide it is. Every engine issues as many NodePolysBatchPage and
+// DescendantsBatchPage calls on a document 400 siblings wide as on the
+// same shape one sibling wide, and the simple engine, whose waves are
+// the query's steps, fetches each name step's bundles in one call and
+// expands the descendant step in one call. The answers match the
+// plaintext oracle.
+func TestWideWaveIsOneExchange(t *testing.T) {
+	doc := func(width int) string {
+		return "<r>" + strings.Repeat("<p><c/><q><c/></q></p>", width) + "</r>"
+	}
+	narrow, wide := buildRemote(t, doc(1)), buildRemote(t, doc(400))
+	q := xpath.MustParse("/r/p//c")
+	want := xpath.Pres(wide.oracle.Eval(q, matchMode(Equality)))
+	if len(want) != 800 {
+		t.Fatalf("oracle found %d matches, want 800", len(want))
+	}
+	paged := []string{"filter.NodePolysBatchPage", "filter.DescendantsBatchPage"}
+	calls := func(rfx *remoteFixture, e Engine) map[string]int64 {
+		before := rfx.rem.CallCounts()
+		res, err := e.Run(q, Equality)
+		if err != nil {
+			t.Fatalf("%s: %v", e.Name(), err)
+		}
+		if rfx == wide && !equalPres(res.Pres, want) {
+			t.Errorf("%s: %d matches, oracle %d", e.Name(), len(res.Pres), len(want))
+		}
+		after := rfx.rem.CallCounts()
+		out := map[string]int64{}
+		for _, m := range paged {
+			out[m] = after[m] - before[m]
+		}
+		return out
+	}
+	for _, pair := range [][2]Engine{{narrow.simple, wide.simple}, {narrow.advanced, wide.advanced}} {
+		one, many := calls(narrow, pair[0]), calls(wide, pair[1])
+		for _, m := range paged {
+			if many[m] != one[m] {
+				t.Errorf("%s: %d %s calls 400 wide, %d one wide", pair[1].Name(), many[m], m, one[m])
+			}
+		}
+		if pair[1] == Engine(wide.simple) {
+			if want := map[string]int64{paged[0]: nameSteps(q), paged[1]: 1}; !reflect.DeepEqual(many, want) {
+				t.Errorf("simple: paged calls %v, want one per wave %v", many, want)
+			}
 		}
 	}
 }

@@ -25,6 +25,7 @@ import (
 
 	"encshare/internal/gf"
 	"encshare/internal/ring"
+	"encshare/internal/store"
 )
 
 // EvalRequest is one member of a batched evaluation: evaluate the server
@@ -125,23 +126,27 @@ func firstBatchErr(errs []EvalResult) error {
 // batches are split into bounded chunks before they hit the wire. A
 // step still costs O(1) exchanges; the constant only grows for
 // frontiers of tens of thousands of members. Chunk sizes are matched to
-// the per-member reply weight: evaluations and node metadata are a few
-// bytes each, and children lists carry one fanout's worth of metadata.
-// DescendantsBatch and NodePolysBatch replies carry whole subtrees or
-// share blobs, but their frames are already bounded by bytes: the
-// server pages them (paged.go). Their small member chunks stay for
-// memory, not for the frame limit. Lifting them cut scan-large from
-// 29.6 to 16.2 round trips per op but raised its allocation from
-// 10 776 to 12 190 KiB per op (one bench run each way, 2-CPU host),
-// because a reply frame above rmi's 64 KiB retained buffer is read
-// through a buffer that grows by doubling. Variables, not constants,
-// so tests can shrink them.
+// the per-member weight of the heavier side: evaluations and node
+// metadata are a few bytes each way, and children lists carry one
+// fanout's worth of metadata. DescendantsBatch and NodePolysBatch
+// replies carry whole subtrees or share blobs, but the server pages
+// those by bytes (paged.go), so their chunks bound only the request
+// frame: a member there is one span or one pre, one or two varints as
+// in NodeBatch, and 1<<14 of them stay far below 64 MiB. One engine
+// wave is therefore one exchange on those methods. At 256 members a
+// chunk split waves: scan-large took 29.6 round trips per op, and 16.2
+// with the chunks lifted. The larger reply frames are read through
+// rmi's doubling buffer above its 64 KiB retained one; the server pays
+// for that by reading each bundle from its pages once (store.Bundle),
+// so scan-large still allocates less per op than it did at 256 (10 777
+// → 9 451 KiB, one bench run each way, 2-CPU host). Variables, not
+// constants, so tests can shrink them.
 var (
 	evalChunkSize     = 1 << 16 // one field element per member
 	metaChunkSize     = 1 << 14 // one NodeMeta per member
 	childrenChunkSize = 1 << 12 // one child list per member
-	descChunkSize     = 256     // one whole subtree per member
-	polyChunkSize     = 256     // node + all-children share blobs per member
+	descChunkSize     = 1 << 14 // one span per member
+	polyChunkSize     = 1 << 14 // one pre per member
 )
 
 // chunked calls fn on successive [lo, hi) windows of size at most chunk
@@ -343,27 +348,15 @@ func (s *ServerFilter) DescendantsBatch(spans []Span) ([][]NodeMeta, error) {
 	return out, nil
 }
 
-// NodePolysBatch implements BatchAPI.
+// NodePolysBatch implements BatchAPI: NodePolysPartial's bundles, with
+// a node this table does not hold as the member's error.
 func (s *ServerFilter) NodePolysBatch(pres []int64) ([]NodePolys, error) {
-	out := make([]NodePolys, len(pres))
-	parallelFor(len(pres), s.poolSize(), func(i int) {
-		row, err := s.st.Node(pres[i])
-		if err != nil {
-			out[i].Err = err.Error()
-			return
+	return bundles(s, pres, func(pre int64, b PartialNodePolys) NodePolys {
+		if b.Err == "" && !b.Has {
+			return NodePolys{Err: store.NotFoundError(pre).Error()}
 		}
-		out[i].Node = PolyRow{Pre: row.Pre, Poly: row.Poly}
-		kids, err := s.st.Children(pres[i])
-		if err != nil {
-			out[i].Err = err.Error()
-			return
-		}
-		out[i].Children = make([]PolyRow, len(kids))
-		for j, k := range kids {
-			out[i].Children[j] = PolyRow{Pre: k.Pre, Poly: k.Poly}
-		}
-	})
-	return out, nil
+		return NodePolys{Node: b.Node, Children: b.Children, Err: b.Err}
+	}), nil
 }
 
 // Check is one client-level containment/equality check: node at Pre

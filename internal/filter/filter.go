@@ -252,13 +252,16 @@ func (s *ServerFilter) serverPoly(pre int64) (ring.Poly, error) {
 		return p, nil
 	}
 	s.cacheMisses.Add(1)
-	row, err := s.st.Node(pre)
+	// Decoded straight off the page: the blob is never copied out.
+	p := s.r.NewPoly()
+	err := s.st.DecodePoly(pre, func(blob []byte) error {
+		if err := s.r.DecodeInto(p, blob); err != nil {
+			return decodeErr(pre, err)
+		}
+		return nil
+	})
 	if err != nil {
 		return nil, err
-	}
-	p, err := s.r.FromBytes(row.Poly)
-	if err != nil {
-		return nil, decodeErr(pre, err)
 	}
 	s.decodes.Add(1)
 	s.cache.put(pre, p)

@@ -3,8 +3,8 @@
 // giant subtree in DescendantsBatch, a node with thousands of children in
 // NodePolysBatch — could still blow the 64 MiB rmi frame, because member
 // count says nothing about reply bytes. The paged protocol bounds the
-// reply itself: the server fills one page up to a byte budget (estimated
-// from the encoded size of each row) and returns a resume cursor; the
+// reply itself: the server fills one page up to a byte budget (charged
+// with the encoded size of each row) and returns a resume cursor; the
 // client loops until Done. A normal batch fits in one page, so the
 // exchange counts the tests pin are unchanged; only a pathological reply
 // costs extra round-trips — instead of a hard frame error.
@@ -21,17 +21,19 @@ package filter
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 )
 
 // ReplyByteBudget bounds the encoded members of one paged reply frame.
-// The size functions below are upper bounds on the binary layout (see
-// wire.go), so a page's members never exceed the budget — except the
-// single member a page always carries to make progress — and the frame
-// header and page trailer (a few dozen bytes) fit in the margin left
-// under the 64 MiB rmi frame limit. Exported as a tuning knob: servers
-// on memory-constrained hosts can shrink it, and tests shrink it to
-// force multi-page replies (including the chaos tests that kill a
-// replica between pages).
+// The size functions below are exact (bundles) or upper bounds
+// (descendant rows) on the binary layout (see wire.go), so a page's
+// members never exceed the budget — except the single member a page
+// always carries to make progress — and the frame header and page
+// trailer (a few dozen bytes) fit in the margin left under the 64 MiB
+// rmi frame limit. Exported as a tuning knob: servers on
+// memory-constrained hosts can shrink it, and tests shrink it to force
+// multi-page replies (including the chaos tests that kill a replica
+// between pages).
 var ReplyByteBudget = 48 << 20
 
 // pageFetchChunk is how many members the server fetches at a time while
@@ -39,8 +41,8 @@ var ReplyByteBudget = 48 << 20
 // the byte budget (over-fetched members are re-fetched on the next page).
 var pageFetchChunk = 128
 
-// Upper bounds on encoded sizes: every integer takes at most one full
-// varint, a blob or string its bytes plus a length varint.
+// Upper bounds on encoded descendant-page sizes: every integer takes at
+// most one full varint.
 const (
 	// metaWireBytes bounds one NodeMeta: pre, post, parent.
 	metaWireBytes = 3 * binary.MaxVarintLen64
@@ -48,13 +50,24 @@ const (
 	partWireBytes = 2 * binary.MaxVarintLen64
 )
 
-// polyRowWireBytes bounds one encoded PolyRow: pre, blob length, blob.
-func polyRowWireBytes(r PolyRow) int { return 2*binary.MaxVarintLen64 + len(r.Poly) }
+// uvarintLen is the encoded length of x as a uvarint.
+func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
 
-// bundleWireBytes bounds one encoded equality bundle: its child count,
-// flag, node row, error, and child rows.
+// varintLen is the encoded length of v as a zig-zag varint.
+func varintLen(v int64) int { return uvarintLen(uint64(v<<1) ^ uint64(v>>63)) }
+
+// polyRowWireBytes is the encoded size of one PolyRow: pre, blob length,
+// blob.
+func polyRowWireBytes(r PolyRow) int {
+	return varintLen(r.Pre) + uvarintLen(uint64(len(r.Poly))) + len(r.Poly)
+}
+
+// bundleWireBytes is the encoded size of one equality bundle within a
+// page (see appendBundles), less PartialNodePolys' flag byte: its node
+// row, error, child count and child rows. Bundles are sized exactly, so
+// a page fills its budget and its encoding grows its buffer once.
 func bundleWireBytes(node PolyRow, kids []PolyRow, errMsg string) int {
-	n := 2*binary.MaxVarintLen64 + 1 + polyRowWireBytes(node) + len(errMsg)
+	n := polyRowWireBytes(node) + uvarintLen(uint64(len(errMsg))) + len(errMsg) + uvarintLen(uint64(len(kids)))
 	for _, c := range kids {
 		n += polyRowWireBytes(c)
 	}
@@ -64,7 +77,7 @@ func bundleWireBytes(node PolyRow, kids []PolyRow, errMsg string) int {
 func nodePolysWire(b NodePolys) int { return bundleWireBytes(b.Node, b.Children, b.Err) }
 
 func partialNodePolysWire(b PartialNodePolys) int {
-	return bundleWireBytes(b.Node, b.Children, b.Err)
+	return 1 + bundleWireBytes(b.Node, b.Children, b.Err)
 }
 
 // descPageArgs resumes a paged DescendantsBatch at Member; Resume is 0
@@ -167,22 +180,20 @@ type bundlePage[T any] struct {
 }
 
 // pageBundles serves one page of a bundle batch, splitting between
-// bundles by estimated encoded size with at least one bundle per page.
+// bundles by encoded size with at least one bundle per page. The
+// bundles of each fetched window that fit are joined once, at the end,
+// into a slice of the page's length (a page within one window is that
+// window's reply as is), so a long request buys no bundle headers the
+// budget then turns away.
 func pageBundles[T any](a bundlePageArgs, fetch func([]int64) ([]T, error), size func(T) int) (bundlePage[T], error) {
 	n := len(a.Pres)
 	if a.Member < 0 || a.Member > n {
 		return bundlePage[T]{}, fmt.Errorf("filter: bad bundle page cursor %d", a.Member)
 	}
-	// Room for a whole client chunk up front. Only a peer that ignores
-	// the chunking asks for more, and the budget bounds what it gets.
-	rep := bundlePage[T]{Bundles: make([]T, 0, min(n-a.Member, polyChunkSize))}
-	budget := ReplyByteBudget
-	m := a.Member
-	for m < n && budget > 0 {
-		end := m + pageFetchChunk
-		if end > n {
-			end = n
-		}
+	var fitted [][]T
+	count, budget, m, full := 0, ReplyByteBudget, a.Member, false
+	for m < n && !full {
+		end := min(m+pageFetchChunk, n)
 		part, err := fetch(a.Pres[m:end])
 		if err != nil {
 			return bundlePage[T]{}, err
@@ -190,20 +201,28 @@ func pageBundles[T any](a bundlePageArgs, fetch func([]int64) ([]T, error), size
 		if err := checkReplyLen(part, end-m); err != nil {
 			return bundlePage[T]{}, err
 		}
-		for _, bdl := range part {
-			c := size(bdl)
-			if c > budget && len(rep.Bundles) > 0 {
-				return rep, nil // next page re-fetches from here
+		k := 0
+		for ; k < len(part) && !full; k++ {
+			c := size(part[k])
+			if c > budget && count+k > 0 {
+				break // the next page re-fetches from here
 			}
-			rep.Bundles = append(rep.Bundles, bdl)
 			budget -= c
-			m++
-			if budget <= 0 {
-				break
-			}
+			full = budget <= 0
+		}
+		full = full || k < len(part)
+		fitted = append(fitted, part[:k])
+		count, m = count+k, m+k
+	}
+	rep := bundlePage[T]{Done: m == n}
+	if len(fitted) == 1 {
+		rep.Bundles = fitted[0]
+	} else if count > 0 {
+		rep.Bundles = make([]T, 0, count)
+		for _, part := range fitted {
+			rep.Bundles = append(rep.Bundles, part...)
 		}
 	}
-	rep.Done = m == n
 	return rep, nil
 }
 

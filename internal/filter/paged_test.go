@@ -120,3 +120,31 @@ func TestPagedNormalBudgetOnePage(t *testing.T) {
 			counts[methodDescendantsPage], counts[methodNodePolysPage])
 	}
 }
+
+// TestBundlePageCapacityFollowsFit: a page's bundle slice is sized by
+// the bundles that fit its budget, not by the request. A 16 k-member
+// request under a budget that fits one bundle gets at most one fetch
+// window of room, and one that fits several windows gets exactly its
+// bundles.
+func TestBundlePageCapacityFollowsFit(t *testing.T) {
+	pres := make([]int64, 1<<14)
+	for i := range pres {
+		pres[i] = int64(i + 1)
+	}
+	fetch := fuzzBundles(1, pres)
+	old := ReplyByteBudget
+	t.Cleanup(func() { ReplyByteBudget = old })
+	for _, budget := range []int{1, 64, 256 << 10} {
+		ReplyByteBudget = budget
+		rep, err := pageBundles(bundlePageArgs{Pres: pres}, fetch, nodePolysWire)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rep.Bundles) == 0 || rep.Done {
+			t.Fatalf("budget %d: page of %d bundles, done %v", budget, len(rep.Bundles), rep.Done)
+		}
+		if c := cap(rep.Bundles); c > max(len(rep.Bundles), pageFetchChunk) {
+			t.Errorf("budget %d: %d bundles fit, slice capacity %d", budget, len(rep.Bundles), c)
+		}
+	}
+}

@@ -15,11 +15,7 @@
 // manifest file has to travel to the query side.
 package filter
 
-import (
-	"errors"
-
-	"encshare/internal/store"
-)
+import "encshare/internal/store"
 
 // PreRange is the contiguous pre interval a server's node table covers.
 type PreRange struct {
@@ -72,28 +68,22 @@ func (s *ServerFilter) PreRange() (PreRange, error) {
 // this table does not hold yields Has=false instead of a member error,
 // and the children list carries only locally stored rows.
 func (s *ServerFilter) NodePolysPartial(pres []int64) ([]PartialNodePolys, error) {
-	out := make([]PartialNodePolys, len(pres))
+	return bundles(s, pres, func(_ int64, b PartialNodePolys) PartialNodePolys { return b }), nil
+}
+
+// bundles reads the equality bundle of every pre on the worker pool,
+// each with one store read (store.Bundle), and shapes it with mk. A
+// member that fails to read carries its error and no rows.
+func bundles[T any](s *ServerFilter, pres []int64, mk func(pre int64, b PartialNodePolys) T) []T {
+	out := make([]T, len(pres))
 	parallelFor(len(pres), s.poolSize(), func(i int) {
-		row, err := s.st.Node(pres[i])
-		switch {
-		case err == nil:
-			out[i].Has = true
-			out[i].Node = PolyRow{Pre: row.Pre, Poly: row.Poly}
-		case errors.Is(err, store.ErrNotFound):
-			// Not owned here; the owning shard reports the node row.
-		default:
-			out[i].Err = err.Error()
-			return
-		}
-		kids, err := s.st.Children(pres[i])
+		var b PartialNodePolys
+		var err error
+		b.Node, b.Has, b.Children, err = store.Bundle[PolyRow](s.st, pres[i])
 		if err != nil {
-			out[i].Err = err.Error()
-			return
+			b = PartialNodePolys{Err: err.Error()}
 		}
-		out[i].Children = make([]PolyRow, len(kids))
-		for j, k := range kids {
-			out[i].Children[j] = PolyRow{Pre: k.Pre, Poly: k.Poly}
-		}
+		out[i] = mk(pres[i], b)
 	})
-	return out, nil
+	return out
 }

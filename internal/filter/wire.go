@@ -513,16 +513,25 @@ func (a *bundlePageArgs) DecodeWire(b []byte, _ bool) error {
 	})
 }
 
-// AppendWire grows dst once, to the bound pageBundles sizes pages by,
-// so a page of a megabyte is not copied through every doubling of the
-// reply buffer on its way in.
+// AppendWire grows dst once, to the exact size of the page, so a page
+// of a megabyte is not copied through every doubling of the reply
+// buffer on its way in.
 func (p bundlePage[T]) AppendWire(dst []byte) []byte {
-	n := 2*binary.MaxVarintLen64 + 1 // the two list counts and Done
+	return appendBool(appendBundles(slices.Grow(dst, bundlePageWireBytes(p)), p.Bundles), p.Done)
+}
+
+// bundlePageWireBytes is the encoded size of a bundle page: the bundle
+// list's two counts, every bundle, and Done.
+func bundlePageWireBytes[T any](p bundlePage[T]) int {
+	n := 2*uvarintLen(uint64(len(p.Bundles))) + 1
 	for i := range p.Bundles {
 		b := partsOf(&p.Bundles[i])
 		n += bundleWireBytes(*b.node, *b.kids, *b.err)
+		if b.has != nil {
+			n++
+		}
 	}
-	return appendBool(appendBundles(slices.Grow(dst, n), p.Bundles), p.Done)
+	return n
 }
 
 func (p *bundlePage[T]) DecodeWire(b []byte, owned bool) error {

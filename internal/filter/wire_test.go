@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -266,6 +267,53 @@ func TestWireSizeBounds(t *testing.T) {
 	}
 	if n := len(rep.AppendWire(nil)); n > ReplyByteBudget+4*binary.MaxVarintLen64 {
 		t.Fatalf("descendants page of %d bytes under a %d-byte budget", n, ReplyByteBudget)
+	}
+}
+
+// TestBundleWireBytesExact: a bundle page's computed size is its
+// encoded length, for both bundle kinds, at varint-length edges of
+// every field (pres, blob and error lengths, bundle and child counts).
+func TestBundleWireBytesExact(t *testing.T) {
+	pres := []int64{0, -1, 63, 64, -65, 1 << 20, math.MinInt64, math.MaxInt64}
+	sizes := []int{0, 1, 127, 128, 300, 16384}
+	errs := []string{"", "store: node 7: store: node not found", strings.Repeat("e", 200)}
+	for _, tc := range []struct {
+		seed            int64
+		bundles, kidMax int
+	}{
+		{1, 0, 0}, {2, 1, 0}, {3, 1, 3}, {4, 5, 140}, {5, 127, 2}, {6, 128, 2}, {7, 300, 1},
+	} {
+		rng := rand.New(rand.NewSource(tc.seed))
+		row := func() PolyRow {
+			return PolyRow{Pre: pres[rng.Intn(len(pres))], Poly: make([]byte, sizes[rng.Intn(len(sizes))])}
+		}
+		var whole bundlePage[NodePolys]
+		var partial bundlePage[PartialNodePolys]
+		for i := 0; i < tc.bundles; i++ {
+			b := PartialNodePolys{Has: rng.Intn(2) == 0, Node: row(), Err: errs[rng.Intn(len(errs))]}
+			for k := rng.Intn(tc.kidMax + 1); k > 0; k-- {
+				b.Children = append(b.Children, row())
+			}
+			partial.Bundles = append(partial.Bundles, b)
+			whole.Bundles = append(whole.Bundles, NodePolys{Node: b.Node, Children: b.Children, Err: b.Err})
+		}
+		whole.Done, partial.Done = tc.seed%2 == 0, tc.seed%2 == 1
+		if got, want := len(whole.AppendWire(nil)), bundlePageWireBytes(whole); got != want {
+			t.Errorf("seed %d: NodePolys page encodes to %d bytes, computed %d", tc.seed, got, want)
+		}
+		if got, want := len(partial.AppendWire(nil)), bundlePageWireBytes(partial); got != want {
+			t.Errorf("seed %d: PartialNodePolys page encodes to %d bytes, computed %d", tc.seed, got, want)
+		}
+		for i, b := range whole.Bundles {
+			one := bundlePage[NodePolys]{Bundles: []NodePolys{b}}
+			if got, want := len(one.AppendWire(nil)), 3+nodePolysWire(b); got != want {
+				t.Errorf("seed %d bundle %d: encodes to %d bytes, sized %d", tc.seed, i, got, want)
+			}
+			half := bundlePage[PartialNodePolys]{Bundles: partial.Bundles[i : i+1]}
+			if got, want := len(half.AppendWire(nil)), 3+partialNodePolysWire(partial.Bundles[i]); got != want {
+				t.Errorf("seed %d partial bundle %d: encodes to %d bytes, sized %d", tc.seed, i, got, want)
+			}
+		}
 	}
 }
 

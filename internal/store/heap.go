@@ -474,6 +474,120 @@ func (s *Store) children(pre int64, withPoly bool) ([]NodeRow, error) {
 	return rows, nil
 }
 
+// blobRow is the shape of the rows Bundle returns: any struct type with
+// exactly a pre and a share blob, so a caller gets its own row type
+// without a conversion pass.
+type blobRow interface {
+	~struct {
+		Pre  int64
+		Poly []byte
+	}
+}
+
+// bundleFanout is the child count Bundle collects on the stack; a node
+// with more children costs one heap slice of slot references.
+const bundleFanout = 32
+
+// Bundle reads the equality-test rows of the node at pre under one read
+// lock: its own row, and its children's in document order. has reports
+// whether the table holds the node itself; the children are read either
+// way, since a cluster shard can store children of a node it does not
+// own. Every blob is copied exactly once, into one arena allocated at
+// its final size, so no row aliases page bytes and an UPDATE that later
+// rewrites a page cannot tear one.
+func Bundle[R blobRow](s *Store, pre int64) (node R, has bool, kids []R, err error) {
+	tb := s.tbl
+	tb.mu.RLock()
+	defer tb.mu.RUnlock()
+	var nodeBlob []byte
+	if r, ok := tb.pre.get(treeKey{a: pre}); ok {
+		if _, nodeBlob, err = tb.blobAt(tb.heapPg.page(r.page), r); err != nil {
+			return node, false, nil, fmt.Errorf("store: node %d: %w", pre, err)
+		}
+		has = true
+	}
+	// The children's slots, found once: their pres and blobs alias page
+	// bytes until the copy below.
+	type slotRef struct {
+		pre  int64
+		blob []byte
+	}
+	var refsBuf [bundleFanout]slotRef
+	refs := refsBuf[:0]
+	size := len(nodeBlob)
+	var cur uint32
+	var pb []byte
+	tb.kids.scanFrom(treeKey{a: pre, b: minInt64}, func(k treeKey, r rid) bool {
+		if k.a != pre {
+			return false
+		}
+		if r.page != cur {
+			pb, cur = tb.heapPg.page(r.page), r.page
+		}
+		var ref slotRef
+		if ref.pre, ref.blob, err = tb.blobAt(pb, r); err != nil {
+			return false
+		}
+		refs = append(refs, ref)
+		size += len(ref.blob)
+		return true
+	})
+	if err != nil {
+		return node, false, nil, fmt.Errorf("store: children of %d: %w", pre, err)
+	}
+	arena := make([]byte, 0, size)
+	take := func(blob []byte) []byte {
+		off := len(arena)
+		arena = append(arena, blob...)
+		return arena[off:len(arena):len(arena)]
+	}
+	if has {
+		node = R{Pre: pre, Poly: take(nodeBlob)}
+	}
+	if len(refs) > 0 {
+		kids = make([]R, len(refs))
+		for i, ref := range refs {
+			kids[i] = R{Pre: ref.pre, Poly: take(ref.blob)}
+		}
+	}
+	return node, has, kids, nil
+}
+
+// DecodePoly hands decode the share blob of the node at pre in place,
+// under the table's read lock, so a caller that turns the blob into
+// something else (the server filter's decoded polynomial) reads it from
+// its page once instead of copying it out first. decode must not keep
+// blob past its return nor call back into the store. A missing node is
+// NotFoundError(pre); decode's error comes back as is.
+func (s *Store) DecodePoly(pre int64, decode func(blob []byte) error) error {
+	tb := s.tbl
+	tb.mu.RLock()
+	defer tb.mu.RUnlock()
+	r, ok := tb.pre.get(treeKey{a: pre})
+	if !ok {
+		return NotFoundError(pre)
+	}
+	_, blob, err := tb.blobAt(tb.heapPg.page(r.page), r)
+	if err != nil {
+		return fmt.Errorf("store: node %d: %w", pre, err)
+	}
+	return decode(blob)
+}
+
+// blobAt returns the pre and the share blob of the row at r on page b.
+// The blob aliases b: it is valid only under the table lock.
+func (tb *pagedTable) blobAt(b []byte, r rid) (pre int64, blob []byte, err error) {
+	sl := pageSlot(b, int(r.slot))
+	if sl == nil {
+		return 0, nil, fmt.Errorf("slot %d/%d is dead (corrupt index)", r.page, r.slot)
+	}
+	row, err := decodeRow(sl)
+	if err != nil {
+		return 0, nil, err
+	}
+	return row.Pre, row.Poly, nil
+}
+
 // scanDesc streams the proper descendants of (pre, post) in document
 // order: a tree descent to the first key past pre, then leaf-chain
 // entries decoded straight off the heap pages until the first row

@@ -225,6 +225,24 @@ func checkAgainstModel(t *testing.T, s *Store, m *model) {
 			t.Fatalf("ChildCount(%d) = %d, %v; model %d", pre, n, err, len(kids))
 		}
 
+		node, has, bkids, err := Bundle[blobRowT](s, pre)
+		if err != nil || has != (werr == nil) || (has && (node.Pre != pre || !bytes.Equal(node.Poly, want.Poly))) {
+			t.Fatalf("Bundle(%d) node = %+v, %v, %v; model %+v, %v", pre, node, has, err, want, werr)
+		}
+		if len(bkids) != len(kids) {
+			t.Fatalf("Bundle(%d): %d children, model %d", pre, len(bkids), len(kids))
+		}
+		for j, k := range bkids {
+			if k.Pre != kids[j].Pre || !bytes.Equal(k.Poly, kids[j].Poly) {
+				t.Fatalf("Bundle(%d) child %d = %+v, model %+v", pre, j, k, kids[j])
+			}
+		}
+		var blob []byte
+		err = s.DecodePoly(pre, func(b []byte) error { blob = append([]byte(nil), b...); return nil })
+		if !sameErr(err, werr) || (err == nil && !bytes.Equal(blob, want.Poly)) {
+			t.Fatalf("DecodePoly(%d) = %x, %v; model %x, %v", pre, blob, err, want.Poly, werr)
+		}
+
 		// Stored rows probe their own subtree, absent pres an arbitrary one.
 		post := pre + 2
 		if werr == nil {
@@ -360,7 +378,8 @@ func TestStoreMatchesModel(t *testing.T) {
 
 // TestStoreConcurrentReadWrite runs readers against one writer. The
 // writer drives the model's op script in the test goroutine while
-// readers loop Node, Children, Descendants, Range and Dump. The
+// readers loop Node, Children, Descendants, Range, Bundle, DecodePoly
+// and Dump. The
 // table's RWMutex is the only thing that orders page bytes, so every
 // read must see one consistent table. Its rows come back in pre order
 // and inside the bounds asked for. Each share blob still holds the
@@ -410,7 +429,7 @@ func readConsistent(s *Store, rng *rand.Rand, i int) error {
 	}
 	pre := 1 + rng.Int63n(2*n+4)
 	var rows []NodeRow
-	switch i % 5 {
+	switch i % 7 {
 	case 0:
 		r, err := s.Node(pre)
 		if errors.Is(err, ErrNotFound) {
@@ -449,8 +468,35 @@ func readConsistent(s *Store, rng *rand.Rand, i int) error {
 				return fmt.Errorf("Range(%d, %d) holds pre %d", pre, hi, r.Pre)
 			}
 		}
+	case 4:
+		node, has, kids, err := Bundle[blobRowT](s, pre)
+		if err != nil {
+			return fmt.Errorf("Bundle(%d): %v", pre, err)
+		}
+		if has {
+			if node.Pre != pre {
+				return fmt.Errorf("Bundle(%d) node is pre %d", pre, node.Pre)
+			}
+			rows = append(rows, NodeRow{Pre: node.Pre, Poly: node.Poly})
+		}
+		for _, k := range kids {
+			rows = append(rows, NodeRow{Pre: k.Pre, Poly: k.Poly})
+		}
+	case 5:
+		var poly []byte
+		err := s.DecodePoly(pre, func(blob []byte) error {
+			poly = append([]byte(nil), blob...)
+			return nil
+		})
+		if errors.Is(err, ErrNotFound) {
+			return nil
+		}
+		if err != nil {
+			return fmt.Errorf("DecodePoly(%d): %v", pre, err)
+		}
+		rows = []NodeRow{{Pre: pre, Poly: poly}}
 	default:
-		if i%25 != 4 {
+		if i%35 != 6 {
 			return nil
 		}
 		var img bytes.Buffer
@@ -477,6 +523,12 @@ func readConsistent(s *Store, rng *rand.Rand, i int) error {
 		}
 	}
 	return nil
+}
+
+// blobRowT is a row type Bundle can fill.
+type blobRowT struct {
+	Pre  int64
+	Poly []byte
 }
 
 // randomOpsPoly reports whether r's blob has the shape randomOps gives
