@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 
 	"encshare/internal/filter"
 	"encshare/internal/gf"
@@ -53,6 +54,12 @@ type advBatch struct {
 	ready []advItem // this wave's cleared items (reused across waves)
 	scans []advScan // descendant walks, one level per wave
 	spare []advScan // the previous wave's scans, reused for the next
+
+	// One check batch and its candidates at a time: each stage of a
+	// wave is done with them before the next refills them, so they are
+	// reused across stages and waves.
+	checks []filter.Check
+	cands  []advCand
 }
 
 // newAdvBatch prepares a run of steps. Every branch a run pushes holds
@@ -99,14 +106,14 @@ func (r *advBatch) rest(left int) []xpath.Step { return r.steps[len(r.steps)-lef
 // scanned returns the step a scan with left steps below it walks for.
 func (r *advBatch) scanned(sc advScan) xpath.Step { return r.steps[len(r.steps)-sc.left-1] }
 
-// candidates sizes a wave's check batch and candidate list once, for
-// every child the fetch returned.
-func candidates(lists [][]filter.NodeMeta) ([]filter.Check, []advCand) {
+// candidates empties the reusable check batch and candidate list and
+// grows them once to hold every child the fetch returned.
+func (r *advBatch) candidates(lists [][]filter.NodeMeta) ([]filter.Check, []advCand) {
 	n := 0
 	for _, l := range lists {
 		n += len(l)
 	}
-	return make([]filter.Check, 0, n), make([]advCand, 0, n)
+	return slices.Grow(r.checks[:0], n), slices.Grow(r.cands[:0], n)
 }
 
 // done reports whether branch work for ctx is moot (its witness exists).
@@ -210,7 +217,7 @@ func (r *advBatch) wave() error {
 // Items still pending stay in r.items, compacted in place.
 func (r *advBatch) lookaheadRound() ([]advItem, error) {
 	ready := r.ready[:0]
-	checks := make([]filter.Check, 0, len(r.items))
+	checks := slices.Grow(r.checks[:0], len(r.items))
 	checked := r.items[:0]
 	for _, it := range r.items {
 		if r.done(it.ctx) {
@@ -228,6 +235,7 @@ func (r *advBatch) lookaheadRound() ([]advItem, error) {
 		checks = append(checks, filter.Check{Pre: it.node.Pre, Point: v})
 		checked = append(checked, it)
 	}
+	r.checks = checks
 	oks, err := r.e.wire.ContainsBatch(checks)
 	if err != nil {
 		return nil, err
@@ -315,7 +323,7 @@ func (r *advBatch) expandChildren(parents []advItem) error {
 	if err != nil {
 		return err
 	}
-	checks, cands := candidates(lists)
+	checks, cands := r.candidates(lists)
 	for i, it := range parents {
 		s := r.rest(it.left)[0]
 		var v gf.Elem
@@ -336,6 +344,7 @@ func (r *advBatch) expandChildren(parents []advItem) error {
 			cands = append(cands, advCand{node: kid, owner: i})
 		}
 	}
+	r.checks, r.cands = checks, cands
 	oks, err := r.e.check(checks, r.test)
 	if err != nil {
 		return err
@@ -376,7 +385,7 @@ func (r *advBatch) scanLevel() error {
 	if err != nil {
 		return err
 	}
-	checks, cands := candidates(lists)
+	checks, cands := r.candidates(lists)
 	for i, sc := range scans {
 		if s := r.scanned(sc); s.IsNameTest() {
 			v, mapped := r.e.val(s.Name)
@@ -397,6 +406,7 @@ func (r *advBatch) scanLevel() error {
 			}
 		}
 	}
+	r.checks, r.cands = checks, cands
 	oks, err := r.e.wire.ContainsBatch(checks)
 	if err != nil {
 		return err

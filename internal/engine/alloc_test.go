@@ -22,8 +22,8 @@ func TestAdvancedReadAllocs(t *testing.T) {
 		query string
 		max   float64
 	}{
-		{"/site//item", 384},
-		{"/site/regions/europe/item/name", 524},
+		{"/site//item", 322},
+		{"/site/regions/europe/item/name", 444},
 	} {
 		q := xpath.MustParse(tc.query)
 		run := func() {

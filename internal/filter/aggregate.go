@@ -333,13 +333,14 @@ func (s *ServerFilter) foldChunk(ck *AggregateChunk, seg []int64, mask []gf.Elem
 		defer s.r.PutPoly(maskSum)
 	}
 	for i, pre := range seg {
-		p, err := s.serverPoly(pre)
+		err := s.withPoly(pre, func(p ring.Poly) {
+			s.r.SumInto(sum, p)
+			if maskSum != nil {
+				s.r.AddScaledInPlace(maskSum, p, mask[i])
+			}
+		})
 		if err != nil {
 			return err
-		}
-		s.r.SumInto(sum, p)
-		if maskSum != nil {
-			s.r.AddScaledInPlace(maskSum, p, mask[i])
 		}
 	}
 	ck.Sum = s.r.AppendBytes(make([]byte, 0, s.r.PolyBytes()), sum)

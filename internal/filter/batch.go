@@ -262,14 +262,6 @@ func (s *ServerFilter) EvalBatch(reqs []EvalRequest) ([]EvalResult, error) {
 	order, starts := groupByPre(len(reqs), func(i int) int64 { return reqs[i].Pre })
 	parallelFor(len(starts)-1, s.poolSize(), func(g int) {
 		idx := order[starts[g]:starts[g+1]]
-		p, err := s.serverPoly(reqs[idx[0]].Pre)
-		if err != nil {
-			for _, i := range idx {
-				out[i].Err = err.Error()
-			}
-			return
-		}
-		s.evals.Add(int64(len(idx)))
 		var ptsArr, valsArr [8]gf.Elem
 		var pts, vals []gf.Elem
 		if len(idx) <= len(ptsArr) {
@@ -280,7 +272,14 @@ func (s *ServerFilter) EvalBatch(reqs []EvalRequest) ([]EvalResult, error) {
 		for _, i := range idx {
 			pts = append(pts, reqs[i].Point)
 		}
-		s.r.EvalManyInto(vals, p, pts)
+		err := s.withPoly(reqs[idx[0]].Pre, func(p ring.Poly) { s.r.EvalManyInto(vals, p, pts) })
+		if err != nil {
+			for _, i := range idx {
+				out[i].Err = err.Error()
+			}
+			return
+		}
+		s.evals.Add(int64(len(idx)))
 		for j, i := range idx {
 			out[i].Val = vals[j]
 		}
@@ -308,22 +307,25 @@ func (s *ServerFilter) NodeBatch(pres []int64) ([]NodeMeta, error) {
 	return out, nil
 }
 
-// ChildrenBatch implements BatchAPI.
+// ChildrenBatch implements BatchAPI. Every member's children are
+// appended to one backing array, which the reply's lists then slice.
 func (s *ServerFilter) ChildrenBatch(pres []int64) ([][]NodeMeta, error) {
-	out := make([][]NodeMeta, len(pres))
-	errs := make([]error, len(pres))
-	parallelFor(len(pres), s.poolSize(), func(i int) {
-		rows, err := s.st.ChildrenMeta(pres[i])
-		if err != nil {
-			errs[i] = err
-			return
-		}
-		out[i] = toMeta(rows)
-	})
-	for _, err := range errs {
+	var all []NodeMeta
+	ends := make([]int, len(pres))
+	for i, pre := range pres {
+		err := s.st.VisitChildrenMeta(pre, func(pre, post, parent int64) {
+			all = append(all, NodeMeta{Pre: pre, Post: post, Parent: parent})
+		})
 		if err != nil {
 			return nil, err
 		}
+		ends[i] = len(all)
+	}
+	out := make([][]NodeMeta, len(pres))
+	start := 0
+	for i, end := range ends {
+		out[i] = all[start:end:end]
+		start = end
 	}
 	return out, nil
 }

@@ -22,9 +22,12 @@ import (
 //     entries survive a full hand sweep (see cache_test.go for the
 //     hit-rate regression test).
 //
-// Cached polynomials are shared by reference with concurrent readers,
-// so an evicted Poly must never be returned to a pool — eviction just
-// drops the reference (see the pooling invariant in package ring).
+// A cached polynomial is never referenced outside its segment lock: a
+// reader passes with a function that runs on it under the lock (an
+// evaluation or a fold step: nothing that blocks or calls back into the
+// cache). So when put displaces a polynomial, no reader can still hold
+// it, and put returns it for the caller to recycle through ring.PutPoly
+// (see the pooling invariant in package ring).
 type polyCache struct {
 	segs []cacheSeg
 	mask uint64
@@ -80,45 +83,51 @@ func (c *polyCache) seg(pre int64) *cacheSeg {
 	return &c.segs[(uint64(pre)*0x9E3779B97F4A7C15>>32)&c.mask]
 }
 
-func (c *polyCache) get(pre int64) (ring.Poly, bool) {
+// with runs fn on the cached polynomial of pre under its segment lock
+// and reports whether there was one. fn must not keep p, block, or call
+// back into the cache.
+func (c *polyCache) with(pre int64, fn func(p ring.Poly)) bool {
 	if len(c.segs) == 0 {
-		return nil, false
+		return false
 	}
 	s := c.seg(pre)
 	s.mu.Lock()
 	e, ok := s.data[pre]
-	var p ring.Poly
 	if ok {
 		e.ref = true
-		// Copy the slice header under the lock: a concurrent put may
-		// overwrite e.p for an already-resident key.
-		p = e.p
+		fn(e.p)
 	}
 	s.mu.Unlock()
 	if ok {
 		c.hits.Add(1)
-		return p, true
+		return true
 	}
 	c.misses.Add(1)
-	return nil, false
+	return false
 }
 
-func (c *polyCache) put(pre int64, p ring.Poly) {
+// put admits p as the polynomial of pre. The cache then owns p, and the
+// caller must not touch it again. put returns the polynomial that left
+// the cache for it — the CLOCK victim, the previous polynomial of a
+// resident pre, or p itself when caching is disabled — or nil. No
+// reader holds the returned polynomial, so the caller may pool it.
+func (c *polyCache) put(pre int64, p ring.Poly) ring.Poly {
 	if len(c.segs) == 0 {
-		return
+		return p
 	}
 	s := c.seg(pre)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if e, ok := s.data[pre]; ok {
+		old := e.p
 		e.p = p
 		e.ref = true
-		return
+		return old
 	}
 	if len(s.data) < s.max {
 		s.data[pre] = &cacheEnt{p: p}
 		s.keys = append(s.keys, pre)
-		return
+		return nil
 	}
 	// CLOCK sweep: clear reference bits until an unreferenced victim
 	// turns up. Terminates within two revolutions.
@@ -133,11 +142,15 @@ func (c *polyCache) put(pre int64, p ring.Poly) {
 			s.hand++
 			continue
 		}
+		// The newcomer takes over the victim's entry, so an admission
+		// in a full segment allocates nothing.
 		delete(s.data, victim)
-		s.data[pre] = &cacheEnt{p: p}
+		old := e.p
+		e.p = p
+		s.data[pre] = e
 		s.keys[s.hand] = pre
 		s.hand++
-		return
+		return old
 	}
 }
 

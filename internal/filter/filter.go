@@ -191,14 +191,6 @@ func (s *ServerFilter) ServerStats() (ServerStats, error) {
 	}, nil
 }
 
-func toMeta(rows []store.NodeRow) []NodeMeta {
-	out := make([]NodeMeta, len(rows))
-	for i, r := range rows {
-		out[i] = NodeMeta{Pre: r.Pre, Post: r.Post, Parent: r.Parent}
-	}
-	return out
-}
-
 // descendantsMeta builds the reply frame for a subtree expansion through
 // the store's streaming visitor: the numbering is appended straight into
 // the []NodeMeta, skipping the intermediate []NodeRow the materializing
@@ -234,11 +226,14 @@ func (s *ServerFilter) Node(pre int64) (NodeMeta, error) {
 
 // Children implements ServerAPI.
 func (s *ServerFilter) Children(pre int64) ([]NodeMeta, error) {
-	rows, err := s.st.ChildrenMeta(pre)
+	var out []NodeMeta
+	err := s.st.VisitChildrenMeta(pre, func(pre, post, parent int64) {
+		out = append(out, NodeMeta{Pre: pre, Post: post, Parent: parent})
+	})
 	if err != nil {
 		return nil, err
 	}
-	return toMeta(rows), nil
+	return out, nil
 }
 
 // Descendants implements ServerAPI.
@@ -246,14 +241,18 @@ func (s *ServerFilter) Descendants(pre, post int64) ([]NodeMeta, error) {
 	return descendantsMeta(s.st, pre, post)
 }
 
-func (s *ServerFilter) serverPoly(pre int64) (ring.Poly, error) {
-	if p, ok := s.cache.get(pre); ok {
+// withPoly runs fn on the decoded server share of the node at pre. A
+// cache hit runs fn on the cached polynomial under its segment lock, so
+// fn must be short and must not keep p. A miss decodes the blob straight
+// off its page into a pooled polynomial, runs fn on it and admits it to
+// the cache; whatever the admission displaced goes back to the pool.
+func (s *ServerFilter) withPoly(pre int64, fn func(p ring.Poly)) error {
+	if s.cache.with(pre, fn) {
 		s.cacheHits.Add(1)
-		return p, nil
+		return nil
 	}
 	s.cacheMisses.Add(1)
-	// Decoded straight off the page: the blob is never copied out.
-	p := s.r.NewPoly()
+	p := s.r.GetPoly()
 	err := s.st.DecodePoly(pre, func(blob []byte) error {
 		if err := s.r.DecodeInto(p, blob); err != nil {
 			return decodeErr(pre, err)
@@ -261,21 +260,25 @@ func (s *ServerFilter) serverPoly(pre int64) (ring.Poly, error) {
 		return nil
 	})
 	if err != nil {
-		return nil, err
+		s.r.PutPoly(p)
+		return err
 	}
 	s.decodes.Add(1)
-	s.cache.put(pre, p)
-	return p, nil
+	fn(p)
+	if old := s.cache.put(pre, p); old != nil {
+		s.r.PutPoly(old)
+	}
+	return nil
 }
 
 // EvalAt implements ServerAPI.
 func (s *ServerFilter) EvalAt(pre int64, point gf.Elem) (gf.Elem, error) {
-	p, err := s.serverPoly(pre)
-	if err != nil {
+	var v gf.Elem
+	if err := s.withPoly(pre, func(p ring.Poly) { v = s.r.Eval(p, point) }); err != nil {
 		return 0, err
 	}
 	s.evals.Add(1)
-	return s.r.Eval(p, point), nil
+	return v, nil
 }
 
 // Poly implements ServerAPI.

@@ -267,19 +267,29 @@ func TestErrorsPropagateOverRMI(t *testing.T) {
 
 func TestPolyCache(t *testing.T) {
 	c := newPolyCache(2)
-	c.put(1, ring.Poly{1})
+	if old := c.put(1, ring.Poly{1}); old != nil {
+		t.Fatalf("put into a free slot displaced %v", old)
+	}
 	c.put(2, ring.Poly{2})
-	c.put(3, ring.Poly{3}) // evicts something
+	old := c.put(3, ring.Poly{3}) // evicts something
 	if c.len() != 2 {
 		t.Fatalf("cache len = %d, want 2", c.len())
 	}
-	if _, ok := c.get(3); !ok {
+	if len(old) != 1 || (old[0] != 1 && old[0] != 2) {
+		t.Fatalf("eviction displaced %v, want the polynomial of 1 or 2", old)
+	}
+	if !hit(c, 3) {
 		t.Fatal("most recent insert evicted")
 	}
-	// Disabled cache.
+	if old := c.put(3, ring.Poly{4}); len(old) != 1 || old[0] != 3 {
+		t.Fatalf("overwriting a resident pre displaced %v, want [3]", old)
+	}
+	// Disabled cache: put hands the polynomial straight back.
 	d := newPolyCache(0)
-	d.put(1, ring.Poly{1})
-	if _, ok := d.get(1); ok {
+	if old := d.put(1, ring.Poly{1}); len(old) != 1 || old[0] != 1 {
+		t.Fatalf("disabled cache kept the polynomial (put returned %v)", old)
+	}
+	if hit(d, 1) {
 		t.Fatal("disabled cache stored an entry")
 	}
 }

@@ -32,7 +32,10 @@
 //   - GetPoly/PutPoly expose a pooled buffer source for transient
 //     polynomials. Pooling invariant: a Poly may be returned to the
 //     pool only when no other reference to it can remain — never pool a
-//     polynomial that was handed to a cache or kept in a result.
+//     polynomial kept in a result or still readable by someone else. A
+//     cache may pool what it evicts only if its readers never hold an
+//     entry outside its lock (the server filter's decoded-poly cache
+//     works that way).
 package ring
 
 import (
@@ -148,9 +151,11 @@ func (r *Ring) GetPoly() Poly {
 }
 
 // PutPoly returns a polynomial to the buffer pool. The caller must hold
-// the only remaining reference: never return a Poly that was stored in a
-// cache, captured in a result, or is still being read by another
-// goroutine. Polys of the wrong length are dropped.
+// the only remaining reference: never return a Poly that is still
+// stored in a cache, captured in a result, or being read by another
+// goroutine. A cache's evicted polynomial qualifies only when the
+// cache's readers never hold an entry outside its lock. Polys of the
+// wrong length are dropped.
 func (r *Ring) PutPoly(p Poly) {
 	if len(p) != r.n {
 		return

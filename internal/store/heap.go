@@ -474,6 +474,43 @@ func (s *Store) children(pre int64, withPoly bool) ([]NodeRow, error) {
 	return rows, nil
 }
 
+// VisitChildrenMeta streams the numbering of every child of the node at
+// pre in document order, decoded straight off its page slot under one
+// read lock, without materializing rows — the children analogue of
+// VisitDescendantsMeta. A node without children (or no node at all)
+// visits nothing.
+func (s *Store) VisitChildrenMeta(pre int64, fn func(pre, post, parent int64)) error {
+	tb := s.tbl
+	tb.mu.RLock()
+	defer tb.mu.RUnlock()
+	var cur uint32
+	var pb []byte
+	var err error
+	tb.kids.scanFrom(treeKey{a: pre, b: minInt64}, func(k treeKey, r rid) bool {
+		if k.a != pre {
+			return false
+		}
+		if r.page != cur {
+			pb, cur = tb.heapPg.page(r.page), r.page
+		}
+		sl := pageSlot(pb, int(r.slot))
+		if sl == nil {
+			err = fmt.Errorf("slot %d/%d is dead (corrupt index)", r.page, r.slot)
+			return false
+		}
+		if len(sl) < rowHeaderLen {
+			err = fmt.Errorf("short row: %d bytes", len(sl))
+			return false
+		}
+		fn(decodeRowMeta(sl))
+		return true
+	})
+	if err != nil {
+		return fmt.Errorf("store: children of %d: %w", pre, err)
+	}
+	return nil
+}
+
 // blobRow is the shape of the rows Bundle returns: any struct type with
 // exactly a pre and a share blob, so a caller gets its own row type
 // without a conversion pass.

@@ -158,7 +158,7 @@ func sameRow(a, b NodeRow) bool {
 
 // checkAgainstModel compares every read API of s with m: Count,
 // MinMaxPre and Root once; Node, NodeMeta, Children, ChildrenMeta,
-// ChildCount, Descendants, DescendantsMeta and VisitDescendantsMeta at
+// VisitChildrenMeta, ChildCount, Bundle, DecodePoly, Descendants, DescendantsMeta and VisitDescendantsMeta at
 // every stored pre, both ends of the table plus one, and 64 seeded pres
 // in between, stored or not (DescendantsNaive, a scan to the table's
 // end, at every eighth of those); Range over the whole table and over
@@ -221,6 +221,11 @@ func checkAgainstModel(t *testing.T, s *Store, m *model) {
 		rows(fmt.Sprintf("Children(%d)", pre), got2, err, kids)
 		got2, err = s.ChildrenMeta(pre)
 		rows(fmt.Sprintf("ChildrenMeta(%d)", pre), got2, err, meta(kids))
+		var visitedKids []NodeRow
+		err = s.VisitChildrenMeta(pre, func(pre, post, parent int64) {
+			visitedKids = append(visitedKids, NodeRow{Pre: pre, Post: post, Parent: parent})
+		})
+		rows(fmt.Sprintf("VisitChildrenMeta(%d)", pre), visitedKids, err, meta(kids))
 		if n, err := s.ChildCount(pre); err != nil || n != int64(len(kids)) {
 			t.Fatalf("ChildCount(%d) = %d, %v; model %d", pre, n, err, len(kids))
 		}
@@ -378,10 +383,9 @@ func TestStoreMatchesModel(t *testing.T) {
 
 // TestStoreConcurrentReadWrite runs readers against one writer. The
 // writer drives the model's op script in the test goroutine while
-// readers loop Node, Children, Descendants, Range, Bundle, DecodePoly
-// and Dump. The
-// table's RWMutex is the only thing that orders page bytes, so every
-// read must see one consistent table. Its rows come back in pre order
+// readers loop Node, Children, Descendants, Range, Bundle, DecodePoly,
+// VisitChildrenMeta and Dump. The table's RWMutex is the only thing
+// that orders page bytes, so every read must see one consistent table. Its rows come back in pre order
 // and inside the bounds asked for. Each share blob still holds the
 // pattern randomOps wrote for its pre when read after the call
 // returns, so a blob aliasing a page that a later UPDATE rewrites is
@@ -429,7 +433,7 @@ func readConsistent(s *Store, rng *rand.Rand, i int) error {
 	}
 	pre := 1 + rng.Int63n(2*n+4)
 	var rows []NodeRow
-	switch i % 7 {
+	switch i % 8 {
 	case 0:
 		r, err := s.Node(pre)
 		if errors.Is(err, ErrNotFound) {
@@ -495,8 +499,23 @@ func readConsistent(s *Store, rng *rand.Rand, i int) error {
 			return fmt.Errorf("DecodePoly(%d): %v", pre, err)
 		}
 		rows = []NodeRow{{Pre: pre, Poly: poly}}
+	case 6:
+		// Meta only: the pattern check below needs blobs, so this read
+		// checks its own order.
+		var bad error
+		last := int64(math.MinInt64)
+		err := s.VisitChildrenMeta(pre, func(kid, _, parent int64) {
+			if bad == nil && (parent != pre || kid <= last) {
+				bad = fmt.Errorf("VisitChildrenMeta(%d) visits pre %d with parent %d after %d", pre, kid, parent, last)
+			}
+			last = kid
+		})
+		if err != nil {
+			return fmt.Errorf("VisitChildrenMeta(%d): %v", pre, err)
+		}
+		return bad
 	default:
-		if i%35 != 6 {
+		if i%40 != 7 {
 			return nil
 		}
 		var img bytes.Buffer
