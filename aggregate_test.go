@@ -283,11 +283,11 @@ func TestMultiTenantAggregateStats(t *testing.T) {
 	t.Run("segmented", func(t *testing.T) {
 		aKeys, aDB := buildTenant(t, 303, 300)
 		bKeys, bDB := buildTenant(t, 404, 300)
-		rt := server.New(server.Config{CacheBudget: 8192, Default: "auction"})
-		if err := rt.AttachStore(server.Tenant{Name: "auction", P: 83, CacheEntries: 2048}, aDB.st); err != nil {
+		rt := server.New(server.Config{Default: "auction"})
+		if err := rt.AttachStore(server.Tenant{Name: "auction", P: 83}, aDB.st); err != nil {
 			t.Fatal(err)
 		}
-		if err := rt.AttachStore(server.Tenant{Name: "books", P: 83, CacheEntries: 2048}, bDB.st); err != nil {
+		if err := rt.AttachStore(server.Tenant{Name: "books", P: 83}, bDB.st); err != nil {
 			t.Fatal(err)
 		}
 		l, err := net.Listen("tcp", "127.0.0.1:0")

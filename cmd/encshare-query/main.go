@@ -60,7 +60,6 @@ func main() {
 		tolerate = flag.Bool("tolerate-down", false, "skip unreachable servers at dial time (replicas must still cover the table)")
 		agg      = flag.String("agg", "", "aggregate the matching rows instead of listing them: count, sum, or avg")
 		tenant   = flag.String("tenant", "", "tenant to query on a multi-tenant server (default: the server's default tenant)")
-		cworkers = flag.Int("client-workers", 0, "client-side worker pool for share streams and reconstructions (0 = number of CPUs)")
 		trace    = flag.Bool("trace", false, "trace the query and print the span tree (per-step, per-shard frame timings)")
 		stats    = flag.Bool("stats", false, "print the merged server-side work counters after the query")
 		verbose  = flag.Bool("v", false, "print work statistics")
@@ -113,7 +112,6 @@ func main() {
 		Hedge:               *hedge,
 		TolerateUnreachable: *tolerate,
 		Tenant:              *tenant,
-		ClientWorkers:       *cworkers,
 	})
 	if err != nil {
 		fatal(err)

@@ -5,8 +5,8 @@
 // meaningless without the client's seed.
 //
 // The endpoint speaks both filter protocols: the original per-call
-// exchanges and the batched frames (one per engine step), with -workers
-// bounding the pool that evaluates batch members in parallel. A shard
+// exchanges and the batched frames (one per engine step), whose members
+// are evaluated in parallel on GOMAXPROCS workers. A shard
 // file from encshare-encode -shards serves exactly like a full database
 // (the cluster protocol discovers its pre range at dial time);
 // -manifest/-shard resolve the shard's file (and listen address, when
@@ -17,8 +17,7 @@
 //
 // A v2 manifest lists named tenants: one process then serves shard
 // -shard of every tenant concurrently, each tenant an independent
-// table with its own worker quota and decoded-polynomial cache quota
-// (carved from the manifest's cache_budget), dispatched by the tenant
+// table with its own decoded-polynomial cache, dispatched by the tenant
 // name in each request frame. Clients that name no tenant are routed to
 // the manifest's default tenant. SIGHUP reloads the manifest and
 // attaches/detaches tenants live, without dropping the other tenants'
@@ -27,7 +26,7 @@
 //
 // Usage:
 //
-//	encshare-server -db auction.db -listen :7083 -workers 8 -cache 4096
+//	encshare-server -db auction.db -listen :7083
 //	encshare-server -manifest auction.manifest.json -shard 1 -listen :7084
 //	encshare-server -manifest auction.manifest.json -shard 1 -replica 1 -listen :7184
 //	encshare-server -manifest tenants.json -listen :7083        (v2, single-shard tenants)
@@ -83,8 +82,6 @@ func main() {
 		shard    = flag.Int("shard", -1, "shard index to serve from -manifest (default 0 for single-shard manifests)")
 		replica  = flag.Int("replica", 0, "replica index of the shard to serve (with -manifest)")
 		listen   = flag.String("listen", "", "listen address (default 127.0.0.1:7083, or the manifest's addr)")
-		workers  = flag.Int("workers", 0, "batch worker pool size per tenant (0 = number of CPUs); per-tenant workers in a v2 manifest override")
-		cache    = flag.Int("cache", 4096, "decoded-polynomial cache entries per tenant (0 = default 4096, negative disables); per-tenant cache in a v2 manifest overrides")
 		metrics  = flag.String("metrics", "", "serve Prometheus metrics, JSON metrics, and pprof on this HTTP address (e.g. :9090); empty disables")
 		walDir   = flag.String("wal", "", "journal mutations under this directory (one subdirectory per tenant); empty = writes die with the process")
 		compact  = flag.Int64("compact-bytes", 0, "with -wal: fold the log into a snapshot once it exceeds this many bytes (0 never folds)")
@@ -114,7 +111,7 @@ func main() {
 
 	// loadPlan re-reads the configuration — it runs once at startup and
 	// again on every SIGHUP.
-	loadPlan := func() (tenants []server.Tenant, dflt, addr string, budget int, err error) {
+	loadPlan := func() (tenants []server.Tenant, dflt, addr string, err error) {
 		tenantWAL := func(name string) string {
 			if *walDir == "" {
 				return ""
@@ -127,34 +124,33 @@ func main() {
 		if *manifest == "" {
 			return []server.Tenant{{
 				Path: *dbPath, P: uint32(*p), E: uint32(*e),
-				Workers: *workers, CacheEntries: *cache,
 				WALDir: tenantWAL(""), CompactBytes: *compact,
 				CompactIdle: *compIdle, FS: walFS,
-			}}, "", "", 0, nil
+			}}, "", "", nil
 		}
 		m, err := cluster.LoadManifest(*manifest)
 		if err != nil {
-			return nil, "", "", 0, err
+			return nil, "", "", err
 		}
 		table := m.TenantTable()
 		si := *shard
 		if si < 0 {
 			if len(table[0].Shards) != 1 {
-				return nil, "", "", 0, fmt.Errorf("manifest %s has %d shards: -shard required", *manifest, len(table[0].Shards))
+				return nil, "", "", fmt.Errorf("manifest %s has %d shards: -shard required", *manifest, len(table[0].Shards))
 			}
 			si = 0
 		}
 		if si >= len(table[0].Shards) {
-			return nil, "", "", 0, fmt.Errorf("-shard %d out of range: manifest %s has %d shards", si, *manifest, len(table[0].Shards))
+			return nil, "", "", fmt.Errorf("-shard %d out of range: manifest %s has %d shards", si, *manifest, len(table[0].Shards))
 		}
 		for _, tn := range table {
 			info := tn.Shards[si]
 			dbs := info.ReplicaDBs()
 			if len(dbs) == 0 {
-				return nil, "", "", 0, fmt.Errorf("manifest tenant %q shard %d has no db file", tn.Name, si)
+				return nil, "", "", fmt.Errorf("manifest tenant %q shard %d has no db file", tn.Name, si)
 			}
 			if *replica < 0 || *replica >= info.Replicas() {
-				return nil, "", "", 0, fmt.Errorf("-replica %d out of range: manifest shard %d has %d replicas", *replica, si, info.Replicas())
+				return nil, "", "", fmt.Errorf("-replica %d out of range: manifest shard %d has %d replicas", *replica, si, info.Replicas())
 			}
 			// Replica files are byte-identical; if the manifest lists
 			// fewer files than addresses, any copy serves any slot.
@@ -166,17 +162,8 @@ func main() {
 			if tp == 0 {
 				tp, te = uint32(*p), uint32(*e)
 			}
-			tw := tn.Workers
-			if tw == 0 {
-				tw = *workers
-			}
-			tc := tn.Cache
-			if tc == 0 {
-				tc = *cache // the flag is the default for tenants without a quota
-			}
 			tenants = append(tenants, server.Tenant{
 				Name: tn.Name, Path: path, P: tp, E: te,
-				Workers: tw, CacheEntries: tc,
 				WALDir: tenantWAL(tn.Name), CompactBytes: *compact,
 				CompactIdle: *compIdle, FS: walFS,
 			})
@@ -186,10 +173,10 @@ func main() {
 				}
 			}
 		}
-		return tenants, m.DefaultTenant(), addr, m.CacheBudget, nil
+		return tenants, m.DefaultTenant(), addr, nil
 	}
 
-	tenants, dflt, addr, budget, err := loadPlan()
+	tenants, dflt, addr, err := loadPlan()
 	if err != nil {
 		fatal(err)
 	}
@@ -200,7 +187,7 @@ func main() {
 		addr = "127.0.0.1:7083"
 	}
 
-	rt := server.New(server.Config{CacheBudget: budget, Default: dflt})
+	rt := server.New(server.Config{Default: dflt})
 	for _, t := range tenants {
 		if err := rt.AttachFile(t); err != nil {
 			fatal(err)
@@ -239,7 +226,7 @@ func main() {
 				fmt.Println("SIGHUP ignored: no -manifest to reload")
 				continue
 			}
-			tenants, dflt, _, _, err := loadPlan()
+			tenants, dflt, _, err := loadPlan()
 			if err != nil {
 				fmt.Fprintln(os.Stderr, "encshare-server: reload failed, keeping current tenants:", err)
 				continue

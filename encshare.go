@@ -255,14 +255,8 @@ func (db *Database) Close() error {
 	return err
 }
 
-// ServeConfig tunes the server-side filter for Serve/ServeWith.
+// ServeConfig configures the served tenant for ServeWith.
 type ServeConfig struct {
-	// CacheSize bounds the decoded-polynomial cache (default 4096 entries;
-	// negative disables caching).
-	CacheSize int
-	// Workers bounds the worker pool that evaluates batch members in
-	// parallel (default: number of CPUs).
-	Workers int
 	// WALDir, when set, journals every applied mutation batch to
 	// WALDir/wal.log before it touches the table, and recovers
 	// snapshot + log state on a later restart (see server.Tenant).
@@ -271,15 +265,15 @@ type ServeConfig struct {
 }
 
 // Serve exposes the database's ServerFilter over the RMI protocol until
-// the listener closes, with default tuning. The params must match the
-// keys used at encode time (the server needs the ring dimensions, not
-// the secrets).
+// the listener closes, without a write-ahead log. The params must match
+// the keys used at encode time (the server needs the ring dimensions,
+// not the secrets).
 func (db *Database) Serve(l net.Listener, params Params) error {
 	return db.ServeWith(l, params, ServeConfig{})
 }
 
-// ServeWith is Serve with explicit cache and worker-pool tuning. The
-// served endpoint speaks both the per-call filter protocol and the
+// ServeWith is Serve with an explicit configuration. The served
+// endpoint speaks both the per-call filter protocol and the
 // batched protocol (one frame per engine step). The accept/dispatch
 // loop is the multi-tenant runtime's (internal/server) hosting this
 // database as its sole, unnamed tenant — a process that needs several
@@ -287,14 +281,7 @@ func (db *Database) Serve(l net.Listener, params Params) error {
 func (db *Database) ServeWith(l net.Listener, params Params, cfg ServeConfig) error {
 	params = params.normalized()
 	rt := server.New(server.Config{})
-	// Tenant.CacheEntries shares ServeConfig.CacheSize's convention
-	// (0 = default, negative disables), so the raw value passes through.
-	err := rt.AttachStore(server.Tenant{
-		P: params.P, E: params.E,
-		Workers:      cfg.Workers,
-		CacheEntries: cfg.CacheSize,
-		WALDir:       cfg.WALDir,
-	}, db.st)
+	err := rt.AttachStore(server.Tenant{P: params.P, E: params.E, WALDir: cfg.WALDir}, db.st)
 	if err != nil {
 		return err
 	}
@@ -399,7 +386,7 @@ type Session struct {
 // server roles in one process; the trust split is still enforced by the
 // ServerAPI boundary).
 func OpenLocal(keys *Keys, db *Database) *Session {
-	mut := filter.NewMutable(filter.NewServerFilter(db.st, keys.ring, 4096), 0, nil, nil)
+	mut := filter.NewMutable(filter.NewServerFilter(db.st, keys.ring, server.DefaultCacheEntries), 0, nil, nil)
 	s := newSession(keys, mut, nil)
 	s.writer = mut
 	return s
@@ -418,14 +405,9 @@ type DialOptions struct {
 	// at dial time: a server that does not host it fails the dial
 	// instead of silently answering from the wrong table.
 	Tenant string
-	// ClientWorkers bounds the client-side worker pool that evaluates
-	// share streams and reconstructions per engine wave (0 = number of
-	// CPUs). Results are identical for any bound; see
-	// Session.SetClientWorkers.
-	ClientWorkers int
 }
 
-// DialWith is Dial with explicit tenant and client tuning.
+// DialWith is Dial with an explicit tenant.
 func DialWith(keys *Keys, addr string, opts DialOptions) (*Session, error) {
 	cli, err := rmi.Dial(addr)
 	if err != nil {
@@ -445,7 +427,6 @@ func DialWith(keys *Keys, addr string, opts DialOptions) (*Session, error) {
 	s.writer = rem
 	s.tenant = opts.Tenant
 	s.addr = addr
-	s.SetClientWorkers(opts.ClientWorkers)
 	// Best-effort epoch pin: a mutation-capable server fences this
 	// session's reads from the first frame; a read-only server just
 	// leaves the session unpinned.
@@ -463,9 +444,6 @@ type ClusterOptions struct {
 	// shard, first reply wins. Shares are immutable, so duplicated reads
 	// are always consistent.
 	Hedge bool
-	// HedgeAfter fixes the hedge trigger delay; zero means adaptive (the
-	// 90th percentile of the shard's recent call latencies).
-	HedgeAfter time.Duration
 	// TolerateUnreachable lets the dial succeed while some listed
 	// servers are down, as long as the reachable ones still cover the
 	// whole table — so sessions can start during a replica outage.
@@ -473,9 +451,6 @@ type ClusterOptions struct {
 	// Tenant names the tenant to query on multi-tenant servers (see
 	// DialOptions.Tenant).
 	Tenant string
-	// ClientWorkers bounds the client-side worker pool (see
-	// DialOptions.ClientWorkers).
-	ClientWorkers int
 }
 
 // DialCluster starts a session against a sharded deployment: one
@@ -497,11 +472,10 @@ func DialCluster(keys *Keys, addrs []string) (*Session, error) {
 // DialClusterWith is DialCluster with explicit replica-routing options.
 func DialClusterWith(keys *Keys, addrs []string, opts ClusterOptions) (*Session, error) {
 	if len(addrs) == 1 {
-		return DialWith(keys, addrs[0], DialOptions{Tenant: opts.Tenant, ClientWorkers: opts.ClientWorkers})
+		return DialWith(keys, addrs[0], DialOptions{Tenant: opts.Tenant})
 	}
 	f, err := cluster.DialWith(addrs, cluster.Options{
 		Hedge:               opts.Hedge,
-		HedgeAfter:          opts.HedgeAfter,
 		TolerateUnreachable: opts.TolerateUnreachable,
 		Tenant:              opts.Tenant,
 	})
@@ -511,7 +485,6 @@ func DialClusterWith(keys *Keys, addrs []string, opts ClusterOptions) (*Session,
 	s := newSession(keys, f, f)
 	s.shardF = f
 	s.tenant = opts.Tenant
-	s.SetClientWorkers(opts.ClientWorkers)
 	return s, nil
 }
 
@@ -578,16 +551,6 @@ func (s *Session) Replicas() []int {
 // Tenant returns the tenant this session was dialed for ("" for local
 // sessions and for sessions on a server's default tenant).
 func (s *Session) Tenant() string { return s.tenant }
-
-// SetClientWorkers bounds the client-side worker pool that runs each
-// engine wave's PRG share streams and reconstructions in parallel
-// (n < 1 restores the default, the number of CPUs). Any bound computes
-// byte-identical results — with one worker the pool degenerates to the
-// sequential loop — so this is purely a resource knob for multi-core
-// clients.
-func (s *Session) SetClientWorkers(n int) {
-	s.cli.SetWorkers(n)
-}
 
 // AddReplica joins a freshly provisioned server to this live cluster
 // session: the server is dialed (under the session's tenant, if any),
@@ -831,12 +794,6 @@ type IntegrityError = filter.IntegrityError
 type AggregateOptions struct {
 	// Query tunes the filtering phase (engine, test, wire mode).
 	Query QueryOptions
-	// NoVerify skips the verification share: no mask travels with the
-	// fold frames and the known-root check does not run.
-	NoVerify bool
-	// ChunkRows bounds the server-side fold chunk (0 means q−1, the
-	// maximum wraparound-safe window).
-	ChunkRows int
 }
 
 // AggregateResult is an aggregate answer plus how it was computed.
@@ -886,16 +843,14 @@ func (s *Session) AggregateWith(q string, kind AggKind, opts AggregateOptions) (
 	if err != nil {
 		return AggregateResult{}, err
 	}
-	fopts := filter.AggregateOptions{NoVerify: opts.NoVerify, ChunkRows: opts.ChunkRows}
-	if !opts.NoVerify {
-		// Known-root check point: every matching row's polynomial has
-		// the query's last name as a root. A wildcard/parent last step
-		// (or an unmappable name, which yields no rows anyway) gives the
-		// verification no fixed root, so only the count checks run.
-		if last := parsed.Steps[len(parsed.Steps)-1]; last.IsNameTest() {
-			if v, verr := s.keys.m.Value(last.Name); verr == nil {
-				fopts.CheckPoint = v
-			}
+	var fopts filter.AggregateOptions
+	// Known-root check point: every matching row's polynomial has the
+	// query's last name as a root. A wildcard/parent last step (or an
+	// unmappable name, which yields no rows anyway) gives the
+	// verification no fixed root, so only the count checks run.
+	if last := parsed.Steps[len(parsed.Steps)-1]; last.IsNameTest() {
+		if v, verr := s.keys.m.Value(last.Name); verr == nil {
+			fopts.CheckPoint = v
 		}
 	}
 	before := s.cli.Counters.Snapshot()

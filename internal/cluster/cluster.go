@@ -466,19 +466,6 @@ func (f *Filter) ServerStats() (filter.ServerStats, error) {
 	return total, nil
 }
 
-// ShardEvalRoundTrips returns per-shard evaluation exchange counts.
-func (f *Filter) ShardEvalRoundTrips() []int64 {
-	out := make([]int64, len(f.shards))
-	for i, sh := range f.shards {
-		for _, rep := range sh.replicaList() {
-			if rt, ok := rep.conn.(roundTripper); ok {
-				out[i] += rt.EvalRoundTrips()
-			}
-		}
-	}
-	return out
-}
-
 // owner returns the index of the shard owning pre.
 func (f *Filter) owner(pre int64) (int, error) {
 	i := sort.Search(len(f.shards), func(i int) bool { return f.shards[i].rangeOf().Hi >= pre })

@@ -61,17 +61,10 @@ func (s *ShardInfo) Replicas() int {
 }
 
 // TenantShards is one tenant's entry in a v2 manifest: a named,
-// independently encoded shard table plus its runtime quotas. The shard
-// list has exactly the v1 shape, so a v1 manifest normalizes to a
-// single unnamed tenant.
+// independently encoded shard table. The shard list has exactly the v1
+// shape, so a v1 manifest normalizes to a single unnamed tenant.
 type TenantShards struct {
 	Name string `json:"name"`
-	// Workers bounds the tenant's server-side batch worker pool
-	// (0 = number of CPUs).
-	Workers int `json:"workers,omitempty"`
-	// Cache is the tenant's decoded-polynomial cache quota in entries
-	// (0 = server default, negative disables).
-	Cache int `json:"cache,omitempty"`
 	// P, E are the tenant's field parameters (0 = the serving
 	// process's defaults). Tenants may be encoded over different
 	// fields.
@@ -87,11 +80,10 @@ type TenantShards struct {
 //
 // Two formats share this type. A v1 manifest (the original) lists one
 // tenant's shards at top level. A v2 manifest (Version >= 2) lists
-// named tenants, each with its own shard table, plus the runtime-level
-// cache budget and default-tenant designation; every tenant has the
-// same number of shard slots, because shard slot i of every tenant is
-// served by the same process (tenants co-locate, their addresses
-// overlap; their db files may not).
+// named tenants, each with its own shard table, plus the default-tenant
+// designation; every tenant has the same number of shard slots, because
+// shard slot i of every tenant is served by the same process (tenants
+// co-locate, their addresses overlap; their db files may not).
 type Manifest struct {
 	Version int         `json:"version,omitempty"`
 	Shards  []ShardInfo `json:"shards,omitempty"`
@@ -101,9 +93,6 @@ type Manifest struct {
 	// Default names the tenant that pre-tenant clients are served from
 	// ("" = the first listed tenant).
 	Default string `json:"default,omitempty"`
-	// CacheBudget caps the sum of tenant cache quotas server-side
-	// (0 = uncapped).
-	CacheBudget int `json:"cache_budget,omitempty"`
 }
 
 // TenantTable returns the manifest's tenants in listed order, lifting a

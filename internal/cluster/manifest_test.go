@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -12,11 +13,11 @@ func v2Manifest() *Manifest {
 		Version: 2,
 		Default: "auction",
 		Tenants: []TenantShards{
-			{Name: "auction", Workers: 4, Cache: 2048, Shards: []ShardInfo{
+			{Name: "auction", Shards: []ShardInfo{
 				{DBs: []string{"a0.r0.db", "a0.r1.db"}, Addrs: []string{"h:1", "h:2"}, Lo: 1, Hi: 50},
 				{DBs: []string{"a1.r0.db", "a1.r1.db"}, Addrs: []string{"h:3", "h:4"}, Lo: 51, Hi: 100},
 			}},
-			{Name: "books", Cache: 1024, Shards: []ShardInfo{
+			{Name: "books", Shards: []ShardInfo{
 				{DBs: []string{"b0.r0.db", "b0.r1.db"}, Addrs: []string{"h:1", "h:2"}, Lo: 1, Hi: 30},
 				{DBs: []string{"b1.r0.db", "b1.r1.db"}, Addrs: []string{"h:3", "h:4"}, Lo: 31, Hi: 61},
 			}},
@@ -172,5 +173,28 @@ func TestManifestV2RoundTrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, m) {
 		t.Fatalf("v2 round-trip changed the manifest:\n got %+v\nwant %+v", got, m)
+	}
+}
+
+// A v2 manifest written before the per-tenant workers/cache quotas and
+// the cache budget were removed still loads; the keys are ignored.
+func TestManifestV2IgnoresRemovedQuotaKeys(t *testing.T) {
+	const doc = `{"version": 2, "default": "auction", "cache_budget": 8192, "tenants": [
+		{"name": "auction", "workers": 4, "cache": 2048, "shards": [{"db": "a.db", "lo": 1, "hi": 50}]},
+		{"name": "books", "cache": -1, "shards": [{"db": "b.db", "lo": 1, "hi": 30}]}]}`
+	path := filepath.Join(t.TempDir(), "m.json")
+	if err := os.WriteFile(path, []byte(doc), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	got, err := LoadManifest(path)
+	if err != nil {
+		t.Fatalf("manifest with removed quota keys rejected: %v", err)
+	}
+	want := &Manifest{Version: 2, Default: "auction", Tenants: []TenantShards{
+		{Name: "auction", Shards: []ShardInfo{{DB: "a.db", Lo: 1, Hi: 50}}},
+		{Name: "books", Shards: []ShardInfo{{DB: "b.db", Lo: 1, Hi: 30}}},
+	}}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("loaded %+v, want %+v", got, want)
 	}
 }

@@ -16,8 +16,6 @@ func TestAdvancedReadAllocs(t *testing.T) {
 		t.Skip("the race detector changes allocation counts")
 	}
 	rfx := buildRemote(t, smallXML)
-	rfx.cli.SetWorkers(1)
-	rfx.server.SetWorkers(1)
 	for _, tc := range []struct {
 		query string
 		max   float64

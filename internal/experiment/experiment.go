@@ -21,6 +21,7 @@ import (
 	"encshare/internal/prg"
 	"encshare/internal/ring"
 	"encshare/internal/secshare"
+	"encshare/internal/server"
 	"encshare/internal/store"
 	"encshare/internal/xmark"
 	"encshare/internal/xmldoc"
@@ -129,7 +130,7 @@ func NewEnv(scale float64, seed int64) (*Env, error) {
 		store.Drop(dsn)
 		return nil, err
 	}
-	cli := filter.NewClient(filter.NewServerFilter(st, r, 4096), scheme)
+	cli := filter.NewClient(filter.NewServerFilter(st, r, server.DefaultCacheEntries), scheme)
 	return &Env{
 		Doc:      doc,
 		Map:      m,

@@ -283,7 +283,7 @@ func (s *ServerFilter) AggregateBatch(req AggregateRequest) (AggregateReply, err
 	nChunks := (n + bound - 1) / bound
 	chunks := make([]AggregateChunk, nChunks)
 	errs := make([]error, nChunks)
-	parallelFor(nChunks, s.poolSize(), func(ci int) {
+	parallelFor(nChunks, func(ci int) {
 		lo := ci * bound
 		hi := lo + bound
 		if hi > n {
@@ -473,7 +473,7 @@ func (c *Client) foldFrames(total ring.Poly, sorted []int64, kind AggKind, opts 
 		}
 		sums := make([]ring.Poly, len(reply.Chunks))
 		errs := make([]error, len(reply.Chunks))
-		parallelFor(len(reply.Chunks), c.poolSize(), func(i int) {
+		parallelFor(len(reply.Chunks), func(i int) {
 			ck := &reply.Chunks[i]
 			sub := seg[offs[i] : offs[i]+int(ck.Rows)]
 			var subMask []gf.Elem

@@ -4,11 +4,12 @@
 // per candidate-node check, which is exactly the cost Figs. 5–6 measure.
 // The batch API below collapses all checks of one engine step into a
 // single exchange: the client ships every (node, point) pair at once, the
-// server evaluates the batch members in parallel on a bounded worker
-// pool, and one reply frame carries all field values back. The same
-// aggregation is applied to navigation (children/descendant fetches) and
-// to the strict test's polynomial retrievals, so a whole frontier is
-// expanded and filtered in O(1) round-trips instead of O(candidates).
+// server evaluates the batch members in parallel on a worker pool
+// bounded by GOMAXPROCS, and one reply frame carries all field values
+// back. The same aggregation is applied to navigation
+// (children/descendant fetches) and to the strict test's polynomial
+// retrievals, so a whole frontier is expanded and filtered in O(1)
+// round-trips instead of O(candidates).
 //
 // Every ServerAPI implements BatchAPI; the per-call methods stay for the
 // engines' PerCall mode, the paper's protocol.
@@ -77,16 +78,11 @@ type BatchAPI interface {
 	NodePolysBatch(pres []int64) ([]NodePolys, error)
 }
 
-// defaultWorkers is the bound of the batch worker pools.
-func defaultWorkers() int { return runtime.GOMAXPROCS(0) }
-
-// parallelFor runs fn(0..n-1) on at most workers goroutines. With one
-// worker (or one item) it degenerates to a plain loop, so callers pay no
-// goroutine overhead for tiny batches.
-func parallelFor(n, workers int, fn func(i int)) {
-	if workers > n {
-		workers = n
-	}
+// parallelFor runs fn(0..n-1) on at most GOMAXPROCS goroutines. With
+// one worker (or one item) it degenerates to a plain loop, so callers
+// pay no goroutine overhead for tiny batches.
+func parallelFor(n int, fn func(i int)) {
+	workers := min(runtime.GOMAXPROCS(0), n)
 	if workers <= 1 {
 		for i := 0; i < n; i++ {
 			fn(i)
@@ -207,22 +203,6 @@ func batchChunks[Req, Resp any](reqs []Req, chunk int, batch func([]Req) ([]Resp
 
 var _ ServerAPI = (*ServerFilter)(nil)
 
-// SetWorkers bounds the server-side batch worker pool (default
-// GOMAXPROCS; n < 1 resets to the default).
-func (s *ServerFilter) SetWorkers(n int) {
-	if n < 1 {
-		n = defaultWorkers()
-	}
-	s.workers = n
-}
-
-func (s *ServerFilter) poolSize() int {
-	if s.workers > 0 {
-		return s.workers
-	}
-	return defaultWorkers()
-}
-
 // groupByPre orders request indices by node — the shared pre-grouping
 // of the batched eval paths (server and client), which lets each side
 // pay its per-node cost (decode, PRG stream) once however many points
@@ -260,7 +240,7 @@ func groupByPre(n int, preAt func(int) int64) (idx, starts []int) {
 func (s *ServerFilter) EvalBatch(reqs []EvalRequest) ([]EvalResult, error) {
 	out := make([]EvalResult, len(reqs))
 	order, starts := groupByPre(len(reqs), func(i int) int64 { return reqs[i].Pre })
-	parallelFor(len(starts)-1, s.poolSize(), func(g int) {
+	parallelFor(len(starts)-1, func(g int) {
 		idx := order[starts[g]:starts[g+1]]
 		var ptsArr, valsArr [8]gf.Elem
 		var pts, vals []gf.Elem
@@ -291,7 +271,7 @@ func (s *ServerFilter) EvalBatch(reqs []EvalRequest) ([]EvalResult, error) {
 func (s *ServerFilter) NodeBatch(pres []int64) ([]NodeMeta, error) {
 	out := make([]NodeMeta, len(pres))
 	errs := make([]error, len(pres))
-	parallelFor(len(pres), s.poolSize(), func(i int) {
+	parallelFor(len(pres), func(i int) {
 		row, err := s.st.NodeMeta(pres[i])
 		if err != nil {
 			errs[i] = err
@@ -334,7 +314,7 @@ func (s *ServerFilter) ChildrenBatch(pres []int64) ([][]NodeMeta, error) {
 func (s *ServerFilter) DescendantsBatch(spans []Span) ([][]NodeMeta, error) {
 	out := make([][]NodeMeta, len(spans))
 	errs := make([]error, len(spans))
-	parallelFor(len(spans), s.poolSize(), func(i int) {
+	parallelFor(len(spans), func(i int) {
 		metas, err := descendantsMeta(s.st, spans[i].Pre, spans[i].Post)
 		if err != nil {
 			errs[i] = err
@@ -368,22 +348,6 @@ type Check struct {
 	Point gf.Elem
 }
 
-// SetWorkers bounds the client-side worker pool used for share
-// regeneration and reconstruction (default GOMAXPROCS; n < 1 resets).
-func (c *Client) SetWorkers(n int) {
-	if n < 1 {
-		n = defaultWorkers()
-	}
-	c.workers = n
-}
-
-func (c *Client) poolSize() int {
-	if c.workers > 0 {
-		return c.workers
-	}
-	return defaultWorkers()
-}
-
 // ContainsBatch runs the containment test for every check with a single
 // server exchange: true at index i iff the subtree of checks[i].Pre
 // contains a node mapped to checks[i].Point. The client halves of the
@@ -407,7 +371,7 @@ func (c *Client) ContainsBatch(checks []Check) ([]bool, error) {
 	}
 	out := make([]bool, len(checks))
 	order, starts := groupByPre(len(checks), func(i int) int64 { return checks[i].Pre })
-	parallelFor(len(starts)-1, c.poolSize(), func(g int) {
+	parallelFor(len(starts)-1, func(g int) {
 		idx := order[starts[g]:starts[g+1]]
 		pre := checks[idx[0]].Pre
 		var ptsArr, valsArr [8]gf.Elem
@@ -448,7 +412,7 @@ func (c *Client) EqualsBatch(checks []Check) ([]bool, error) {
 	out := make([]bool, len(checks))
 	errs := make([]error, len(checks))
 	var recons atomic.Int64
-	parallelFor(len(checks), c.poolSize(), func(i int) {
+	parallelFor(len(checks), func(i int) {
 		b := bundles[i]
 		if b.Err != "" {
 			errs[i] = errors.New(b.Err)

@@ -186,8 +186,8 @@ func (c *polyCache) counters() (hits, misses int64) {
 
 // PolyCache is the exported handle to a decoded-polynomial cache, for
 // a caller that builds a filter around a cache it owns
-// (ServerOptions.Cache); filters without an injected cache create a
-// private one of ServerOptions.CacheSize entries.
+// (ServerOptions.Cache); NewServerFilter creates a private one of the
+// size it is given.
 type PolyCache struct{ c *polyCache }
 
 // NewPolyCache creates a cache bounded to the given number of decoded

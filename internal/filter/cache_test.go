@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -272,8 +273,8 @@ func TestPolyCacheRecycle(t *testing.T) {
 	if len(pres) < 200 {
 		t.Fatalf("table holds %d nodes, want >= 200", len(pres))
 	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	sf := NewServerFilter(fx.server.st, fx.r, 8)
-	sf.SetWorkers(4)
 	q := fx.r.Field().Q()
 	const rounds = 60
 
@@ -392,7 +393,6 @@ func TestEvalBatchMissesAllocateNothing(t *testing.T) {
 	fx := newFixture(t, wideXML(540))
 	pres, _ := freshShares(t, fx)
 	sf := NewServerFilter(fx.server.st, fx.r, 32)
-	sf.SetWorkers(1)
 	allocs := func(n int) float64 {
 		reqs := make([]EvalRequest, n)
 		for i := range reqs {

@@ -80,7 +80,6 @@ type ServerFilter struct {
 	r       *ring.Ring
 	evals   atomic.Int64
 	decodes atomic.Int64
-	workers int // batch pool bound; 0 means defaultWorkers()
 
 	// aggregates counts aggregate frames served (AggregateBatch calls),
 	// per filter, so multi-tenant stats stay disjoint like the cache
@@ -95,40 +94,28 @@ type ServerFilter struct {
 	cacheMisses atomic.Int64
 }
 
-// ServerOptions tunes a server filter beyond the defaults: an injected
-// decoded-polynomial cache and the batch worker-pool bound. The zero
-// value matches NewServerFilter(st, r, 0).
+// ServerOptions injects a decoded-polynomial cache the caller owns.
+// The zero value matches NewServerFilter(st, r, 0).
 type ServerOptions struct {
-	// Cache is the decoded-polynomial cache to use. Nil means a private
-	// cache of CacheSize entries.
+	// Cache is the decoded-polynomial cache to use. Nil disables
+	// caching.
 	Cache *PolyCache
-	// CacheSize bounds the private cache when Cache is nil (<= 0
-	// disables caching).
-	CacheSize int
-	// Workers bounds the batch worker pool (0 = number of CPUs).
-	Workers int
 }
 
 // NewServerFilter creates a server filter over st, with polynomials
 // decoded in ring r. cacheSize bounds the decoded-polynomial cache
 // (0 disables caching).
 func NewServerFilter(st *store.Store, r *ring.Ring, cacheSize int) *ServerFilter {
-	return NewServerFilterWith(st, r, ServerOptions{CacheSize: cacheSize})
+	return &ServerFilter{st: st, r: r, cache: newPolyCache(cacheSize)}
 }
 
-// NewServerFilterWith is NewServerFilter with explicit options — how
-// the server runtime builds per-tenant filters that draw on a cache it
-// owns.
+// NewServerFilterWith is NewServerFilter around a cache the caller
+// owns, which several filters may share.
 func NewServerFilterWith(st *store.Store, r *ring.Ring, opts ServerOptions) *ServerFilter {
-	cache := newPolyCache(opts.CacheSize)
-	if opts.Cache != nil {
-		cache = opts.Cache.c
+	if opts.Cache == nil {
+		return NewServerFilter(st, r, 0)
 	}
-	sf := &ServerFilter{st: st, r: r, cache: cache}
-	if opts.Workers > 0 {
-		sf.workers = opts.Workers
-	}
-	return sf
+	return &ServerFilter{st: st, r: r, cache: opts.Cache.c}
 }
 
 // Evals returns the number of polynomial evaluations performed server-side.
@@ -360,10 +347,9 @@ func (s Snapshot) Sub(o Snapshot) Snapshot {
 // Client is the paper's ClientFilter: it holds the secret (seed-derived
 // scheme plus tag map values) and drives a ServerAPI.
 type Client struct {
-	api     ServerAPI
-	scheme  *secshare.Scheme
-	r       *ring.Ring
-	workers int // batch pool bound; 0 means defaultWorkers()
+	api    ServerAPI
+	scheme *secshare.Scheme
+	r      *ring.Ring
 
 	// tracer is the session's query tracer, if one was attached; the
 	// engines read it to mark step boundaries.

@@ -24,13 +24,9 @@
 package filter
 
 import (
-	"errors"
 	"fmt"
-	"strings"
 	"sync"
 	"time"
-
-	"encshare/internal/rmi"
 )
 
 // Lease TTL bounds: requests clamp into [default, max]. Short TTLs keep
@@ -96,14 +92,7 @@ func (e *LeaseHeldError) Error() string {
 
 // IsLeaseHeld reports whether err is a lease-held refusal, locally
 // typed or over the wire.
-func IsLeaseHeld(err error) bool {
-	var le *LeaseHeldError
-	if errors.As(err, &le) {
-		return true
-	}
-	var re *rmi.RemoteError
-	return errors.As(err, &re) && strings.Contains(re.Msg, leaseHeldPrefix)
-}
+func IsLeaseHeld(err error) bool { return isTyped[*LeaseHeldError](err, leaseHeldPrefix) }
 
 // leaseExpiredPrefix is the wire-stable start of a LeaseExpiredError
 // message.
@@ -122,14 +111,7 @@ func (e *LeaseExpiredError) Error() string {
 
 // IsLeaseExpired reports whether err is a lease-expiry fence, locally
 // typed or over the wire.
-func IsLeaseExpired(err error) bool {
-	var le *LeaseExpiredError
-	if errors.As(err, &le) {
-		return true
-	}
-	var re *rmi.RemoteError
-	return errors.As(err, &re) && strings.Contains(re.Msg, leaseExpiredPrefix)
-}
+func IsLeaseExpired(err error) bool { return isTyped[*LeaseExpiredError](err, leaseExpiredPrefix) }
 
 // LeaseStats is a point-in-time view of the lease counters.
 type LeaseStats struct {

@@ -102,6 +102,18 @@ type EpochInfo struct {
 	Range   PreRange
 }
 
+// isTyped reports whether err is, or wraps, an E, or is a RemoteError
+// whose message carries prefix, the wire-stable start of E's message:
+// a typed error crosses the RMI boundary as its text only.
+func isTyped[E error](err error, prefix string) bool {
+	var e E
+	if errors.As(err, &e) {
+		return true
+	}
+	var re *rmi.RemoteError
+	return errors.As(err, &re) && strings.Contains(re.Msg, prefix)
+}
+
 // staleEpochPrefix is the wire-stable start of a StaleEpochError's
 // message; IsStaleEpoch matches it across the RMI boundary.
 const staleEpochPrefix = "filter: stale epoch"
@@ -121,14 +133,7 @@ func (e *StaleEpochError) Error() string {
 
 // IsStaleEpoch reports whether err is a stale-epoch fence, locally
 // typed or arriving over the wire as a RemoteError.
-func IsStaleEpoch(err error) bool {
-	var se *StaleEpochError
-	if errors.As(err, &se) {
-		return true
-	}
-	var re *rmi.RemoteError
-	return errors.As(err, &re) && strings.Contains(re.Msg, staleEpochPrefix)
-}
+func IsStaleEpoch(err error) bool { return isTyped[*StaleEpochError](err, staleEpochPrefix) }
 
 // seqGapPrefix is the wire-stable start of a SeqGapError's message.
 const seqGapPrefix = "filter: sequence gap"
@@ -147,14 +152,7 @@ func (e *SeqGapError) Error() string {
 
 // IsSeqGap reports whether err is a sequence-gap rejection, locally
 // typed or over the wire.
-func IsSeqGap(err error) bool {
-	var ge *SeqGapError
-	if errors.As(err, &ge) {
-		return true
-	}
-	var re *rmi.RemoteError
-	return errors.As(err, &re) && strings.Contains(re.Msg, seqGapPrefix)
-}
+func IsSeqGap(err error) bool { return isTyped[*SeqGapError](err, seqGapPrefix) }
 
 // walFailedPrefix is the wire-stable start of a WALFailedError's
 // message.
@@ -180,14 +178,7 @@ func (e *WALFailedError) Unwrap() error { return e.Err }
 
 // IsWALFailed reports whether err is a WAL-failure refusal, locally
 // typed or over the wire.
-func IsWALFailed(err error) bool {
-	var we *WALFailedError
-	if errors.As(err, &we) {
-		return true
-	}
-	var re *rmi.RemoteError
-	return errors.As(err, &re) && strings.Contains(re.Msg, walFailedPrefix)
-}
+func IsWALFailed(err error) bool { return isTyped[*WALFailedError](err, walFailedPrefix) }
 
 // batchMismatchPrefix is the wire-stable start of a BatchMismatchError's
 // message.
@@ -209,14 +200,7 @@ func (e *BatchMismatchError) Error() string {
 
 // IsBatchMismatch reports whether err is a batch-mismatch rejection,
 // locally typed or over the wire.
-func IsBatchMismatch(err error) bool {
-	var be *BatchMismatchError
-	if errors.As(err, &be) {
-		return true
-	}
-	var re *rmi.RemoteError
-	return errors.As(err, &re) && strings.Contains(re.Msg, batchMismatchPrefix)
-}
+func IsBatchMismatch(err error) bool { return isTyped[*BatchMismatchError](err, batchMismatchPrefix) }
 
 // ErrMutationUnsupported reports a read-only backend, one that
 // registers no mutation methods: the caller sees a typed refusal

@@ -2,6 +2,8 @@ package filter
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
 	"testing"
 
 	"encshare/internal/rmi"
@@ -195,4 +197,40 @@ func FuzzDecodeBatch(f *testing.F) {
 			t.Fatal("canonical encoding not a fixed point")
 		}
 	})
+}
+
+// TestTypedErrorMatchers: every Is* matcher accepts its typed error,
+// the error wrapped with %w, and its message as a wire RemoteError, and
+// rejects a RemoteError carrying another matcher's prefix.
+func TestTypedErrorMatchers(t *testing.T) {
+	cases := []struct {
+		name  string
+		is    func(error) bool
+		typed error
+		other string // a prefix this matcher must not accept
+	}{
+		{"IsStaleEpoch", IsStaleEpoch, &StaleEpochError{Pinned: 1, Current: 2}, seqGapPrefix},
+		{"IsSeqGap", IsSeqGap, &SeqGapError{Want: 3, Got: 5}, staleEpochPrefix},
+		{"IsWALFailed", IsWALFailed, &WALFailedError{Tenant: "t", Err: errors.New("fsync")}, batchMismatchPrefix},
+		{"IsBatchMismatch", IsBatchMismatch, &BatchMismatchError{Seq: 4}, walFailedPrefix},
+		{"IsLeaseHeld", IsLeaseHeld, &LeaseHeldError{Holder: "w", RetryAfterMillis: 9}, leaseExpiredPrefix},
+		{"IsLeaseExpired", IsLeaseExpired, &LeaseExpiredError{ID: 6}, leaseHeldPrefix},
+	}
+	for _, c := range cases {
+		for _, e := range []struct {
+			desc string
+			err  error
+			want bool
+		}{
+			{"typed", c.typed, true},
+			{"wrapped", fmt.Errorf("shard 1: %w", c.typed), true},
+			{"remote", &rmi.RemoteError{Msg: c.typed.Error()}, true},
+			{"remote, other prefix", &rmi.RemoteError{Msg: c.other + ": x"}, false},
+			{"nil", nil, false},
+		} {
+			if got := c.is(e.err); got != e.want {
+				t.Errorf("%s(%s %v) = %v, want %v", c.name, e.desc, e.err, got, e.want)
+			}
+		}
+	}
 }

@@ -76,7 +76,7 @@ func (s *ServerFilter) NodePolysPartial(pres []int64) ([]PartialNodePolys, error
 // member that fails to read carries its error and no rows.
 func bundles[T any](s *ServerFilter, pres []int64, mk func(pre int64, b PartialNodePolys) T) []T {
 	out := make([]T, len(pres))
-	parallelFor(len(pres), s.poolSize(), func(i int) {
+	parallelFor(len(pres), func(i int) {
 		var b PartialNodePolys
 		var err error
 		b.Node, b.Has, b.Children, err = store.Bundle[PolyRow](s.st, pres[i])

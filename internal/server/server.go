@@ -2,19 +2,18 @@
 // serving process does that is not pure query evaluation. It owns the
 // rmi endpoint and its accept/dispatch loop, a registry of named
 // tenants — each an independent encrypted shard table with its own
-// store, field parameters, worker quota, and decoded-polynomial cache
-// quota — and the process lifecycle (graceful drain on shutdown, live
-// attach/detach for config reloads).
+// store, field parameters and decoded-polynomial cache — and the
+// process lifecycle (graceful drain on shutdown, live attach/detach
+// for config reloads).
 //
 // The filter package stays pure: a ServerFilter evaluates queries
-// against one store and knows nothing about listeners, tenants, or
-// cache budgets. The runtime builds one filter per tenant, hands each
-// its own cache sized by the tenant's quota under the global budget (so
-// one tenant's scan cannot evict another's hot set), and registers the
-// filter's RMI methods under the tenant's name. Calls carrying no
-// tenant — from pre-tenant client binaries, whose frames decode
-// identically — route to the designated default tenant, so a
-// single-tenant deployment upgrades in place.
+// against one store and knows nothing about listeners or tenants. The
+// runtime builds one filter per tenant, hands each its own cache of
+// DefaultCacheEntries polynomials (so one tenant's scan cannot evict
+// another's hot set), and registers the filter's RMI methods under the
+// tenant's name. Calls carrying no tenant — from pre-tenant client
+// binaries, whose frames decode identically — route to the designated
+// default tenant, so a single-tenant deployment upgrades in place.
 package server
 
 import (
@@ -49,9 +48,8 @@ const (
 // a tenant is trusted to exist).
 const methodResolveTenant = "runtime.ResolveTenant"
 
-// DefaultCacheEntries is the decoded-polynomial cache quota a tenant
-// gets when neither it nor the runtime budget says otherwise — the same
-// default a standalone single-tenant server always had.
+// DefaultCacheEntries is the size of every tenant's decoded-polynomial
+// cache: about 1.3 MiB of polynomials at q = 83.
 const DefaultCacheEntries = 4096
 
 // unnamedKey is the rmi registry key of the unnamed (legacy
@@ -84,14 +82,6 @@ type Tenant struct {
 	// P, E are the field parameters the tenant's table was encoded
 	// with (the server needs ring dimensions, not secrets).
 	P, E uint32
-	// Workers bounds the tenant's batch worker pool (0 = number of
-	// CPUs).
-	Workers int
-	// CacheEntries is the tenant's decoded-polynomial cache quota
-	// (0 = DefaultCacheEntries, negative disables). With a runtime
-	// cache budget set, the quotas of all attached tenants may not
-	// exceed it.
-	CacheEntries int
 	// WALDir, when set, makes the tenant's writes durable: mutation
 	// batches journal to WALDir/wal.log before applying, compaction
 	// folds the log into WALDir/base.snap, and AttachFile recovers
@@ -116,24 +106,8 @@ type Tenant struct {
 	FS wal.FS
 }
 
-func (t Tenant) quota() int {
-	switch {
-	case t.CacheEntries < 0:
-		return 0
-	case t.CacheEntries == 0:
-		return DefaultCacheEntries
-	default:
-		return t.CacheEntries
-	}
-}
-
 // Config tunes the runtime.
 type Config struct {
-	// CacheBudget caps the sum of all tenants' cache quotas (0 = no
-	// cap). Attaching a tenant whose quota would exceed the budget
-	// fails — the enforcement that keeps one tenant from starving the
-	// others of cache memory.
-	CacheBudget int
 	// Default names the tenant that calls without a tenant header route
 	// to. Empty means the first attached tenant becomes the default.
 	Default string
@@ -261,19 +235,6 @@ func (rt *Runtime) setDefault(name string) {
 	rt.srv.SetDefaultTenant(key)
 }
 
-// budgetLeft returns how many cache entries of the budget remain,
-// ignoring tenant skip. Caller holds rt.mu.
-func (rt *Runtime) budgetLeft(skip string) int {
-	left := rt.cfg.CacheBudget
-	for name, ts := range rt.tenants {
-		if name == skip {
-			continue
-		}
-		left -= ts.cfg.quota()
-	}
-	return left
-}
-
 // AttachFile opens and loads tenant t into a fresh store and attaches
 // it. The base state comes from t.WALDir/base.snap when that snapshot
 // exists, t.Path otherwise; with a WALDir, the tail of wal.log is then
@@ -346,14 +307,8 @@ func (rt *Runtime) attach(t Tenant, st *store.Store, dsn string, owned bool, las
 		rt.mu.Unlock()
 		return fmt.Errorf("server: tenant %q already attached", t.Name)
 	}
-	if rt.cfg.CacheBudget > 0 && t.quota() > rt.budgetLeft(t.Name) {
-		left := rt.budgetLeft(t.Name)
-		rt.mu.Unlock()
-		return fmt.Errorf("server: tenant %q cache quota %d exceeds remaining budget %d (global budget %d)",
-			t.Name, t.quota(), left, rt.cfg.CacheBudget)
-	}
 	ts := &tenantState{cfg: t, st: st, dsn: dsn, owned: owned}
-	ts.sf = filter.NewServerFilterWith(st, r, filter.ServerOptions{Workers: t.Workers, CacheSize: t.quota()})
+	ts.sf = filter.NewServerFilter(st, r, DefaultCacheEntries)
 	// The journal and compact hooks close over lg, which is assigned
 	// only after wal.OpenAt returns: recovery replays through the
 	// Mutable (below) but never journals or compacts, so the hooks fire

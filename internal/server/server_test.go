@@ -159,11 +159,11 @@ func TestRuntimeStatsIsolated(t *testing.T) {
 	alpha := newTenantFixture(t, alphaXML, "seed-alpha")
 	beta := newTenantFixture(t, betaXML, "seed-beta")
 	t.Run("segmented", func(t *testing.T) {
-		rt := server.New(server.Config{CacheBudget: 1024})
-		if err := rt.AttachStore(server.Tenant{Name: "alpha", P: 83, CacheEntries: 512}, alpha.st); err != nil {
+		rt := server.New(server.Config{})
+		if err := rt.AttachStore(server.Tenant{Name: "alpha", P: 83}, alpha.st); err != nil {
 			t.Fatal(err)
 		}
-		if err := rt.AttachStore(server.Tenant{Name: "beta", P: 83, CacheEntries: 512}, beta.st); err != nil {
+		if err := rt.AttachStore(server.Tenant{Name: "beta", P: 83}, beta.st); err != nil {
 			t.Fatal(err)
 		}
 		ac, _ := runtimeClient(t, rt, "alpha", alpha)
@@ -205,29 +205,6 @@ func TestRuntimeStatsIsolated(t *testing.T) {
 			t.Errorf("legacy client stats %+v, want default tenant's %+v", lws, as)
 		}
 	})
-}
-
-func TestRuntimeCacheBudget(t *testing.T) {
-	alpha := newTenantFixture(t, alphaXML, "seed-alpha")
-	beta := newTenantFixture(t, betaXML, "seed-beta")
-	rt := server.New(server.Config{CacheBudget: 1000})
-	if err := rt.AttachStore(server.Tenant{Name: "alpha", P: 83, CacheEntries: 800}, alpha.st); err != nil {
-		t.Fatal(err)
-	}
-	err := rt.AttachStore(server.Tenant{Name: "beta", P: 83, CacheEntries: 400}, beta.st)
-	if err == nil {
-		t.Fatal("attach exceeding the cache budget succeeded")
-	}
-	if err := rt.AttachStore(server.Tenant{Name: "beta", P: 83, CacheEntries: 200}, beta.st); err != nil {
-		t.Fatalf("attach within budget: %v", err)
-	}
-	// Detaching frees the quota.
-	if err := rt.Detach("alpha"); err != nil {
-		t.Fatal(err)
-	}
-	if err := rt.AttachStore(server.Tenant{Name: "gamma", P: 83, CacheEntries: 800}, alpha.st); err != nil {
-		t.Fatalf("attach after detach freed budget: %v", err)
-	}
 }
 
 func TestRuntimeDetach(t *testing.T) {
@@ -323,16 +300,16 @@ func TestRuntimeApply(t *testing.T) {
 		t.Fatalf("gamma (alpha's data re-attached): %d, %v", n, err)
 	}
 
-	// Quota change on an attached tenant forces re-attach.
+	// A config change on an attached tenant forces re-attach.
 	attached, detached, err = rt.Apply([]server.Tenant{
-		{Name: "beta", Path: betaDB, P: 83, CacheEntries: 64},
+		{Name: "beta", Path: betaDB, P: 83, CompactBytes: 1 << 20},
 		{Name: "gamma", Path: alphaDB, P: 83},
 	}, "")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(attached, []string{"beta"}) || !reflect.DeepEqual(detached, []string{"beta"}) {
-		t.Fatalf("quota-change apply: attached %v detached %v", attached, detached)
+		t.Fatalf("config-change apply: attached %v detached %v", attached, detached)
 	}
 }
 

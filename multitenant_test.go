@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"net"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -48,11 +49,11 @@ func TestEndToEndMultiTenant(t *testing.T) {
 	aKeys, aDB := buildTenant(t, 101, 400)
 	bKeys, bDB := buildTenant(t, 202, 300)
 
-	rt := server.New(server.Config{CacheBudget: 8192, Default: "auction"})
-	if err := rt.AttachStore(server.Tenant{Name: "auction", P: 83, CacheEntries: 4096}, aDB.st); err != nil {
+	rt := server.New(server.Config{Default: "auction"})
+	if err := rt.AttachStore(server.Tenant{Name: "auction", P: 83}, aDB.st); err != nil {
 		t.Fatal(err)
 	}
-	if err := rt.AttachStore(server.Tenant{Name: "books", P: 83, CacheEntries: 4096}, bDB.st); err != nil {
+	if err := rt.AttachStore(server.Tenant{Name: "books", P: 83}, bDB.st); err != nil {
 		t.Fatal(err)
 	}
 	l, err := net.Listen("tcp", "127.0.0.1:0")
@@ -256,10 +257,10 @@ func TestEndToEndLiveReplicaJoin(t *testing.T) {
 	}
 }
 
-// TestClientWorkerPoolParity pins the client-side worker pool
-// satellite: any pool bound computes identical results and identical
-// work counters — one worker degenerates to the sequential loop, N
-// workers just spread the same per-node PRG stream passes over cores.
+// TestClientWorkerPoolParity pins the client-side worker pool: any
+// GOMAXPROCS computes identical results and identical work counters —
+// one worker degenerates to the sequential loop, N workers just spread
+// the same per-node PRG stream passes over cores.
 func TestClientWorkerPoolParity(t *testing.T) {
 	keys, db := buildTenant(t, 55, 400)
 	queries := []string{"/site", "//item", "//person//city", "//bidder/date"}
@@ -268,14 +269,15 @@ func TestClientWorkerPoolParity(t *testing.T) {
 		evals []int64
 		recon []int64
 	}
-	runAll := func(workers int, opts QueryOptions) outcome {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	runAll := func(procs int, opts QueryOptions) outcome {
+		runtime.GOMAXPROCS(procs)
 		sess := OpenLocal(keys, db)
-		sess.SetClientWorkers(workers)
 		var o outcome
 		for _, qs := range queries {
 			res, err := sess.QueryWith(qs, opts)
 			if err != nil {
-				t.Fatalf("workers=%d %s: %v", workers, qs, err)
+				t.Fatalf("GOMAXPROCS=%d %s: %v", procs, qs, err)
 			}
 			o.pres = append(o.pres, res.Pres)
 			o.evals = append(o.evals, res.Stats.Evaluations)
@@ -285,11 +287,11 @@ func TestClientWorkerPoolParity(t *testing.T) {
 	}
 	for _, opts := range []QueryOptions{{}, {Test: TestContainment}, {Engine: Simple}} {
 		base := runAll(1, opts)
-		for _, workers := range []int{2, 8} {
-			got := runAll(workers, opts)
+		for _, procs := range []int{2, 8} {
+			got := runAll(procs, opts)
 			if !reflect.DeepEqual(got, base) {
-				t.Fatalf("opts %+v: workers=%d diverged from single-worker run:\n%+v\n%+v",
-					opts, workers, got, base)
+				t.Fatalf("opts %+v: GOMAXPROCS=%d diverged from the single-worker run:\n%+v\n%+v",
+					opts, procs, got, base)
 			}
 		}
 	}

@@ -206,7 +206,7 @@ func TestMetricsExposition(t *testing.T) {
 		rt := server.New(server.Config{Default: "auction"})
 		// The first shard journals to a WAL so the scrape exercises the
 		// durability and lease families with real (moving) values.
-		tn := server.Tenant{Name: "auction", P: 83, CacheEntries: 4096}
+		tn := server.Tenant{Name: "auction", P: 83}
 		if i == 0 {
 			tn.WALDir = t.TempDir()
 		}
