@@ -172,26 +172,50 @@ func TestEvalStreamManyMatchesScalar(t *testing.T) {
 	}
 }
 
+// mulOracle is the generic cyclic convolution through MulGeneric, the
+// table-free product the fast paths must reproduce.
+func mulOracle(r *Ring, a, b Poly) Poly {
+	f := r.Field()
+	out := r.NewPoly()
+	for i := 0; i < r.N(); i++ {
+		for j := 0; j < r.N(); j++ {
+			k := (i + j) % r.N()
+			out[k] = f.Add(out[k], f.MulGeneric(a[i], b[j]))
+		}
+	}
+	return out
+}
+
+// sparseOperands are the factors the strict test and the encoder
+// actually multiply by: zero, monomials x^k, x − t, and a leaf x − t
+// rebuilt from its two shares through the codec, as the client does.
+func sparseOperands(r *Ring, gen *prg.Generator) []Poly {
+	n := r.N()
+	t := (r.Field().Q() - 1) / 2
+	mono := func(k int) Poly {
+		p := r.NewPoly()
+		p[k] = 1
+		return p
+	}
+	client := r.Rand(gen.Stream("client", 0))
+	server, err := r.FromBytes(r.Bytes(r.Sub(r.Linear(t), client)))
+	if err != nil {
+		panic(err)
+	}
+	return []Poly{r.NewPoly(), r.One(), mono(1), mono(n / 2), mono(n - 1), r.Linear(t), r.Linear(1), r.Add(server, client)}
+}
+
 // TestMulIntoMatchesMul checks the Into variants against their
-// allocating twins and the generic convolution oracle.
+// allocating twins and the generic convolution oracle, on dense
+// operands and on sparse ones in both orders.
 func TestMulIntoMatchesMul(t *testing.T) {
 	gen := prg.New([]byte("mulinto"))
 	for _, r := range testRings(t) {
 		f := r.Field()
-		mulOracle := func(a, b Poly) Poly {
-			out := r.NewPoly()
-			for i := 0; i < r.N(); i++ {
-				for j := 0; j < r.N(); j++ {
-					k := (i + j) % r.N()
-					out[k] = f.Add(out[k], f.MulGeneric(a[i], b[j]))
-				}
-			}
-			return out
-		}
 		for i := uint64(0); i < 4; i++ {
 			a := r.Rand(gen.Stream("a", i))
 			b := r.Rand(gen.Stream("b", i))
-			want := mulOracle(a, b)
+			want := mulOracle(r, a, b)
 			if !r.Equal(r.Mul(a, b), want) {
 				t.Fatalf("%v: Mul differs from generic convolution", f)
 			}
@@ -210,6 +234,48 @@ func TestMulIntoMatchesMul(t *testing.T) {
 				t.Fatalf("%v: MulLinear differs from Mul by linear factor", f)
 			}
 			r.PutPoly(dst2)
+		}
+		dense := r.Rand(gen.Stream("dense", 0))
+		sparse := sparseOperands(r, gen)
+		for si, s := range sparse {
+			for _, other := range append([]Poly{dense}, sparse...) {
+				want := mulOracle(r, s, other)
+				// Stale garbage in dst must not leak into the product.
+				dst := r.Rand(gen.Stream("dst", uint64(si)))
+				if !r.Equal(r.MulInto(dst, s, other), want) {
+					t.Fatalf("%v: MulInto(sparse %d, ·) differs from generic convolution", f, si)
+				}
+				dst = r.Rand(gen.Stream("dst", uint64(si)))
+				if !r.Equal(r.MulInto(dst, other, s), want) {
+					t.Fatalf("%v: MulInto(·, sparse %d) differs from generic convolution", f, si)
+				}
+			}
+		}
+	}
+}
+
+// TestMulIntoAccumulatorBoundary multiplies all-(q−1) operands, whose
+// every unreduced product coefficient is the largest possible,
+// n·(q−1)², on the rings either side of the 32-bit limit: q = 1621 is
+// the largest prime with (q−1)³ < 2^32, q = 1627 the smallest above it,
+// where an accumulator narrower than 64 bits would wrap.
+func TestMulIntoAccumulatorBoundary(t *testing.T) {
+	gen := prg.New([]byte("mul-boundary"))
+	for _, q := range []uint32{1621, 1627} {
+		r := MustNew(gf.MustNew(q, 1))
+		top := r.NewPoly()
+		for i := range top {
+			top[i] = q - 1
+		}
+		dense := r.Rand(gen.Stream("dense", uint64(q)))
+		for _, pair := range [][2]Poly{{top, top}, {top, dense}, {dense, r.Linear(q - 1)}} {
+			want := mulOracle(r, pair[0], pair[1])
+			if got := r.Mul(pair[0], pair[1]); !r.Equal(got, want) {
+				t.Fatalf("q=%d: MulInto differs from generic convolution", q)
+			}
+			if got := r.Mul(pair[1], pair[0]); !r.Equal(got, want) {
+				t.Fatalf("q=%d: MulInto (swapped) differs from generic convolution", q)
+			}
 		}
 	}
 }

@@ -12,15 +12,23 @@ import (
 )
 
 // codecRings covers prime and extension fields, small and at the chunk
-// boundaries (q near powers of two stress the q^k ≤ 2^63 chunk choice).
+// boundaries (q near powers of two stress the q^k ≤ 2^63 chunk choice;
+// GF(2^7) has q^k = 2^63 exactly, a divisor that needs no normalising
+// shift). q = 1627 (272 limbs, 5-digit chunks) and q = 6211 (1 223
+// limbs, 4-digit chunks) run the limb division over long, shrinking
+// spans; a q near 2^16 would make the big.Int oracle take seconds per
+// blob.
 func codecRings(t testing.TB) []*Ring {
 	return []*Ring{
 		MustNew(gf.MustNew(5, 1)),
 		MustNew(gf.MustNew(29, 1)),
 		MustNew(gf.MustNew(83, 1)),
 		MustNew(gf.MustNew(251, 1)),
+		MustNew(gf.MustNew(1627, 1)),
+		MustNew(gf.MustNew(6211, 1)),
 		MustNew(gf.MustNew(3, 2)),
 		MustNew(gf.MustNew(5, 3)),
+		MustNew(gf.MustNew(2, 7)),
 		MustNew(gf.MustNew(2, 8)),
 	}
 }
@@ -44,7 +52,13 @@ func TestLimbCodecMatchesBigInt(t *testing.T) {
 			maxP[i] = r.Field().Q() - 1
 		}
 		polys = append(polys, maxP)
-		for i := uint64(0); i < 32; i++ {
+		// Rings past q ≈ 1000 get fewer cases: the big.Int oracle is
+		// quadratic in N.
+		cases := uint64(32)
+		if r.N() > 1000 {
+			cases = 4
+		}
+		for i := uint64(0); i < cases; i++ {
 			polys = append(polys, r.Rand(gen.Stream("p", i)))
 		}
 		for pi, p := range polys {
@@ -72,7 +86,7 @@ func TestLimbCodecMatchesBigInt(t *testing.T) {
 		// same polynomial or same rejection (the server is untrusted, so
 		// the validation behavior is part of the protocol).
 		rng := rand.New(rand.NewSource(99))
-		for i := 0; i < 64; i++ {
+		for i := uint64(0); i < 2*cases; i++ {
 			blob := make([]byte, r.PolyBytes())
 			rng.Read(blob)
 			if i%4 == 0 {
@@ -88,6 +102,22 @@ func TestLimbCodecMatchesBigInt(t *testing.T) {
 			}
 			if lerr == nil && !r.Equal(lp, bp) {
 				t.Fatalf("%s blob %d: decoders disagree on valid blob", name, i)
+			}
+		}
+		// q^n is the smallest out-of-range value: when it fits the
+		// blob width, both decoders must reject it (and q^n + 1).
+		qn := new(big.Int).Exp(big.NewInt(int64(r.Field().Q())), big.NewInt(int64(r.N())), nil)
+		for d := int64(0); d <= 1; d++ {
+			v := new(big.Int).Add(qn, big.NewInt(d))
+			if (v.BitLen()+7)/8 > r.PolyBytes() {
+				continue
+			}
+			blob := v.FillBytes(make([]byte, r.PolyBytes()))
+			if _, err := r.FromBytes(blob); err == nil {
+				t.Fatalf("%s: blob holding q^n + %d accepted", name, d)
+			}
+			if _, err := r.FromBytesBig(blob); err == nil {
+				t.Fatalf("%s: big.Int decoder accepted a blob ≥ q^n", name)
 			}
 		}
 		// Wrong-length blobs are rejected by both.

@@ -20,15 +20,22 @@
 // is one Eval per share, an equality test decodes and multiplies whole
 // polynomials. The hot entry points are built accordingly:
 //
-//   - evaluation and multiplication hoist the field's log/exp tables
-//     (gf.Tables) out of their inner loops, with a branch-free residue
-//     fast path for prime fields;
+//   - evaluation hoists the field's log/exp tables (gf.Tables) out of
+//     its inner loops, with a branch-free residue fast path for prime
+//     fields;
+//   - prime-field products (MulInto, MulLinearInto) run on plain
+//     integers with delayed reduction: no table load per term, one
+//     reduction per output coefficient by a reciprocal of q fixed at
+//     construction (recip.go), and the outer loop over the sparser
+//     operand, so a linear factor costs two row passes. Extension
+//     fields multiply through the tables;
 //   - EvalBatch/EvalMany amortize the hoisting across many polynomials
 //     or many points; EvalStream evaluates a PRG-defined polynomial
 //     without materializing it (the client-share path);
-//   - the radix-q codec runs on pooled uint64 limb vectors (limb.go)
-//     and decodes into caller-supplied buffers — zero heap allocations
-//     on the decode path;
+//   - the radix-q codec runs on pooled uint64 limb vectors (limb.go),
+//     divides by reciprocals instead of hardware division, touches only
+//     the limbs still nonzero, and decodes into caller-supplied
+//     buffers — zero heap allocations on the decode path;
 //   - GetPoly/PutPoly expose a pooled buffer source for transient
 //     polynomials. Pooling invariant: a Poly may be returned to the
 //     pool only when no other reference to it can remain — never pool a
@@ -65,11 +72,17 @@ type Ring struct {
 	chunk int
 	qpow  []uint64
 
+	// reciprocals (recip.go): modQ reduces by q (product coefficients,
+	// decoded digits); chunkDiv divides limb vectors by q^chunk.
+	modQ     recipQ
+	chunkDiv limbDivisor
+
 	// sampler holds the precomputed Uniform(q) constants for the PRG
 	// draws (coefficient sampling is division-free).
 	sampler prg.Sampler
 
 	limbPool sync.Pool // *limbScratch
+	accPool  sync.Pool // *limbScratch of n words: MulInto's accumulator
 	polyPool sync.Pool // *polyBox (full)
 	boxPool  sync.Pool // *polyBox (empty, recycled wrappers)
 }
@@ -99,6 +112,8 @@ func New(f *gf.Field) (*Ring, error) {
 	for i := 1; i <= r.chunk; i++ {
 		r.qpow[i] = r.qpow[i-1] * q64
 	}
+	r.modQ = newRecipQ(q64)
+	r.chunkDiv = newLimbDivisor(r.qpow[r.chunk])
 	return r, nil
 }
 
@@ -319,37 +334,90 @@ func (r *Ring) Mul(a, b Poly) Poly {
 }
 
 // MulInto sets dst = a·b and returns dst. dst must not alias a or b.
-// The inner loop runs on the hoisted log/exp tables: each nonzero
-// coefficient pair costs one exp lookup and one modular add.
+//
+// Prime fields convolve on plain integers with delayed reduction: each
+// nonzero coefficient a_i of the sparser operand adds a_i·b into a
+// pooled uint64 accumulator as two contiguous row passes (the wrap of
+// x^(q−1) = 1 split off, so the inner loops carry no branch and no table
+// load), and each output coefficient is reduced once, by reciprocal.
+// A leaf child x − s therefore costs two row passes. The largest sum,
+// n·(q−1)², stays below 2^60 up to gf.MaxQ. Extension fields multiply
+// through the log/exp tables.
 func (r *Ring) MulInto(dst, a, b Poly) Poly {
+	if !r.prime {
+		return r.mulTables(dst, a, b)
+	}
+	if nonzeros(b) < nonzeros(a) {
+		a, b = b, a
+	}
+	ls := r.getAcc()
+	convolve(ls.a, a, b)
+	for k, v := range ls.a[:len(dst)] {
+		dst[k] = gf.Elem(r.modQ.mod(v))
+	}
+	r.accPool.Put(ls)
+	return dst
+}
+
+// getAcc returns a zeroed n-word accumulator for MulInto; return it
+// with r.accPool.Put.
+func (r *Ring) getAcc() *limbScratch {
+	if v := r.accPool.Get(); v != nil {
+		ls := v.(*limbScratch)
+		clear(ls.a)
+		return ls
+	}
+	return &limbScratch{a: make([]uint64, r.n)}
+}
+
+// convolve adds the cyclic convolution a·b, unreduced, into acc
+// (len(acc) == len(a) == len(b)).
+func convolve(acc []uint64, a, b Poly) {
+	n := len(acc)
+	for i, ai := range a {
+		if ai == 0 {
+			continue
+		}
+		x := uint64(ai)
+		addScaled(acc[i:], x, b[:n-i]) // x^(i+j) for i+j < n
+		addScaled(acc[:i], x, b[n-i:]) // x^(i+j−n) for i+j ≥ n
+	}
+}
+
+// addScaled sets acc[j] += x·b[j] for every j (len(b) ≥ len(acc)),
+// four lanes per step.
+func addScaled(acc []uint64, x uint64, b Poly) {
+	b = b[:len(acc)]
+	for len(acc) >= 4 && len(b) >= 4 {
+		acc[0] += x * uint64(b[0])
+		acc[1] += x * uint64(b[1])
+		acc[2] += x * uint64(b[2])
+		acc[3] += x * uint64(b[3])
+		acc, b = acc[4:], b[4:]
+	}
+	for j, bj := range b[:len(acc)] {
+		acc[j] += x * uint64(bj)
+	}
+}
+
+// nonzeros counts the nonzero coefficients of p.
+func nonzeros(p Poly) int {
+	k := 0
+	for _, c := range p {
+		if c != 0 {
+			k++
+		}
+	}
+	return k
+}
+
+// mulTables is the extension-field product: each nonzero coefficient
+// pair costs one exp lookup and one field add.
+func (r *Ring) mulTables(dst, a, b Poly) Poly {
 	t := r.f.Tables()
 	lg, ex := t.Log, t.Exp
 	clear(dst)
 	n := r.n
-	if r.prime {
-		q := r.q32
-		for i, ai := range a {
-			if ai == 0 {
-				continue
-			}
-			la := lg[ai]
-			for j, bj := range b {
-				if bj == 0 {
-					continue
-				}
-				k := i + j
-				if k >= n {
-					k -= n
-				}
-				s := dst[k] + ex[la+lg[bj]]
-				if s >= q {
-					s -= q
-				}
-				dst[k] = s
-			}
-		}
-		return dst
-	}
 	f := r.f
 	for i, ai := range a {
 		if ai == 0 {
@@ -377,48 +445,29 @@ func (r *Ring) MulLinear(a Poly, t gf.Elem) Poly {
 }
 
 // MulLinearInto sets dst = a·(x − t) and returns dst. dst must not
-// alias a.
+// alias a. Over a prime field each output coefficient is
+// a_(i−1) − t·a_i, one multiply and one reciprocal reduction.
 func (r *Ring) MulLinearInto(dst, a Poly, t gf.Elem) Poly {
-	tab := r.f.Tables()
-	lg, ex := tab.Log, tab.Exp
 	negT := r.f.Neg(t)
-	clear(dst)
 	n := r.n
 	if r.prime {
-		q := r.q32
-		var lnt uint32
-		if negT != 0 {
-			lnt = lg[negT]
-		}
-		for i, ai := range a {
-			if ai == 0 {
-				continue
-			}
-			// a_i x^i (x − t) = a_i x^(i+1) − t a_i x^i
-			k := i + 1
-			if k == n {
-				k = 0
-			}
-			s := dst[k] + ai
-			if s >= q {
-				s -= q
-			}
-			dst[k] = s
-			if negT != 0 {
-				s = dst[i] + ex[lnt+lg[ai]]
-				if s >= q {
-					s -= q
-				}
-				dst[i] = s
-			}
+		nt := uint64(negT)
+		prev := uint64(a[n-1]) // a_(i−1), cyclically
+		for i, ai := range a[:n] {
+			dst[i] = gf.Elem(r.modQ.mod(prev + nt*uint64(ai)))
+			prev = uint64(ai)
 		}
 		return dst
 	}
+	tab := r.f.Tables()
+	lg, ex := tab.Log, tab.Exp
+	clear(dst)
 	f := r.f
 	for i, ai := range a {
 		if ai == 0 {
 			continue
 		}
+		// a_i x^i (x − t) = a_i x^(i+1) − t a_i x^i
 		k := i + 1
 		if k == n {
 			k = 0

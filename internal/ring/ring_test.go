@@ -347,6 +347,19 @@ func BenchmarkMulF83(b *testing.B) {
 	}
 }
 
+// BenchmarkMulF83Linear is the strict test's leaf-child product: a
+// dense polynomial times x − t through the general MulInto.
+func BenchmarkMulF83Linear(b *testing.B) {
+	r := MustNew(gf.MustNew(83, 1))
+	gen := prg.New([]byte("bench")).Stream("x", 0)
+	p, lin := r.Rand(gen), r.Linear(17)
+	dst := r.NewPoly()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_ = r.MulInto(dst, p, lin)
+	}
+}
+
 func BenchmarkMulLinearF83(b *testing.B) {
 	r := MustNew(gf.MustNew(83, 1))
 	gen := prg.New([]byte("bench")).Stream("x", 0)
