@@ -2,6 +2,7 @@ package encshare
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"net"
 	"strings"
@@ -236,6 +237,9 @@ func TestEndToEndCluster(t *testing.T) {
 				got.Stats.Reconstructions != want.Stats.Reconstructions {
 				t.Fatalf("%s %+v: cluster work %+v != local %+v", qs, opt, got.Stats, want.Stats)
 			}
+			if err := strictIdentity(local, keys, qs, opt, got.Stats); err != nil {
+				t.Fatalf("cluster: %v", err)
+			}
 		}
 	}
 	per := session.ShardRoundTrips()
@@ -255,6 +259,26 @@ func TestEndToEndCluster(t *testing.T) {
 		!strings.Contains(err.Error(), "shard 1 (127.0.0.1:1)") {
 		t.Fatalf("dead shard dial gave %v, want a shard-identifying error", err)
 	}
+}
+
+// strictIdentity checks a Batched strict run's work against the PerCall
+// run of the same query on ref: the batched run evaluates, at each of
+// the map's free points, every row the per-call run reconstructs, and
+// reconstructs nothing; its other evaluations are the per-call run's.
+// Other runs pass.
+func strictIdentity(ref *Session, keys *Keys, qs string, opt QueryOptions, batched Stats) error {
+	if opt.Test != TestExact || opt.Batch != Batched {
+		return nil
+	}
+	per, err := ref.QueryWith(qs, QueryOptions{Engine: opt.Engine, Batch: PerCall})
+	if err != nil {
+		return err
+	}
+	points := int64(len(keys.m.FreePoints()))
+	if batched.Reconstructions != 0 || batched.Evaluations != per.Stats.Evaluations+points*per.Stats.Reconstructions {
+		return fmt.Errorf("%s %+v: batched work %+v, per-call %+v at %d free points", qs, opt, batched, per.Stats, points)
+	}
+	return nil
 }
 
 func TestKeyRoundTrip(t *testing.T) {

@@ -155,6 +155,9 @@ func TestEndToEndFailover(t *testing.T) {
 				got.Stats.Reconstructions != want.Stats.Reconstructions {
 				t.Fatalf("degraded %s %+v: cluster work %+v != local %+v", qs, opt, got.Stats, want.Stats)
 			}
+			if err := strictIdentity(local, keys, qs, opt, got.Stats); err != nil {
+				t.Fatalf("degraded cluster: %v", err)
+			}
 		}
 	}
 	if session.Failovers() == 0 {

@@ -45,6 +45,7 @@
 package cluster
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"sort"
@@ -279,7 +280,10 @@ type connTracer interface {
 	SetTracer(tr *obs.Tracer, shard int, addr string)
 }
 
-var _ filter.ServerAPI = (*Filter)(nil)
+var (
+	_ filter.ServerAPI     = (*Filter)(nil)
+	_ filter.FamilyEvalAPI = (*Filter)(nil)
+)
 
 // New assembles a cluster filter from shards with default options. The
 // shard ranges must tile a contiguous pre interval: copies may arrive in
@@ -978,38 +982,8 @@ func (f *Filter) AggregateBatch(req filter.AggregateRequest) (filter.AggregateRe
 // bundle — node row from the owner, children concatenated in shard
 // order.
 func (f *Filter) NodePolysBatch(pres []int64) ([]filter.NodePolys, error) {
-	groups := make([][]int, len(f.shards))
-	active := make([]bool, len(f.shards))
-	for si, sh := range f.shards {
-		hi := sh.rangeOf().Hi
-		for i, pre := range pres {
-			if hi >= pre { // owner (Hi >= pre) or potential child holder (Hi > pre)
-				groups[si] = append(groups[si], i)
-				active[si] = true
-			}
-		}
-	}
-	parts := make([][]filter.PartialNodePolys, len(f.shards))
-	err := f.scatter(active, func(si int) error {
-		sub := make([]int64, len(groups[si]))
-		for j, i := range groups[si] {
-			sub[j] = pres[i]
-		}
-		part, err := onShard(f, si, opBatch, func(c Conn) ([]filter.PartialNodePolys, error) {
-			part, err := c.NodePolysPartial(sub)
-			if err != nil {
-				return nil, err
-			}
-			if len(part) != len(sub) {
-				return nil, badCount(len(part), len(sub))
-			}
-			return part, nil
-		})
-		if err != nil {
-			return err
-		}
-		parts[si] = part
-		return nil
+	groups, parts, err := scatterFamilies(f, pres, func(c Conn, sub []int64) ([]filter.PartialNodePolys, error) {
+		return c.NodePolysPartial(sub)
 	})
 	if err != nil {
 		return nil, err
@@ -1038,4 +1012,109 @@ func (f *Filter) NodePolysBatch(pres []int64) ([]filter.NodePolys, error) {
 		}
 	}
 	return out, nil
+}
+
+// errNoFamilyEvals is the answer of a shard connection that does not
+// serve filter.FamilyEvalAPI. Every in-repo connection does.
+var errNoFamilyEvals = errors.New("cluster: shard connection does not serve FamilyEvals")
+
+// FamilyEvals implements filter.FamilyEvalAPI as NodePolysBatch does:
+// the shards a node's family may reach each evaluate the rows they
+// store, and the fragments merge into one answer per node — the node's
+// values from the owner, then the children's in shard order. A node no
+// shard holds is a member error. Shard connections are asked for the
+// method by type assertion; Conn does not require it.
+func (f *Filter) FamilyEvals(pres []int64, points []gf.Elem) ([]filter.FamilyEval, error) {
+	m := len(points)
+	groups, parts, err := scatterFamilies(f, pres, func(c Conn, sub []int64) ([]filter.FamilyEval, error) {
+		fa, ok := c.(filter.FamilyEvalAPI)
+		if !ok {
+			return nil, errNoFamilyEvals
+		}
+		part, err := fa.FamilyEvals(sub, points)
+		for _, e := range part {
+			rows := len(e.Children)
+			if e.Has {
+				rows++
+			}
+			if e.Err == "" && len(e.Vals) != rows*m {
+				// A malformed fragment fails over like a short reply.
+				return nil, &filter.BadReplyError{Msg: fmt.Sprintf("family fragment carried %d values for %d rows at %d points", len(e.Vals), rows, m)}
+			}
+		}
+		return part, err
+	})
+	if err != nil {
+		return nil, err
+	}
+	out := make([]filter.FamilyEval, len(pres))
+	for si := 0; si < len(f.shards); si++ {
+		for j, i := range groups[si] {
+			frag, e := parts[si][j], &out[i]
+			switch {
+			case e.Err != "":
+			case frag.Err != "":
+				*e = filter.FamilyEval{Err: frag.Err}
+			case frag.Has && len(e.Vals) > 0:
+				// Shards tile the pre axis and children follow their
+				// parent, so the owner answers before any child holder.
+				*e = filter.FamilyEval{Err: fmt.Sprintf("cluster: shard %d owns node %d after its children's shards", si, pres[i])}
+			default:
+				e.Has = e.Has || frag.Has
+				e.Children = append(e.Children, frag.Children...)
+				e.Vals = append(e.Vals, frag.Vals...)
+			}
+		}
+	}
+	for i := range out {
+		if !out[i].Has && out[i].Err == "" {
+			out[i] = filter.FamilyEval{Err: store.NotFoundError(pres[i]).Error()}
+		}
+	}
+	return out, nil
+}
+
+// scatterFamilies sends every pre to each shard whose range reaches the
+// node or could hold its children (Hi >= pre), one concurrent frame per
+// shard on one replica, and returns, per shard, the request indices it
+// was asked and its answers in that order. fetch runs inside the
+// replica call, so an error it returns fails over like the call's own.
+func scatterFamilies[T any](f *Filter, pres []int64, fetch func(Conn, []int64) ([]T, error)) (groups [][]int, parts [][]T, err error) {
+	groups = make([][]int, len(f.shards))
+	active := make([]bool, len(f.shards))
+	for si, sh := range f.shards {
+		hi := sh.rangeOf().Hi
+		for i, pre := range pres {
+			if hi >= pre { // owner (Hi >= pre) or potential child holder (Hi > pre)
+				groups[si] = append(groups[si], i)
+				active[si] = true
+			}
+		}
+	}
+	parts = make([][]T, len(f.shards))
+	err = f.scatter(active, func(si int) error {
+		sub := make([]int64, len(groups[si]))
+		for j, i := range groups[si] {
+			sub[j] = pres[i]
+		}
+		part, err := onShard(f, si, opBatch, func(c Conn) ([]T, error) {
+			part, err := fetch(c, sub)
+			if err != nil {
+				return nil, err
+			}
+			if len(part) != len(sub) {
+				return nil, badCount(len(part), len(sub))
+			}
+			return part, nil
+		})
+		if err != nil {
+			return err
+		}
+		parts[si] = part
+		return nil
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	return groups, parts, nil
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -305,6 +306,28 @@ func TestClusterMemberOrder(t *testing.T) {
 				t.Fatalf("bundle %d child %d mismatch (boundary-crossing children must merge in pre order)", i, j)
 			}
 		}
+	}
+
+	// Family evaluations: the owner's node values first, then every
+	// child's, boundary-crossing families merged in pre order, equal to
+	// the single server's member for member.
+	points := fx.m.FreePoints()
+	gotFams, err := cf.FamilyEvals(nodePres, points)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantFams, err := direct.FamilyEvals(nodePres, points)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range wantFams {
+		if !wantFams[i].Has || !reflect.DeepEqual(gotFams[i], wantFams[i]) {
+			t.Fatalf("family %d (pre=%d): cluster %+v != single %+v", i, nodePres[i], gotFams[i], wantFams[i])
+		}
+	}
+	missing, err := cf.FamilyEvals([]int64{count + 1}, points)
+	if err != nil || len(missing) != 1 || missing[0].Has || !strings.Contains(missing[0].Err, "not found") {
+		t.Fatalf("family of a pre past the table: %+v, %v", missing, err)
 	}
 
 	// Descendant spans, shuffled.

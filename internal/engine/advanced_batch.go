@@ -431,7 +431,7 @@ func (r *advBatch) scanLevel() error {
 	if r.test != Equality {
 		return nil
 	}
-	eqOks, err := r.e.wire.EqualsBatch(checks[:kept])
+	eqOks, err := r.e.check(checks[:kept], Equality)
 	if err != nil {
 		return err
 	}

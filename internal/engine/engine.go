@@ -63,8 +63,9 @@ func (t Test) String() string {
 
 // Stats describes the work one query run performed.
 type Stats struct {
-	// Evaluations is the number of containment point-tests (client+server
-	// evaluation pairs) — the y-axis of Fig. 5.
+	// Evaluations is the number of point-tests (client+server evaluation
+	// pairs) — the y-axis of Fig. 5. The batched strict test adds one per
+	// family row and free point.
 	Evaluations int64
 	// Reconstructions is the number of polynomial reconstructions done by
 	// equality tests.
@@ -111,9 +112,11 @@ type base struct {
 
 // transport carries a traversal's batched checks and navigation to the
 // filter. *filter.Client sends each batch as a single exchange.
+// EqualsBatch gets the map's free points, at which the batched strict
+// test evaluates instead of reconstructing.
 type transport interface {
 	ContainsBatch(checks []filter.Check) ([]bool, error)
-	EqualsBatch(checks []filter.Check) ([]bool, error)
+	EqualsBatch(checks []filter.Check, points []gf.Elem) ([]bool, error)
 	NodeBatch(pres []int64) ([]filter.NodeMeta, error)
 	ChildrenBatch(pres []int64) ([][]filter.NodeMeta, error)
 	DescendantsBatch(spans []filter.Span) ([][]filter.NodeMeta, error)
@@ -128,7 +131,9 @@ func (p perCall) ContainsBatch(checks []filter.Check) ([]bool, error) {
 	return eachCall(checks, func(c filter.Check) (bool, error) { return p.cli.Contains(c.Pre, c.Point) })
 }
 
-func (p perCall) EqualsBatch(checks []filter.Check) ([]bool, error) {
+// EqualsBatch runs the paper's strict test, which reconstructs the node
+// and its children; it has no use for the free points.
+func (p perCall) EqualsBatch(checks []filter.Check, _ []gf.Elem) ([]bool, error) {
 	return eachCall(checks, func(c filter.Check) (bool, error) { return p.cli.Equals(c.Pre, c.Point) })
 }
 
@@ -182,7 +187,7 @@ func (b *base) val(name string) (v gf.Elem, ok bool) {
 // non-strict, Equals for strict) as one transport batch.
 func (b *base) check(checks []filter.Check, test Test) ([]bool, error) {
 	if test == Equality {
-		return b.wire.EqualsBatch(checks)
+		return b.wire.EqualsBatch(checks, b.m.FreePoints())
 	}
 	return b.wire.ContainsBatch(checks)
 }

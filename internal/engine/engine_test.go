@@ -331,12 +331,21 @@ func TestStatsPopulated(t *testing.T) {
 	if st.Elapsed <= 0 {
 		t.Fatal("Elapsed not measured")
 	}
+	// The strict test reconstructs the root's family per call, and
+	// evaluates the same rows at the map's free points batched.
+	ref, err := NewSimplePerCall(fx.cli, fx.m).Run(xpath.MustParse("/site"), Equality)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ref.Stats.Reconstructions == 0 {
+		t.Fatal("per-call equality run did not count reconstructions")
+	}
 	res, err = fx.simple.Run(xpath.MustParse("/site"), Equality)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Stats.Reconstructions == 0 {
-		t.Fatal("equality run did not count reconstructions")
+	if !sameWork(res.Stats, ref.Stats, len(fx.m.FreePoints())) {
+		t.Fatalf("batched equality run counted %+v, per-call %+v", res.Stats, ref.Stats)
 	}
 }
 

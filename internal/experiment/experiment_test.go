@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"fmt"
 	"strconv"
 	"strings"
 	"testing"
@@ -146,10 +147,26 @@ func TestStrictnessWorkCounts(t *testing.T) {
 	if len(tb.Rows) != 5 {
 		t.Fatalf("rows = %d", len(tb.Rows))
 	}
-	// Strict columns must mention reconstructions ("ev+rec" format).
+	// Strict columns must mention reconstructions ("ev+rec" format), and
+	// each batched strict cell is its per-call cell with every
+	// reconstruction evaluated at each free point instead.
+	points := int64(len(env.Map.FreePoints()))
 	for i := range tb.Rows {
 		if !strings.Contains(cell(t, tb, i, 3), "+") {
 			t.Errorf("row %d strict/simple cell lacks reconstruction count", i)
+		}
+		for _, cols := range [][2]int{{3, 6}, {5, 7}} {
+			var ev, rec, bev, brec int64
+			if _, err := fmt.Sscanf(cell(t, tb, i, cols[0]), "%d+%d", &ev, &rec); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := fmt.Sscanf(cell(t, tb, i, cols[1]), "%d+%d", &bev, &brec); err != nil {
+				t.Fatal(err)
+			}
+			if rec == 0 || bev != ev+points*rec || brec != 0 {
+				t.Errorf("row %d: batched %s against per-call %s at %d free points",
+					i, cell(t, tb, i, cols[1]), cell(t, tb, i, cols[0]), points)
+			}
 		}
 	}
 }

@@ -394,12 +394,20 @@ func (c *Client) ContainsBatch(checks []Check) ([]bool, error) {
 	return out, nil
 }
 
-// EqualsBatch runs the strict equality test for every check with a single
-// server exchange fetching all share rows; reconstructions run in
-// parallel on the client worker pool.
-func (c *Client) EqualsBatch(checks []Check) ([]bool, error) {
+// EqualsBatch runs the strict equality test for every check with a
+// single server exchange. points are the tag map's free points
+// (mapping.Map.FreePoints). When there are any and the backend serves
+// FamilyEvalAPI, the exchange carries the server shares of every node
+// and its children evaluated at the points, and each check costs one
+// evaluation per row and point (family.go). Otherwise it fetches all
+// share rows, and reconstructions run in parallel on the client worker
+// pool.
+func (c *Client) EqualsBatch(checks []Check, points []gf.Elem) ([]bool, error) {
 	if len(checks) == 0 {
 		return nil, nil
+	}
+	if c.fam != nil && len(points) > 0 && len(points) <= maxStrictPoints {
+		return c.equalsAtPoints(checks, points)
 	}
 	pres := make([]int64, len(checks))
 	for i, ch := range checks {

@@ -233,10 +233,18 @@ func TestContainsBatchMatchesContains(t *testing.T) {
 	}
 }
 
-// TestEqualsBatchMatchesEquals: same for the strict test, including the
-// reconstruction accounting.
+// TestEqualsBatchMatchesEquals: same for the strict test, on both of
+// its batched paths, over every (node, name) pair. Without points the
+// batch fetches bundles and counts the per-call test's reconstructions.
+// At the map's free points it agrees with the per-call test member for
+// member, counts one evaluation per reconstructed row and point, and
+// reconstructs nothing.
 func TestEqualsBatchMatchesEquals(t *testing.T) {
 	fx := newFixture(t, testXML)
+	free := fx.m.FreePoints()
+	if len(free) != 2 {
+		t.Fatalf("map of %d names over F_83 has free points %v", fx.m.Len(), free)
+	}
 	for _, tc := range []struct {
 		name string
 		cli  *Client
@@ -245,26 +253,36 @@ func TestEqualsBatchMatchesEquals(t *testing.T) {
 		{"remote", fx.remote},
 	} {
 		checks := allChecks(t, fx)
+		var want []bool
 		before := tc.cli.Counters.Snapshot()
-		got, err := tc.cli.EqualsBatch(checks)
-		if err != nil {
-			t.Fatalf("%s: EqualsBatch: %v", tc.name, err)
-		}
-		batchRecons := tc.cli.Counters.Snapshot().Sub(before).Reconstructions
-
-		before = tc.cli.Counters.Snapshot()
-		for i, c := range checks {
-			want, err := tc.cli.Equals(c.Pre, c.Point)
+		for _, c := range checks {
+			ok, err := tc.cli.Equals(c.Pre, c.Point)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got[i] != want {
-				t.Fatalf("%s: member %d (pre=%d) = %v, want %v", tc.name, i, c.Pre, got[i], want)
-			}
+			want = append(want, ok)
 		}
-		seqRecons := tc.cli.Counters.Snapshot().Sub(before).Reconstructions
-		if batchRecons != seqRecons {
-			t.Fatalf("%s: batch counted %d reconstructions, sequential %d", tc.name, batchRecons, seqRecons)
+		seq := tc.cli.Counters.Snapshot().Sub(before)
+		for _, points := range [][]gf.Elem{nil, free, free[:1]} {
+			before := tc.cli.Counters.Snapshot()
+			got, err := tc.cli.EqualsBatch(checks, points)
+			if err != nil {
+				t.Fatalf("%s at %v: EqualsBatch: %v", tc.name, points, err)
+			}
+			for i, c := range checks {
+				if got[i] != want[i] {
+					t.Fatalf("%s at %v: member %d (pre=%d) = %v, want %v", tc.name, points, i, c.Pre, got[i], want[i])
+				}
+			}
+			d := tc.cli.Counters.Snapshot().Sub(before)
+			wantEvals, wantRecons := seq.Reconstructions*int64(len(points)), int64(0)
+			if points == nil {
+				wantEvals, wantRecons = 0, seq.Reconstructions
+			}
+			if d.Evaluations != wantEvals || d.Reconstructions != wantRecons {
+				t.Fatalf("%s at %v: batch counted %d evaluations and %d reconstructions, want %d and %d",
+					tc.name, points, d.Evaluations, d.Reconstructions, wantEvals, wantRecons)
+			}
 		}
 	}
 }
@@ -337,12 +355,17 @@ func TestRemoteBatchRoundTrips(t *testing.T) {
 	if got := rem.EvalRoundTrips(); got != 1 {
 		t.Fatalf("%d checks cost %d evaluation round-trips, want 1", len(checks), got)
 	}
-	if _, err := cli.EqualsBatch(checks[:10]); err != nil {
-		t.Fatal(err)
+	for _, points := range [][]gf.Elem{nil, fx.m.FreePoints()} {
+		if _, err := cli.EqualsBatch(checks[:10], points); err != nil {
+			t.Fatal(err)
+		}
 	}
 	counts := rem.CallCounts()
 	if n := counts[methodNodePolysPage]; n != 1 {
 		t.Fatalf("EqualsBatch cost %d poly round-trips, want 1", n)
+	}
+	if n := counts[methodFamilyEvalsPage]; n != 1 {
+		t.Fatalf("EqualsBatch at the free points cost %d round-trips, want 1", n)
 	}
 	if counts[methodPoly] != 0 || counts[methodChildrenPolys] != 0 {
 		t.Fatalf("batched equals fell back to per-call fetches: %v", counts)
@@ -379,21 +402,28 @@ func TestBatchChunking(t *testing.T) {
 		}
 	}
 
-	eqGot, err := cli.EqualsBatch(checks[:10])
-	if err != nil {
-		t.Fatal(err)
-	}
-	counts := rem.CallCounts()
-	if n := counts[methodNodePolysPage]; n != 4 { // ceil(10/3)
-		t.Fatalf("10 equals over chunk size 3 cost %d poly round-trips, want 4", n)
-	}
-	for i, c := range checks[:10] {
-		want, err := fx.local.Equals(c.Pre, c.Point)
+	for _, tc := range []struct {
+		points []gf.Elem
+		method string
+	}{
+		{nil, methodNodePolysPage},
+		{fx.m.FreePoints(), methodFamilyEvalsPage},
+	} {
+		eqGot, err := cli.EqualsBatch(checks[:10], tc.points)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if eqGot[i] != want {
-			t.Fatalf("chunked equals member %d = %v, want %v", i, eqGot[i], want)
+		if n := rem.CallCounts()[tc.method]; n != 4 { // ceil(10/3)
+			t.Fatalf("10 equals over chunk size 3 cost %d %s round-trips, want 4", n, tc.method)
+		}
+		for i, c := range checks[:10] {
+			want, err := fx.local.Equals(c.Pre, c.Point)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if eqGot[i] != want {
+				t.Fatalf("chunked equals at %v member %d = %v, want %v", tc.points, i, eqGot[i], want)
+			}
 		}
 	}
 }

@@ -8,7 +8,8 @@
 //   - the equality test ("is this node itself tag N?"): reconstruct the
 //     node polynomial and all children polynomials and check the first
 //     factor f(node) == (x − t)·Π f(child) — exact, but costs O(#children)
-//     reconstructions.
+//     reconstructions. The batched test checks the same identity at the
+//     tag map's free points instead, from evaluations (family.go).
 //
 // The ClientFilter works against any ServerAPI: the in-process
 // ServerFilter or an rmi proxy, which is how the prototype splits work
@@ -295,9 +296,10 @@ func (s *ServerFilter) Count() (int64, error) { return s.st.Count() }
 
 // Counters aggregates the client-side work metrics the experiments plot.
 type Counters struct {
-	// Evaluations counts containment point-tests: each is one server-share
-	// evaluation plus one client-share evaluation (the paper's
-	// "evaluations" in Fig. 5).
+	// Evaluations counts point-tests: each is one server-share
+	// evaluation plus one client-share evaluation at one point (the
+	// paper's "evaluations" in Fig. 5) — a containment check, or under
+	// the batched strict test one family row at one free point.
 	Evaluations atomic.Int64
 	// Reconstructions counts full polynomial reconstructions (client share
 	// + server share), the cost unit of the equality test.
@@ -348,6 +350,7 @@ func (s Snapshot) Sub(o Snapshot) Snapshot {
 // scheme plus tag map values) and drives a ServerAPI.
 type Client struct {
 	api    ServerAPI
+	fam    FamilyEvalAPI // api's, when it has one
 	scheme *secshare.Scheme
 	r      *ring.Ring
 
@@ -374,7 +377,8 @@ func (c *Client) Tracer() *obs.Tracer { return c.tracer.Load() }
 
 // NewClient builds a client filter over any ServerAPI.
 func NewClient(api ServerAPI, scheme *secshare.Scheme) *Client {
-	return &Client{api: api, scheme: scheme, r: scheme.Ring()}
+	fam, _ := api.(FamilyEvalAPI)
+	return &Client{api: api, fam: fam, scheme: scheme, r: scheme.Ring()}
 }
 
 // Ring exposes the polynomial ring (for engines needing dimensions).

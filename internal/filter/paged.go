@@ -13,15 +13,18 @@
 // multi-million-node subtree streams out in bounded frames. Equality
 // bundles page at bundle granularity (a bundle is one node plus its
 // children's share rows, bounded by fanout × poly size), with at least
-// one bundle per page so progress is guaranteed. Remote sends every
-// DescendantsBatch and NodePolysBatch through these paged methods; there
-// is no unpaged wire form.
+// one bundle per page so progress is guaranteed, and FamilyEvals
+// replies page the same way. Remote sends every DescendantsBatch,
+// NodePolysBatch and FamilyEvals through these paged methods; there is
+// no unpaged wire form.
 package filter
 
 import (
 	"encoding/binary"
 	"fmt"
 	"math/bits"
+
+	"encshare/internal/gf"
 )
 
 // ReplyByteBudget bounds the encoded members of one paged reply frame.
@@ -78,6 +81,31 @@ func nodePolysWire(b NodePolys) int { return bundleWireBytes(b.Node, b.Children,
 
 func partialNodePolysWire(b PartialNodePolys) int {
 	return 1 + bundleWireBytes(b.Node, b.Children, b.Err)
+}
+
+// familyEvalWire is the encoded size of one FamilyEval within a page
+// (see familyPage.AppendWire): its flag, error, the lengths of its two
+// lists and their members.
+func familyEvalWire(e FamilyEval) int {
+	n := 1 + uvarintLen(uint64(len(e.Err))) + len(e.Err) +
+		uvarintLen(uint64(len(e.Children))) + uvarintLen(uint64(len(e.Vals)))
+	for _, pre := range e.Children {
+		n += varintLen(pre)
+	}
+	for _, v := range e.Vals {
+		n += uvarintLen(uint64(v))
+	}
+	return n
+}
+
+// familyPageWireBytes is the encoded size of a family page holding es:
+// the three member counts, every member, and Done.
+func familyPageWireBytes(es []FamilyEval) int {
+	n := 3*uvarintLen(uint64(len(es))) + 1
+	for _, e := range es {
+		n += familyEvalWire(e)
+	}
+	return n
 }
 
 // descPageArgs resumes a paged DescendantsBatch at Member; Resume is 0
@@ -179,6 +207,16 @@ type bundlePage[T any] struct {
 	Done    bool
 }
 
+// familyPageArgs resumes a paged FamilyEvals batch at member Member.
+type familyPageArgs struct {
+	bundlePageArgs
+	Points []gf.Elem
+}
+
+// familyPage is one page of a FamilyEvals reply: a bundle page of
+// family evaluations, with a layout of its own (see wire.go).
+type familyPage bundlePage[FamilyEval]
+
 // pageBundles serves one page of a bundle batch, splitting between
 // bundles by encoded size with at least one bundle per page. The
 // bundles of each fetched window that fit are joined once, at the end,
@@ -226,17 +264,27 @@ func pageBundles[T any](a bundlePageArgs, fetch func([]int64) ([]T, error), size
 	return rep, nil
 }
 
-// remotePagedBundles drives a paged bundle method from the client side:
-// loop pages until Done, validating that the (untrusted) server makes
-// progress and answers exactly the requested members.
+// remotePagedBundles drives a paged bundle method from the client side.
 func remotePagedBundles[T any](r *Remote, method string, pres []int64) ([]T, error) {
-	if len(pres) == 0 {
+	return remotePaged(method, len(pres), func(member int) (bundlePage[T], error) {
+		var rep bundlePage[T]
+		err := r.call(method, bundlePageArgs{Pres: pres, Member: member}, &rep)
+		return rep, err
+	})
+}
+
+// remotePaged loops the pages of an n-member paged reply until Done,
+// each fetched by page from its first member on, validating that the
+// (untrusted) server makes progress and answers exactly the requested
+// members.
+func remotePaged[T any](method string, n int, page func(member int) (bundlePage[T], error)) ([]T, error) {
+	if n == 0 {
 		return nil, nil
 	}
 	var out []T
 	for {
-		var rep bundlePage[T]
-		if err := r.call(method, bundlePageArgs{Pres: pres, Member: len(out)}, &rep); err != nil {
+		rep, err := page(len(out))
+		if err != nil {
 			return nil, err
 		}
 		if len(rep.Bundles) == 0 && !rep.Done {
@@ -244,20 +292,20 @@ func remotePagedBundles[T any](r *Remote, method string, pres []int64) ([]T, err
 		}
 		if out == nil && rep.Done {
 			// One page: its bundles are the answer.
-			if err := checkReplyLen(rep.Bundles, len(pres)); err != nil {
+			if err := checkReplyLen(rep.Bundles, n); err != nil {
 				return nil, err
 			}
 			return rep.Bundles, nil
 		}
 		if out == nil {
-			out = make([]T, 0, len(pres))
+			out = make([]T, 0, n)
 		}
 		out = append(out, rep.Bundles...)
-		if len(out) > len(pres) {
-			return nil, &BadReplyError{Msg: fmt.Sprintf("paged %s reply carried %d members for %d requests", method, len(out), len(pres))}
+		if len(out) > n {
+			return nil, &BadReplyError{Msg: fmt.Sprintf("paged %s reply carried %d members for %d requests", method, len(out), n)}
 		}
 		if rep.Done {
-			if err := checkReplyLen(out, len(pres)); err != nil {
+			if err := checkReplyLen(out, n); err != nil {
 				return nil, err
 			}
 			return out, nil

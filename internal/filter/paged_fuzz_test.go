@@ -2,7 +2,10 @@ package filter
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
+
+	"encshare/internal/gf"
 )
 
 // The paged protocols carry resume cursors chosen by one side and
@@ -186,10 +189,39 @@ func fuzzBundles(seed int64, pres []int64) func([]int64) ([]NodePolys, error) {
 	}
 }
 
+// fuzzFamilies synthesizes deterministic family evaluations the same
+// way: the child count, the pres and the values (and so the page split
+// points) derive from the pre and seed.
+func fuzzFamilies(seed int64) func([]int64) ([]FamilyEval, error) {
+	return func(sub []int64) ([]FamilyEval, error) {
+		out := make([]FamilyEval, len(sub))
+		for i, pre := range sub {
+			rng := rand.New(rand.NewSource(seed ^ pre))
+			e := &out[i]
+			e.Has = rng.Intn(4) != 0
+			rows := rng.Intn(40)
+			if e.Has {
+				rows++
+			}
+			for k := 0; k < rows; k++ {
+				if k > 0 || !e.Has {
+					e.Children = append(e.Children, pre+1+rng.Int63n(1<<(rng.Intn(40))))
+				}
+				e.Vals = append(e.Vals, gf.Elem(rng.Intn(300)), gf.Elem(rng.Intn(300)))
+			}
+			if rng.Intn(8) == 0 {
+				*e = FamilyEval{Err: "store: node not found"}
+			}
+		}
+		return out, nil
+	}
+}
+
 // FuzzPageBundles: for random budgets and bundle sizes, the paged
-// bundle protocol (NodePolysBatch / NodePolysPartial framing) delivers
-// every requested member exactly once, in order, byte-for-byte equal to
-// the unpaged fetch, from any legal entry cursor.
+// bundle protocol (NodePolysBatch / NodePolysPartial / FamilyEvals
+// framing) delivers every requested member exactly once, in order,
+// equal to the unpaged fetch, from any legal entry cursor — for share
+// bundles and for family evaluations alike.
 func FuzzPageBundles(f *testing.F) {
 	f.Add(int64(1), uint8(5), uint16(512), uint8(0))
 	f.Add(int64(3), uint8(1), uint16(16), uint8(0))
@@ -200,55 +232,48 @@ func FuzzPageBundles(f *testing.F) {
 		for i := range pres {
 			pres[i] = int64(i*3 + 1)
 		}
-		fetch := fuzzBundles(seed, pres)
 
 		oldBudget, oldChunk := ReplyByteBudget, pageFetchChunk
 		ReplyByteBudget = int(budget)%2048 + 1
 		pageFetchChunk = int(budget)%5 + 1
 		defer func() { ReplyByteBudget, pageFetchChunk = oldBudget, oldChunk }()
 
-		want, err := fetch(pres)
-		if err != nil {
-			t.Fatal(err)
-		}
-
 		start := int(startMember) % (nm + 1) // nm itself is legal: instantly Done
-		got := make([]NodePolys, 0, nm)
-		for pages := 0; ; pages++ {
-			if pages > nm+2 {
-				t.Fatalf("bundle page loop did not terminate after %d pages", pages)
-			}
-			rep, err := pageBundles(bundlePageArgs{Pres: pres, Member: start + len(got)}, fetch, nodePolysWire)
-			if err != nil {
-				t.Fatalf("pageBundles(member=%d): %v", start+len(got), err)
-			}
-			if len(rep.Bundles) == 0 && !rep.Done {
-				t.Fatalf("empty page without Done at member %d", start+len(got))
-			}
-			got = append(got, rep.Bundles...)
-			if start+len(got) > nm {
-				t.Fatalf("pages delivered %d members for a request of %d", start+len(got), nm)
-			}
-			if rep.Done {
-				break
-			}
-		}
-		if len(got) != nm-start {
-			t.Fatalf("reassembled %d members from cursor %d, want %d", len(got), start, nm-start)
-		}
-		for i, g := range got {
-			w := want[start+i]
-			if g.Err != w.Err || g.Node.Pre != w.Node.Pre || string(g.Node.Poly) != string(w.Node.Poly) {
-				t.Fatalf("member %d node mismatch", start+i)
-			}
-			if len(g.Children) != len(w.Children) {
-				t.Fatalf("member %d: %d children, want %d", start+i, len(g.Children), len(w.Children))
-			}
-			for j := range w.Children {
-				if g.Children[j].Pre != w.Children[j].Pre || string(g.Children[j].Poly) != string(w.Children[j].Poly) {
-					t.Fatalf("member %d child %d mismatch", start+i, j)
-				}
-			}
-		}
+		pagedMatchesUnpaged(t, pres, start, fuzzBundles(seed, pres), nodePolysWire)
+		pagedMatchesUnpaged(t, pres, start, fuzzFamilies(seed), familyEvalWire)
 	})
+}
+
+// pagedMatchesUnpaged pages the members of pres from cursor start and
+// fails unless the pages reassemble exactly fetch's unpaged reply.
+func pagedMatchesUnpaged[T any](t *testing.T, pres []int64, start int, fetch func([]int64) ([]T, error), size func(T) int) {
+	t.Helper()
+	nm := len(pres)
+	want, err := fetch(pres)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make([]T, 0, nm)
+	for pages := 0; ; pages++ {
+		if pages > nm+2 {
+			t.Fatalf("%T page loop did not terminate after %d pages", got, pages)
+		}
+		rep, err := pageBundles(bundlePageArgs{Pres: pres, Member: start + len(got)}, fetch, size)
+		if err != nil {
+			t.Fatalf("pageBundles(member=%d): %v", start+len(got), err)
+		}
+		if len(rep.Bundles) == 0 && !rep.Done {
+			t.Fatalf("empty page without Done at member %d", start+len(got))
+		}
+		got = append(got, rep.Bundles...)
+		if start+len(got) > nm {
+			t.Fatalf("pages delivered %d members for a request of %d", start+len(got), nm)
+		}
+		if rep.Done {
+			break
+		}
+	}
+	if !reflect.DeepEqual(got, want[start:]) {
+		t.Fatalf("%T pages from cursor %d reassembled\n%+v\nwant\n%+v", got, start, got, want[start:])
+	}
 }

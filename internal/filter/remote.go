@@ -36,6 +36,7 @@ const (
 	methodDescendantsPage      = "filter.DescendantsBatchPage"
 	methodNodePolysPage        = "filter.NodePolysBatchPage"
 	methodNodePolysPartialPage = "filter.NodePolysPartialPage"
+	methodFamilyEvalsPage      = "filter.FamilyEvalsPage"
 	methodPreRange             = "filter.PreRange"
 
 	// Server-side work counters (cache hits/misses, blob decodes,
@@ -127,6 +128,14 @@ func RegisterServerAt(srv *rmi.Server, tenant string, api ServerAPI) {
 			return pageBundles(a, p.NodePolysPartial, partialNodePolysWire)
 		})
 	}
+	if fa, ok := api.(FamilyEvalAPI); ok {
+		rmi.HandleFuncAt(srv, tenant, methodFamilyEvalsPage, func(a familyPageArgs) (familyPage, error) {
+			p, err := pageBundles(a.bundlePageArgs, func(pres []int64) ([]FamilyEval, error) {
+				return fa.FamilyEvals(pres, a.Points)
+			}, familyEvalWire)
+			return familyPage(p), err
+		})
+	}
 	if ra, ok := api.(RangeAPI); ok {
 		rmi.HandleFuncAt(srv, tenant, methodPreRange, func(empty) (PreRange, error) {
 			return ra.PreRange()
@@ -178,11 +187,12 @@ type remoteTracer struct {
 }
 
 var (
-	_ ServerAPI  = (*Remote)(nil)
-	_ PartialAPI = (*Remote)(nil)
-	_ RangeAPI   = (*Remote)(nil)
-	_ MutableAPI = (*Remote)(nil)
-	_ LeaseAPI   = (*Remote)(nil)
+	_ ServerAPI     = (*Remote)(nil)
+	_ PartialAPI    = (*Remote)(nil)
+	_ FamilyEvalAPI = (*Remote)(nil)
+	_ RangeAPI      = (*Remote)(nil)
+	_ MutableAPI    = (*Remote)(nil)
+	_ LeaseAPI      = (*Remote)(nil)
 )
 
 // NewRemote wraps an rmi client as a ServerAPI.
@@ -361,6 +371,15 @@ func (r *Remote) NodePolysBatch(pres []int64) ([]NodePolys, error) {
 // equality-bundle fragments, paged.
 func (r *Remote) NodePolysPartial(pres []int64) ([]PartialNodePolys, error) {
 	return remotePagedBundles[PartialNodePolys](r, methodNodePolysPartialPage, pres)
+}
+
+// FamilyEvals implements FamilyEvalAPI over the paged protocol.
+func (r *Remote) FamilyEvals(pres []int64, points []gf.Elem) ([]FamilyEval, error) {
+	return remotePaged(methodFamilyEvalsPage, len(pres), func(member int) (bundlePage[FamilyEval], error) {
+		var rep familyPage
+		err := r.call(methodFamilyEvalsPage, familyPageArgs{bundlePageArgs{Pres: pres, Member: member}, points}, &rep)
+		return bundlePage[FamilyEval](rep), err
+	})
 }
 
 // ServerStats implements StatsAPI over the wire.

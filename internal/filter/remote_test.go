@@ -76,6 +76,13 @@ func TestRemoteMethodsAllServed(t *testing.T) {
 		{"DescendantsBatch", func() error { _, err := rem.DescendantsBatch([]Span{{Pre: root.Pre, Post: root.Post}}); return err }},
 		{"NodePolysBatch", func() error { _, err := rem.NodePolysBatch([]int64{root.Pre}); return err }},
 		{"NodePolysPartial", func() error { _, err := rem.NodePolysPartial([]int64{root.Pre}); return err }},
+		{"FamilyEvals", func() error {
+			evals, err := rem.FamilyEvals([]int64{root.Pre}, fx.m.FreePoints())
+			if err == nil && (len(evals) != 1 || !evals[0].Has || evals[0].Err != "") {
+				t.Errorf("FamilyEvals of the root = %+v", evals)
+			}
+			return err
+		}},
 		{"PreRange", func() error { _, err := rem.PreRange(); return err }},
 		{"ServerStats", func() error { _, err := rem.ServerStats(); return err }},
 		{"AggregateBatch", func() error {
@@ -125,7 +132,7 @@ func TestRemoteMethodsAllServed(t *testing.T) {
 	want := []string{
 		methodAcquireLease, methodAggregateBatch, methodChildren, methodChildrenBatch,
 		methodChildrenPolys, methodCount, methodDescendants, methodDescendantsPage,
-		methodEpoch, methodEvalAt, methodEvalBatch, methodMutate, methodMutateLeased,
+		methodEpoch, methodEvalAt, methodEvalBatch, methodFamilyEvalsPage, methodMutate, methodMutateLeased,
 		methodNode, methodNodeBatch, methodNodePolysPage, methodNodePolysPartialPage,
 		methodPoly, methodPreRange, methodReleaseLease, methodRoot, methodServerStats,
 	}

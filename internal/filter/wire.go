@@ -506,11 +506,11 @@ func (a bundlePageArgs) AppendWire(dst []byte) []byte {
 	return binary.AppendVarint(presList(a.Pres).AppendWire(dst), int64(a.Member))
 }
 
-func (a *bundlePageArgs) DecodeWire(b []byte, _ bool) error {
-	return decodeWire(b, func(r *wireReader) {
-		(*presList)(&a.Pres).read(r)
-		a.Member = int(r.varint("member"))
-	})
+func (a *bundlePageArgs) DecodeWire(b []byte, _ bool) error { return decodeWire(b, a.read) }
+
+func (a *bundlePageArgs) read(r *wireReader) {
+	(*presList)(&a.Pres).read(r)
+	a.Member = int(r.varint("member"))
 }
 
 // AppendWire grows dst once, to the exact size of the page, so a page
@@ -537,6 +537,59 @@ func bundlePageWireBytes[T any](p bundlePage[T]) int {
 func (p *bundlePage[T]) DecodeWire(b []byte, owned bool) error {
 	return decodeKeeping(b, owned, func(r *wireReader) {
 		p.Bundles = readBundles[T](r)
+		p.Done = r.bool("done")
+	})
+}
+
+// --- family evaluations --------------------------------------------------
+
+func appendElem(dst []byte, v *gf.Elem) []byte { return binary.AppendUvarint(dst, uint64(*v)) }
+
+func readElem(v *gf.Elem, r *wireReader) { *v = r.elem("field element") }
+
+func appendPre(dst []byte, p *int64) []byte { return binary.AppendVarint(dst, *p) }
+
+func readPre(p *int64, r *wireReader) { *p = r.varint("pre") }
+
+// AppendWire encodes the bundle page arguments, then the points.
+func (a familyPageArgs) AppendWire(dst []byte) []byte {
+	return appendList(a.bundlePageArgs.AppendWire(dst), a.Points, appendElem)
+}
+
+func (a *familyPageArgs) DecodeWire(b []byte, _ bool) error {
+	return decodeWire(b, func(r *wireReader) {
+		a.bundlePageArgs.read(r)
+		a.Points = readList(r, "point count", 1, readElem)
+	})
+}
+
+// AppendWire encodes every member's flag and error, then the members'
+// children and their values as two nested lists, then Done. It grows
+// dst once, to the exact size of the page.
+func (p familyPage) AppendWire(dst []byte) []byte {
+	es := p.Bundles
+	dst = appendList(slices.Grow(dst, familyPageWireBytes(es)), es, func(dst []byte, e *FamilyEval) []byte {
+		return appendString(appendBool(dst, e.Has), e.Err)
+	})
+	dst = appendNested(dst, len(es), func(i int) []int64 { return es[i].Children }, appendPre)
+	dst = appendNested(dst, len(es), func(i int) []gf.Elem { return es[i].Vals }, appendElem)
+	return appendBool(dst, p.Done)
+}
+
+func (p *familyPage) DecodeWire(b []byte, _ bool) error {
+	return decodeWire(b, func(r *wireReader) {
+		p.Bundles = readList(r, "family count", 2, func(e *FamilyEval, r *wireReader) {
+			e.Has, e.Err = r.bool("family flag"), r.string("family error")
+		})
+		kids := readNested(r, "family children", 1, readPre)
+		vals := readNested(r, "family values", 1, readElem)
+		if len(kids) != len(p.Bundles) || len(vals) != len(p.Bundles) {
+			r.fail("family rows")
+			return
+		}
+		for i := range p.Bundles {
+			p.Bundles[i].Children, p.Bundles[i].Vals = kids[i], vals[i]
+		}
 		p.Done = r.bool("done")
 	})
 }

@@ -65,6 +65,12 @@ func wireSamples() []rmi.Message {
 		&LeaseGrant{ID: 3, TTLMillis: 2000, LastSeq: 7, Epoch: 8, Range: rng},
 		&LeasedBatch{LeaseID: 3, Release: true, B: batch},
 		&LeasedBatch{LeaseID: math.MaxUint64, B: MutationBatch{Ver: MutationBatchVersion}},
+		&familyPageArgs{bundlePageArgs{Pres: []int64{4, 5}, Member: 1}, []gf.Elem{75, 76}},
+		&familyPage{Bundles: []FamilyEval{
+			{Has: true, Children: []int64{5, 9}, Vals: []gf.Elem{1, 82, 0, 7, 300, 2}},
+			{Children: []int64{-3}, Vals: []gf.Elem{math.MaxUint32, 4}},
+			{Err: "store: node 12 not found"},
+		}, Done: true},
 	}
 }
 
@@ -313,6 +319,42 @@ func TestBundleWireBytesExact(t *testing.T) {
 			if got, want := len(half.AppendWire(nil)), 3+partialNodePolysWire(partial.Bundles[i]); got != want {
 				t.Errorf("seed %d partial bundle %d: encodes to %d bytes, sized %d", tc.seed, i, got, want)
 			}
+		}
+	}
+}
+
+// TestFamilyWireBytesExact: a family page's computed size is its
+// encoded length, at varint-length edges of every field (pres, values,
+// error lengths, member, child and value counts).
+func TestFamilyWireBytesExact(t *testing.T) {
+	pres := []int64{0, -1, 63, 64, -65, 1 << 20, math.MinInt64, math.MaxInt64}
+	vals := []gf.Elem{0, 1, 82, 127, 128, 16383, 16384, math.MaxUint32}
+	errs := []string{"", "store: node 7: store: node not found", strings.Repeat("e", 200)}
+	for _, tc := range []struct {
+		seed            int64
+		members, kidMax int
+	}{
+		{1, 0, 0}, {2, 1, 0}, {3, 1, 3}, {4, 5, 140}, {5, 127, 2}, {6, 128, 2}, {7, 300, 1},
+	} {
+		rng := rand.New(rand.NewSource(tc.seed))
+		var page familyPage
+		for i := 0; i < tc.members; i++ {
+			e := FamilyEval{Has: rng.Intn(2) == 0, Err: errs[rng.Intn(len(errs))]}
+			for k := rng.Intn(tc.kidMax + 1); k > 0; k-- {
+				e.Children = append(e.Children, pres[rng.Intn(len(pres))])
+			}
+			for k := 2 * (len(e.Children) + 1); k > 0; k-- {
+				e.Vals = append(e.Vals, vals[rng.Intn(len(vals))])
+			}
+			page.Bundles = append(page.Bundles, e)
+			one := familyPage{Bundles: []FamilyEval{e}}
+			if got, want := len(one.AppendWire(nil)), 4+familyEvalWire(e); got != want {
+				t.Errorf("seed %d member %d: encodes to %d bytes, sized %d", tc.seed, i, got, want)
+			}
+		}
+		page.Done = tc.seed%2 == 0
+		if got, want := len(page.AppendWire(nil)), familyPageWireBytes(page.Bundles); got != want {
+			t.Errorf("seed %d: family page encodes to %d bytes, computed %d", tc.seed, got, want)
 		}
 	}
 }

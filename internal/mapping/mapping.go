@@ -16,6 +16,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 
 	"encshare/internal/gf"
 )
@@ -26,6 +27,9 @@ type Map struct {
 	field  *gf.Field
 	byName map[string]gf.Elem
 	byVal  map[gf.Elem]string
+
+	freeOnce sync.Once
+	free     []gf.Elem
 }
 
 // ErrUnknownName is returned (wrapped) when a queried name has no mapping.
@@ -159,4 +163,30 @@ func (m *Map) Names() []string {
 	}
 	sort.Strings(out)
 	return out
+}
+
+// strictPoints is how many free points FreePoints returns at most.
+const strictPoints = 2
+
+// FreePoints returns the points of the one-point strict test: the
+// smallest strictPoints elements of F_q^* that no name maps to, in
+// increasing order. Fewer come back when fewer are free, none when the
+// names fill F_q^*. They are a function of the map alone, found on the
+// first call (O(q)) and kept.
+//
+// Evaluation at a nonzero point is a ring homomorphism, and a node
+// polynomial is f_N = (x − s)·Π f_c with every root in the map's image,
+// so at a free point a no child factor vanishes and f_N(a) =
+// (a − t)·Π f_c(a) holds exactly when s = t. One point decides a check
+// for the right key; each further point divides by q the chance that a
+// wrong key passes one.
+func (m *Map) FreePoints() []gf.Elem {
+	m.freeOnce.Do(func() {
+		for v := gf.Elem(1); v < m.field.Q() && len(m.free) < strictPoints; v++ {
+			if _, used := m.byVal[v]; !used {
+				m.free = append(m.free, v)
+			}
+		}
+	})
+	return m.free
 }

@@ -2,6 +2,7 @@ package mapping
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 
@@ -198,5 +199,47 @@ func TestInjectivityInvariant(t *testing.T) {
 			t.Fatalf("value %d assigned twice", v)
 		}
 		seen[v] = true
+	}
+}
+
+// TestFreePoints: the strict test's points are the smallest values of
+// F_q^* outside the map's image, at most two, a function of the map
+// alone — the same after a save and load.
+func TestFreePoints(t *testing.T) {
+	f := gf.MustNew(7, 1)
+	for _, tc := range []struct {
+		file string
+		want []gf.Elem
+	}{
+		{"a = 1\nb = 2\n", []gf.Elem{3, 4}},
+		{"a = 2\nb = 5\nc = 1\n", []gf.Elem{3, 4}},
+		{"a = 1\nb = 2\nc = 3\nd = 4\ne = 6\n", []gf.Elem{5}},
+		{"a = 1\nb = 2\nc = 3\nd = 4\ne = 5\nf = 6\n", nil},
+		{"", []gf.Elem{1, 2}},
+	} {
+		m, err := Load(f, strings.NewReader(tc.file))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := m.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		again, err := Load(f, &buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, got := range [][]gf.Elem{m.FreePoints(), m.FreePoints(), again.FreePoints()} {
+			if !slices.Equal(got, tc.want) {
+				t.Errorf("map %q: free points %v, want %v", tc.file, got, tc.want)
+			}
+		}
+	}
+	m, err := Generate(gf.MustNew(83, 1), []string{"x", "y", "z"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := m.FreePoints(); !slices.Equal(got, []gf.Elem{4, 5}) {
+		t.Errorf("generated map of 3 names: free points %v, want [4 5]", got)
 	}
 }

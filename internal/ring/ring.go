@@ -30,8 +30,8 @@
 //     operand, so a linear factor costs two row passes. Extension
 //     fields multiply through the tables;
 //   - EvalBatch/EvalMany amortize the hoisting across many polynomials
-//     or many points; EvalStream evaluates a PRG-defined polynomial
-//     without materializing it (the client-share path);
+//     or many points; EvalStream evaluates a PRG-defined polynomial at
+//     one point without materializing it (the client-share path);
 //   - the radix-q codec runs on pooled uint64 limb vectors (limb.go),
 //     divides by reciprocals instead of hardware division, touches only
 //     the limbs still nonzero, and decodes into caller-supplied
@@ -612,9 +612,8 @@ func (r *Ring) EvalBatchInto(out []gf.Elem, polys []Poly, v gf.Elem) {
 }
 
 // EvalMany evaluates one polynomial at many points — the advanced
-// engine's look-ahead asks several names of the same node. One pass
-// over the coefficients updates all accumulators, so p streams through
-// the cache once however many points are asked.
+// engine's look-ahead asks several names of the same node, and the
+// strict test evaluates every row at each of the map's free points.
 func (r *Ring) EvalMany(p Poly, vs []gf.Elem) []gf.Elem {
 	out := make([]gf.Elem, len(vs))
 	r.EvalManyInto(out, p, vs)
@@ -622,70 +621,14 @@ func (r *Ring) EvalMany(p Poly, vs []gf.Elem) []gf.Elem {
 }
 
 // EvalManyInto is EvalMany into a caller-supplied result slice
-// (len(out) ≥ len(vs)).
+// (len(out) ≥ len(vs)): one evalTab pass per point. A pass carries no
+// dependency through a table load, so it costs less than one Horner
+// step per coefficient per point would, and p stays in cache between
+// passes.
 func (r *Ring) EvalManyInto(out []gf.Elem, p Poly, vs []gf.Elem) {
 	t := r.f.Tables()
-	if len(vs) == 1 { // common case: skip the accumulator machinery
-		out[0] = r.evalTab(t, p, vs[0])
-		return
-	}
-	lg, ex := t.Log, t.Exp
-	var logs [8]uint32
-	lv := logs[:0]
-	if len(vs) > len(logs) {
-		lv = make([]uint32, 0, len(vs))
-	}
 	for i, v := range vs {
-		out[i] = 0
-		if v == 0 {
-			// x^0 term only; handled after the loop.
-			lv = append(lv, 0)
-			continue
-		}
-		lv = append(lv, lg[v])
-	}
-	if r.prime {
-		q := r.q32
-		for i := r.n - 1; i >= 0; i-- {
-			c := p[i]
-			for j, v := range vs {
-				if v == 0 {
-					continue
-				}
-				acc := out[j]
-				if acc != 0 {
-					acc = ex[lg[acc]+lv[j]]
-				}
-				acc += c
-				if acc >= q {
-					acc -= q
-				}
-				out[j] = acc
-			}
-		}
-	} else {
-		f := r.f
-		for i := r.n - 1; i >= 0; i-- {
-			c := p[i]
-			for j, v := range vs {
-				if v == 0 {
-					continue
-				}
-				acc := out[j]
-				if acc != 0 {
-					acc = ex[lg[acc]+lv[j]]
-				}
-				if c != 0 {
-					acc = f.Add(acc, c)
-				}
-				out[j] = acc
-			}
-		}
-	}
-	for j, v := range vs {
-		if v == 0 {
-			out[j] = p[0]
-		}
+		out[i] = r.evalTab(t, p, v)
 	}
 }
 
@@ -727,9 +670,9 @@ func (r *Ring) RandInto(dst Poly, s *prg.Stream) Poly {
 // stream layout as Rand.
 func (r *Ring) Sampler() prg.Sampler { return r.sampler }
 
-// DrawChunk is how many coefficients the streaming paths draw per
+// DrawChunk is how many coefficients the streaming path draws per
 // prg.Stream.SampleInto call, into a stack buffer: a share over F_83 is
-// two calls, and no polynomial is ever materialized.
+// two calls, and no polynomial is materialized.
 const DrawChunk = 64
 
 // EvalStream evaluates, at point v, the polynomial whose coefficients
@@ -776,73 +719,20 @@ func (r *Ring) EvalStream(s *prg.Stream, v gf.Elem) gf.Elem {
 // EvalStreamMany evaluates the stream-defined polynomial at every point
 // in vs with a SINGLE pass over the PRG stream, writing results to out
 // (len(out) ≥ len(vs)). The PRG work — the dominant cost of a client
-// evaluation — is paid once however many points are asked of one node.
+// evaluation — is paid once however many points are asked of one node:
+// one point streams (EvalStream); several draw the coefficients into a
+// pooled polynomial once and evaluate it (EvalManyInto).
 func (r *Ring) EvalStreamMany(s *prg.Stream, vs []gf.Elem, out []gf.Elem) {
-	if len(vs) == 0 {
+	switch len(vs) {
+	case 0:
 		return
-	}
-	if len(vs) == 1 {
+	case 1:
 		out[0] = r.EvalStream(s, vs[0])
 		return
 	}
-	t := r.f.Tables()
-	lg, ex := t.Log, t.Exp
-	q := r.q32
-	var logsArr, pwArr [8]uint32
-	var logs, pw []uint32
-	if len(vs) <= len(logsArr) {
-		logs, pw = logsArr[:len(vs)], pwArr[:len(vs)]
-	} else {
-		logs, pw = make([]uint32, len(vs)), make([]uint32, len(vs))
-	}
-	for j, v := range vs {
-		if v != 0 {
-			logs[j] = lg[v]
-		}
-	}
-	for j := range vs {
-		out[j] = 0
-	}
-	prime := r.prime
-	f := r.f
-	u := r.sampler
-	var buf [DrawChunk]gf.Elem
-	for i0 := 0; i0 < r.n; i0 += DrawChunk {
-		cs := buf[:min(DrawChunk, r.n-i0)]
-		s.SampleInto(u, cs)
-		for k, c := range cs {
-			if c != 0 {
-				lc := lg[c]
-				for j, v := range vs {
-					if v == 0 {
-						if i0+k == 0 {
-							out[j] = c
-						}
-						continue
-					}
-					if prime {
-						acc := out[j] + ex[lc+pw[j]]
-						if acc >= q {
-							acc -= q
-						}
-						out[j] = acc
-					} else {
-						out[j] = f.Add(out[j], ex[lc+pw[j]])
-					}
-				}
-			}
-			for j, v := range vs {
-				if v == 0 {
-					continue
-				}
-				p := pw[j] + logs[j]
-				if p >= t.N {
-					p -= t.N
-				}
-				pw[j] = p
-			}
-		}
-	}
+	p := r.GetPoly()
+	r.EvalManyInto(out, r.RandInto(p, s), vs)
+	r.PutPoly(p)
 }
 
 // Bytes serializes p into exactly PolyBytes() bytes by radix-q packing

@@ -536,41 +536,22 @@ func Bundle[R blobRow](s *Store, pre int64) (node R, has bool, kids []R, err err
 	tb := s.tbl
 	tb.mu.RLock()
 	defer tb.mu.RUnlock()
-	var nodeBlob []byte
-	if r, ok := tb.pre.get(treeKey{a: pre}); ok {
-		if _, nodeBlob, err = tb.blobAt(tb.heapPg.page(r.page), r); err != nil {
-			return node, false, nil, fmt.Errorf("store: node %d: %w", pre, err)
-		}
-		has = true
-	}
-	// The children's slots, found once: their pres and blobs alias page
-	// bytes until the copy below.
+	// The family's slots, found once: their pres and blobs alias page
+	// bytes until the copy below. The node's row, when held, comes first.
 	type slotRef struct {
 		pre  int64
 		blob []byte
 	}
 	var refsBuf [bundleFanout]slotRef
 	refs := refsBuf[:0]
-	size := len(nodeBlob)
-	var cur uint32
-	var pb []byte
-	tb.kids.scanFrom(treeKey{a: pre, b: minInt64}, func(k treeKey, r rid) bool {
-		if k.a != pre {
-			return false
-		}
-		if r.page != cur {
-			pb, cur = tb.heapPg.page(r.page), r.page
-		}
-		var ref slotRef
-		if ref.pre, ref.blob, err = tb.blobAt(pb, r); err != nil {
-			return false
-		}
-		refs = append(refs, ref)
-		size += len(ref.blob)
-		return true
+	size := 0
+	has, err = tb.family(pre, func(p int64, blob []byte) error {
+		refs = append(refs, slotRef{p, blob})
+		size += len(blob)
+		return nil
 	})
 	if err != nil {
-		return node, false, nil, fmt.Errorf("store: children of %d: %w", pre, err)
+		return node, false, nil, err
 	}
 	arena := make([]byte, 0, size)
 	take := func(blob []byte) []byte {
@@ -579,7 +560,8 @@ func Bundle[R blobRow](s *Store, pre int64) (node R, has bool, kids []R, err err
 		return arena[off:len(arena):len(arena)]
 	}
 	if has {
-		node = R{Pre: pre, Poly: take(nodeBlob)}
+		node = R{Pre: pre, Poly: take(refs[0].blob)}
+		refs = refs[1:]
 	}
 	if len(refs) > 0 {
 		kids = make([]R, len(refs))
@@ -588,6 +570,57 @@ func Bundle[R blobRow](s *Store, pre int64) (node R, has bool, kids []R, err err
 		}
 	}
 	return node, has, kids, nil
+}
+
+// VisitFamily hands fn the share blob of the node at pre, when the table
+// holds it, then each child's in document order (a child's pre always
+// exceeds its parent's), all under one read lock and in place, as
+// DecodePoly does: fn must not keep blob past its return nor call back
+// into the store. has reports whether the table holds the node itself;
+// the children are visited either way, as in Bundle. fn's error stops
+// the walk and comes back as is.
+func (s *Store) VisitFamily(pre int64, fn func(pre int64, blob []byte) error) (has bool, err error) {
+	tb := s.tbl
+	tb.mu.RLock()
+	defer tb.mu.RUnlock()
+	return tb.family(pre, fn)
+}
+
+// family is VisitFamily under a read lock the caller holds. A store
+// failure is wrapped with the row it hit; fn's error is not.
+func (tb *pagedTable) family(pre int64, fn func(pre int64, blob []byte) error) (has bool, err error) {
+	if r, ok := tb.pre.get(treeKey{a: pre}); ok {
+		_, blob, err := tb.blobAt(tb.heapPg.page(r.page), r)
+		if err != nil {
+			return false, fmt.Errorf("store: node %d: %w", pre, err)
+		}
+		if err := fn(pre, blob); err != nil {
+			return false, err
+		}
+		has = true
+	}
+	var cur uint32
+	var pb []byte
+	var fnErr error
+	tb.kids.scanFrom(treeKey{a: pre, b: minInt64}, func(k treeKey, r rid) bool {
+		if k.a != pre {
+			return false
+		}
+		if r.page != cur {
+			pb, cur = tb.heapPg.page(r.page), r.page
+		}
+		var kid int64
+		var blob []byte
+		if kid, blob, err = tb.blobAt(pb, r); err != nil {
+			return false
+		}
+		fnErr = fn(kid, blob)
+		return fnErr == nil
+	})
+	if err != nil {
+		return false, fmt.Errorf("store: children of %d: %w", pre, err)
+	}
+	return has, fnErr
 }
 
 // DecodePoly hands decode the share blob of the node at pre in place,
